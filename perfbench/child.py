@@ -10,7 +10,6 @@ layer.  The result goes to OUTDIR/result.json, spans to OUTDIR/spans.bin.
 """
 
 import json
-import resource
 import sys
 import traceback
 from pathlib import Path
@@ -107,6 +106,19 @@ def install_spans(tracer: Tracer, counts: LayerCounts) -> None:
     template.TemplateAutomaton.step = counted_step
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set, in MB.
+
+    ``ru_maxrss`` is not used: after exec it still holds the parent's peak at
+    the time of the spawn, so it would count the benchmark's own memory.
+    """
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM line in /proc/self/status")
+
+
 def session_counts(session, counts: LayerCounts) -> dict:
     """Counters read from the Session's public objects after the run."""
     stats = session.stats.as_dict()
@@ -153,13 +165,13 @@ def main(argv) -> int:
         traceback.print_exc()
         exit_code = None
     verdict_s = perf_counter() - begin
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak_mb = peak_rss_mb()
 
     result = {
         "exit_code": exit_code,
         "verdict_s": verdict_s,
         "setup_s": probe.setup_s,
-        "peak_rss_mb": peak_rss_mb,
+        "peak_rss_mb": peak_mb,
         "latencies": probe.latencies,
         "violations": probe.violations,
     }

@@ -8,7 +8,10 @@ Each repeat generates a seeded corpus, then makes one
 The corpus is replayed as a batch in a closed loop (the monitor takes the
 next trace after it returns the verdict for the previous one), one process,
 no threads.  Repeats run one at a time until ``--seconds`` is used up (at
-least ``MIN_REPEATS``), and every figure is the median over repeats.
+least ``MIN_REPEATS``).  Each figure is a median over the repeats, or over
+the per-trace latencies of all of them.  Every time is scaled to a reference
+machine speed, probed by a fixed calibration task right before and after each
+monitor run (see ``calibration_s``).
 
 Every repeat is checked against a reference that does not come from the
 monitor: clean workloads are clean by construction of their circuit, and
@@ -21,6 +24,7 @@ standard output is one JSON object.
 """
 
 import argparse
+import gc
 import json
 import shutil
 import statistics
@@ -38,6 +42,9 @@ WORK_ROOT = ROOT / ".perfbench-work"
 MIN_REPEATS = 3
 CORPUS_STRIDE = 1000  # corpus seeds of one run: CORPUS_STRIDE * seed + repeat
 RUN_BUDGET_S = 170.0  # a run must end within 180 s
+# seconds calibration_s() takes on the machine the bounds were set on
+# (2 shared cores, Python 3.11.7); times are reported at this speed
+CALIBRATION_REF_S = 0.085
 
 # layers measured by spans in the traced run (see child.install_spans), and
 # whether their call count is reported (the others run once per monitor run
@@ -101,6 +108,27 @@ def reference_failures(workload, traces, result, report) -> int:
     return failed
 
 
+def calibration_s() -> float:
+    """Wall time of a fixed pure-Python task, a probe of the machine's speed.
+
+    The task hashes, allocates and inserts into a dict, as the monitor does.
+    The cyclic garbage collector is off meanwhile, so that the size of this
+    process's heap does not enter into it.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        begin = perf_counter()
+        table = {}
+        for i in range(80000):
+            table[frozenset((i, i >> 3, i & 7))] = (i, str(i))
+        sorted(table.values(), key=lambda v: -v[0])
+        return perf_counter() - begin
+    finally:
+        if collecting:
+            gc.enable()
+
+
 class Runner:
     """Runs the repeats of one workload; each repeat has its own corpus.
 
@@ -118,6 +146,7 @@ class Runner:
         self.monitor_runs = 0
         self.attempted = 0
         self.failed = 0
+        self.calibrations = []
 
     def sample(self, with_traced: bool):
         """Generate the next corpus and monitor it untraced, then traced if asked.
@@ -149,6 +178,7 @@ class Runner:
             sys.executable, str(HERE / "child.py"), self.workload.name,
             str(spec), str(corpus), str(outdir), "1" if traced else "0",
         ]
+        before = calibration_s()
         with open(stderr_path, "wb") as stderr:
             try:
                 proc = subprocess.run(
@@ -158,6 +188,8 @@ class Runner:
                 ok = proc.returncode == 0
             except subprocess.TimeoutExpired:
                 ok = False
+        calibration = (before + calibration_s()) / 2
+        self.calibrations.append(calibration)
         result = json.loads((outdir / "result.json").read_text(encoding="utf-8")) if ok else None
         report = None
         try:
@@ -173,6 +205,7 @@ class Runner:
                   f"reference check\n{tail}", file=sys.stderr)
         if result is None or result["setup_s"] is None or not result["latencies"]:
             return None  # nothing to time
+        result["scale"] = CALIBRATION_REF_S / calibration
         if traced:
             result["spans"] = tracer.self_times(outdir / "spans.bin")
         return result
@@ -195,19 +228,18 @@ def median_of(results, key):
     return statistics.median(r[key] for r in results)
 
 
+def scaled_median(results, key):
+    """Median over monitor runs of a time, each scaled to the reference speed."""
+    return statistics.median(r[key] * r["scale"] for r in results)
+
+
 def end_to_end(workload, results) -> dict:
-    pct = workload.tail_percentile()
+    latencies_ms = [1e3 * t * r["scale"] for r in results for t in r["latencies"]]
     return {
-        "verdict_s": (median_of(results, "verdict_s"), "s"),
-        "setup_s": (median_of(results, "setup_s"), "s"),
-        "trace_ms_p50": (
-            statistics.median(1e3 * statistics.median(r["latencies"]) for r in results),
-            "ms",
-        ),
-        "trace_ms_tail": (
-            statistics.median(1e3 * percentile(r["latencies"], pct) for r in results),
-            "ms",
-        ),
+        "verdict_s": (scaled_median(results, "verdict_s"), "s"),
+        "setup_s": (scaled_median(results, "setup_s"), "s"),
+        "trace_ms_p50": (statistics.median(latencies_ms), "ms"),
+        "trace_ms_tail": (percentile(latencies_ms, workload.tail_percentile()), "ms"),
         "peak_rss_mb": (median_of(results, "peak_rss_mb"), "MB"),
     }
 
@@ -219,7 +251,9 @@ def per_layer(untraced, traced) -> dict:
         spans = [r["spans"].get(name, (0, 0.0)) for r in traced]
         if report_calls:
             out[f"{name}.calls"] = (statistics.median(c for c, _ in spans), "count")
-        out[f"{name}.s"] = (statistics.median(s for _, s in spans), "s")
+        out[f"{name}.s"] = (
+            statistics.median(s * r["scale"] for (_, s), r in zip(spans, traced)), "s"
+        )
     for name in COUNTS:
         out[name] = (statistics.median(r["counts"][name] for r in traced), "count")
 
@@ -230,9 +264,10 @@ def per_layer(untraced, traced) -> dict:
     out["trace_analysis.dominates.hit_ratio"] = (
         statistics.median(hit_ratio(r) for r in traced), "ratio"
     )
-    out["trace.verdict_s"] = (median_of(traced, "verdict_s"), "s")
+    out["trace.verdict_s"] = (scaled_median(traced, "verdict_s"), "s")
     out["trace.overhead_ratio"] = (
-        median_of(traced, "verdict_s") / median_of(untraced, "verdict_s"), "ratio"
+        scaled_median(traced, "verdict_s") / scaled_median(untraced, "verdict_s"),
+        "ratio",
     )
     return out
 
@@ -283,6 +318,8 @@ def main(argv=None) -> int:
           f"{runner.monitor_runs} monitor runs of {workload.n} traces")
     for name, (value, unit) in metrics.items():
         print(f"  {name} = {value:.6g} {unit}")
+    print(f"  calibration = {statistics.median(runner.calibrations):.6g} s "
+          f"(times above are scaled to {CALIBRATION_REF_S} s)")
     print(f"  failed_share = {runner.failed / runner.attempted:.6g} ratio")
     print(json.dumps({
         "correct": runner.failed == 0,

@@ -75,6 +75,13 @@ def test_bypass_readings(outcomes):
     assert metric(outcomes, "counter3-stream", True, "template.rejecting_position.calls") > 0
 
 
+def test_peak_rss_is_the_monitors_own():
+    # the parent's peak must not leak into the child's figure
+    ballast = b"\x01" * (64 << 20)
+    metrics, _ = run.run(TINY["xor4-tuples"], seed=2, seconds=0, traced=False)
+    assert len(ballast) and metrics["peak_rss_mb"][0] < 64
+
+
 def _pairs(traces, body, accepted: bool):
     for (n1, t1), (n2, t2) in itertools.product(traces.items(), repeat=2):
         if eval_body({"p": t1, "q": t2}, body) == accepted:

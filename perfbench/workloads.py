@@ -69,7 +69,7 @@ WORKLOADS = {
             sources=("lhs1",),
             targets=("out0",),
             prefix=FORALL_FORALL,
-            n=1000,
+            n=400,
             length=5,
             bias=(),
             flags=("--no-trace-analysis",),
@@ -81,7 +81,7 @@ WORKLOADS = {
             sources=("incr",),
             targets=("overflow",),
             prefix=FORALL_FORALL,
-            n=1500,
+            n=1000,
             length=20,
             bias=(("incr", 0.85), ("decr", 0.05)),
             flags=("--continue-after-violation",),
@@ -93,7 +93,7 @@ WORKLOADS = {
             sources=("lhs1",),
             targets=("out0",),
             prefix=FORALL_EXISTS,
-            n=350,
+            n=200,
             length=5,
             bias=(),
             flags=("--no-trace-analysis",),
