@@ -99,7 +99,11 @@ def build_report(session: Session) -> SessionReport:
 
 
 def _load_spec(path: str):
-    return parse_formula(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MonitorError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    return parse_formula(text)
 
 
 def cmd_monitor(args) -> int:
@@ -113,6 +117,13 @@ def cmd_monitor(args) -> int:
     except (MonitorError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    first_path = {}
+    for path, trace in zip(paths, traces):
+        if trace.name in first_path:
+            print(f"error: duplicate trace name {trace.name!r}: "
+                  f"{first_path[trace.name]} and {path}", file=sys.stderr)
+            return EXIT_USAGE
+        first_path[trace.name] = path
     options = MonitorOptions(
         trace_analysis=not args.no_trace_analysis,
         spec_analysis=not args.no_spec_analysis,

@@ -225,6 +225,8 @@ class Session:
             verdict = self._process_provisional(trace)
             self._verdict = verdict
         self.stats.traces_stored = len(self.store)
+        if self.checker is not None:
+            self.stats.inclusion_checks = self.checker.inclusion_checks
         self.stats.wall_time += time.perf_counter() - begin
         return verdict
 
@@ -291,7 +293,6 @@ class Session:
             for old in self.store.traces:
                 if checker.dominates(old, fresh):
                     self.store.dropped.append((fresh.name, old.name))
-                    self.stats.inclusion_checks = checker.inclusion_checks
                     return CLEAN
         violating = self._scan_tuples(fresh)
         if violating is not None:
@@ -304,7 +305,6 @@ class Session:
                 else:
                     kept.append(old)
             self.store.traces = kept
-            self.stats.inclusion_checks = checker.inclusion_checks
         self.store.add(fresh)
         return CLEAN
 
@@ -375,7 +375,6 @@ class Session:
                         kept.append(old)
                 self.store.traces = kept
                 self.store.add(fresh)
-            self.stats.inclusion_checks = checker.inclusion_checks
         else:
             self.store.add(fresh)
         if eval_quantified(self.store.traces, self.qf):

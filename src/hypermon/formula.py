@@ -5,6 +5,11 @@ derived operators that :func:`desugar` expands.  :func:`simplify` rewrites a
 body into a canonical form (flattened, sorted n-ary or/and, double-negation
 and constant elimination) that the automaton construction uses as its state
 space.
+
+Body nodes are frozen, slotted dataclasses.  Each node computes its hash once,
+on first use, and keeps it, so the dicts and sets the evaluator and the
+automaton construction key on nodes cost one lookup rather than a walk over
+the whole subtree.  Equality stays structural.
 """
 
 from dataclasses import dataclass
@@ -28,91 +33,116 @@ class AtomRef:
 
 
 class Formula:
-    """Base class for body nodes. Instances are immutable and hashable."""
+    """Base class for body nodes.
 
-    __slots__ = ()
+    Subclasses are ``@dataclass(frozen=True, slots=True)`` classes: immutable,
+    without a ``__dict__``, and compared field by field.  They all share the
+    ``__hash__`` below, which hashes the node's class name and fields on first
+    use and keeps the result in the ``_h`` slot.  A child's hash is then one
+    slot read, so hashing a node costs O(number of children), not O(subtree).
+    """
+
+    __slots__ = ("_h",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # an explicit __hash__ in the class body stops dataclass from
+        # generating its own, which would rehash the whole subtree per call
+        cls.__hash__ = Formula.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._h
+        except AttributeError:
+            pass
+        # the class name rather than the class, whose hash is its address,
+        # keeps hashes reproducible under a fixed PYTHONHASHSEED
+        fields = (getattr(self, name) for name in self.__slots__)
+        h = hash((type(self).__name__, *fields))
+        object.__setattr__(self, "_h", h)
+        return h
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     ref: AtomRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     args: tuple  # tuple[Formula, ...], at least two entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Xor(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Next(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Until(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakUntil(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Release(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Globally(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eventually(Formula):
     sub: Formula
 

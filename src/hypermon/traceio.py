@@ -47,7 +47,11 @@ def print_trace(trace: Trace) -> str:
 
 def load_trace(path) -> Trace:
     path = Path(path)
-    return parse_trace(path.read_text(encoding="utf-8"), path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    return parse_trace(text, path.stem)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -92,6 +92,34 @@ class TestMonitor:
         t1 = write(tmp_path / "t1.trace", "a,,b\n")
         assert main(["monitor", spec, t1]) == 2
 
+    def test_non_utf8_trace_exit_2(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, EQ)
+        t1 = tmp_path / "t1.trace"
+        t1.write_bytes(b"\xff\xfe\n")
+        assert main(["monitor", spec, str(t1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t1.trace" in err
+
+    def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.hm"
+        spec.write_bytes(b"\xff\xfe\n")
+        t1 = write(tmp_path / "t1.trace", "a\n")
+        assert main(["monitor", str(spec), t1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spec.hm" in err
+
+    def test_duplicate_trace_stems_exit_2(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, EQ)
+        for sub in ("d1", "d2"):
+            (tmp_path / sub).mkdir()
+            write(tmp_path / sub / "t.trace", "a\n")
+        code = main(["monitor", spec, str(tmp_path / "d1"), str(tmp_path / "d2")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(tmp_path / "d1" / "t.trace") in err
+        assert str(tmp_path / "d2" / "t.trace") in err
+
     def test_resource_limit_exit_3(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")
         t1 = write(tmp_path / "t1.trace", "a\nb\n")
@@ -115,6 +143,12 @@ class TestAnalyze:
         assert payload["transitive"] is False
         assert payload["reflexive"] is True
         assert payload["witnesses"]["transitive"]
+
+    def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.hm"
+        spec.write_bytes(b"\xff\xfe\n")
+        assert main(["analyze", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_asymmetric_prints_witness(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. forall q. G (a@p -> a@q)\n")

@@ -103,6 +103,17 @@ class TestUniversalSessions:
         assert third.is_violation  # t3 still conflicts with a stored trace
         assert session.stats.traces_seen == 3
 
+    def test_inclusion_checks_synced_after_violations(self):
+        session = new_session(
+            parse_formula(EQ), MonitorOptions(continue_after_violation=True)
+        )
+        session.process_trace(Trace.of([{"a"}], "t1"))
+        for i, steps in enumerate(([set()], [set(), {"a"}], [set(), set()])):
+            # each trace is checked for dominance first, then violates
+            assert session.process_trace(Trace.of(steps, f"v{i}")).is_violation
+        assert session.checker.inclusion_checks > 0
+        assert session.stats.inclusion_checks == session.checker.inclusion_checks
+
     def test_duplicate_names_rejected(self):
         session = new_session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t"))

@@ -1,5 +1,9 @@
 """Hypothesis properties for the formula layer invariants."""
 
+import itertools
+from dataclasses import FrozenInstanceError, fields
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermon.formula import (
@@ -85,3 +89,44 @@ def test_desugar_and_simplify_preserve_evaluation(body, tp, tq):
 def test_variable_swap_is_involution(body):
     swap = {"p": "q", "q": "p"}
     assert rename_variables(rename_variables(body, swap), swap) == body
+
+
+@settings(max_examples=150, deadline=None)
+@given(bodies)
+def test_rebuilt_body_is_equal_with_equal_hash(body):
+    h = hash(body)
+    assert hash(body) == h  # the kept hash is the one computed first
+    table = {body: "original"}
+    qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), body)
+    swap = {"p": "q", "q": "p"}
+    for rebuilt in (
+        parse_formula(pretty_quantified(qf)).body,
+        rename_variables(rename_variables(body, swap), swap),
+    ):
+        assert rebuilt == body
+        assert hash(rebuilt) == h
+        assert table[rebuilt] == "original"
+
+
+@settings(max_examples=100, deadline=None)
+@given(bodies, bodies)
+def test_node_classes_with_equal_fields_differ(lhs, rhs):
+    for group in (
+        (Until(lhs, rhs), WeakUntil(lhs, rhs), Release(lhs, rhs)),
+        (Globally(lhs), Eventually(lhs)),
+        (Or((lhs, rhs)), And((lhs, rhs))),
+    ):
+        for a, b in itertools.combinations(group, 2):
+            assert a != b
+        assert len({node: None for node in group}) == len(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bodies)
+def test_nodes_are_frozen_and_slotted(body):
+    h = hash(body)
+    assert not hasattr(body, "__dict__")
+    for field in fields(body):
+        with pytest.raises(FrozenInstanceError):
+            setattr(body, field.name, TRUE)
+    assert hash(body) == h
