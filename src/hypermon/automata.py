@@ -61,37 +61,52 @@ class Dfa:
         return Dfa(self.support, self.initial, rejecting, self.transitions)
 
 
+def _shortest_word(start, expand, goal):
+    """Breadth-first search for a shortest word leading from ``start`` to a goal.
+
+    ``expand(state)`` yields (letter, successor) pairs in ascending letter
+    order, so among the shortest words the one with the smallest letters
+    first wins.  Returns the word as a tuple of letters (``()`` when ``start``
+    is a goal), or None when no goal is reachable.
+    """
+    if goal(start):
+        return ()
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        next_queue = []
+        for state in queue:
+            for letter, succ in expand(state):
+                if succ in parent:
+                    continue
+                parent[succ] = (state, letter)
+                if goal(succ):
+                    word = []
+                    cur = succ
+                    while parent[cur] is not None:
+                        cur, letter = parent[cur]
+                        word.append(letter)
+                    word.reverse()
+                    return tuple(word)
+                next_queue.append(succ)
+        queue = next_queue
+    return None
+
+
 def is_empty(d: Dfa):
     """(True, None) if no accepting state is reachable, else (False, witness).
 
     The witness is the shortest accepting word (lexicographically smallest by
     letter ints among the shortest), decoded to atom sets.
     """
-    if d.initial in d.accepting:
-        return False, ()
-    parent = {d.initial: None}
-    queue = [d.initial]
-    while queue:
-        next_queue = []
-        for state in queue:
-            row = d.transitions[state]
-            for letter in range(d.num_letters):
-                succ = row[letter]
-                if succ in parent:
-                    continue
-                parent[succ] = (state, letter)
-                if succ in d.accepting:
-                    word = []
-                    cur = succ
-                    while parent[cur] is not None:
-                        prev, letter = parent[cur]
-                        word.append(letter)
-                        cur = prev
-                    word.reverse()
-                    return False, tuple(letter_to_atoms(l, d.support) for l in word)
-                next_queue.append(succ)
-        queue = next_queue
-    return True, None
+    word = _shortest_word(
+        d.initial,
+        lambda state: enumerate(d.transitions[state]),
+        d.accepting.__contains__,
+    )
+    if word is None:
+        return True, None
+    return False, tuple(letter_to_atoms(l, d.support) for l in word)
 
 
 def language_included(a: Dfa, b: Dfa):
@@ -103,38 +118,17 @@ def language_included(a: Dfa, b: Dfa):
         raise SupportMismatchError(
             f"automata have different supports: {a.support} vs {b.support}"
         )
-    start = (a.initial, b.initial)
+
+    def expand(pair):
+        return enumerate(zip(a.transitions[pair[0]], b.transitions[pair[1]]))
 
     def bad(pair):
         return pair[0] in a.accepting and pair[1] not in b.accepting
 
-    if bad(start):
-        return False, ()
-    parent = {start: None}
-    queue = [start]
-    num_letters = a.num_letters
-    while queue:
-        next_queue = []
-        for pair in queue:
-            row_a = a.transitions[pair[0]]
-            row_b = b.transitions[pair[1]]
-            for letter in range(num_letters):
-                succ = (row_a[letter], row_b[letter])
-                if succ in parent:
-                    continue
-                parent[succ] = (pair, letter)
-                if bad(succ):
-                    word = []
-                    cur = succ
-                    while parent[cur] is not None:
-                        prev, letter = parent[cur]
-                        word.append(letter)
-                        cur = prev
-                    word.reverse()
-                    return False, tuple(letter_to_atoms(l, a.support) for l in word)
-                next_queue.append(succ)
-        queue = next_queue
-    return True, None
+    word = _shortest_word((a.initial, b.initial), expand, bad)
+    if word is None:
+        return True, None
+    return False, tuple(letter_to_atoms(l, a.support) for l in word)
 
 
 def _reachable(d: Dfa) -> "Dfa":

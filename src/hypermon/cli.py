@@ -92,7 +92,6 @@ def build_report(session: Session) -> SessionReport:
             "symmetric": session.symmetric,
             "transitive": session.transitive,
             "reflexive": session.reflexive,
-            "parallel": session.options.parallel,
         },
         dropped_traces=list(session.store.dropped),
     )
@@ -127,11 +126,9 @@ def cmd_monitor(args) -> int:
     options = MonitorOptions(
         trace_analysis=not args.no_trace_analysis,
         spec_analysis=not args.no_spec_analysis,
-        parallel=args.parallel,
         continue_after_violation=args.continue_after_violation,
         state_limit=args.state_limit,
     )
-    session = None
     try:
         session = Session(qf, options)
         for trace in traces:
@@ -139,9 +136,6 @@ def cmd_monitor(args) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    finally:
-        if session is not None:
-            session.close()
     report = build_report(session)
     rendered = report.to_json() + "\n" if args.stats_format == "json" else report.to_text()
     if args.out:
@@ -267,7 +261,6 @@ def make_parser() -> argparse.ArgumentParser:
     mon.add_argument("traces", nargs="+", help="trace files or directories")
     mon.add_argument("--no-trace-analysis", action="store_true")
     mon.add_argument("--no-spec-analysis", action="store_true")
-    mon.add_argument("--parallel", action="store_true")
     mon.add_argument("--continue-after-violation", action="store_true")
     mon.add_argument("--state-limit", type=int, default=100_000)
     mon.add_argument("--stats-format", choices=("text", "json"), default="text")

@@ -15,7 +15,6 @@ verdicts are provisional: a later trace can change them.
 import itertools
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FragmentError
@@ -32,29 +31,22 @@ from .template import (
     DEFAULT_ATOM_LIMIT,
     DEFAULT_STATE_LIMIT,
     build_template,
+    joint_word,
     rejecting_position,
+    run_masks,
     trace_masks,
 )
 from .trace_analysis import DominanceChecker, TraceStore
 
 log = logging.getLogger(__name__)
 
-_PARALLEL_BATCH = 512
-
 
 @dataclass
 class MonitorOptions:
-    """Session knobs.
-
-    ``parallel`` runs the tuple loop in batches on a thread pool with a
-    deterministic reduction; verdicts are identical to the sequential path.
-    Under CPython's interpreter lock it mostly helps when acceptance runs
-    block elsewhere, not on pure compute.
-    """
+    """Session knobs."""
 
     trace_analysis: bool = True
     spec_analysis: bool = True
-    parallel: bool = False
     continue_after_violation: bool = False
     state_limit: int = DEFAULT_STATE_LIMIT
     atom_limit: int = DEFAULT_ATOM_LIMIT
@@ -151,7 +143,6 @@ class Session:
         self._warned_extra = frozenset()
         self._masks = {}
         self._verdict = CLEAN
-        self._executor = None
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
             if not eval_body({}, qf.body):
@@ -240,26 +231,8 @@ class Session:
             self._masks[key] = masks
         return masks
 
-    def _accepts_tuple(self, tup) -> bool:
-        auto = self.template.automaton
-        mask_lists = [
-            self._mask(trace, var)
-            for var, trace in zip(self.qf.variables, tup)
-        ]
-        length = max((len(m) for m in mask_lists), default=0)
-        state = auto.initial_state
-        step = auto.step
-        for j in range(length):
-            letter = 0
-            for ml in mask_lists:
-                if j < len(ml):
-                    letter |= ml[j]
-            state = step(state, letter)
-            if state == auto.false_sid:
-                return False
-            if state == auto.true_sid:
-                return True
-        return auto.acc[state]
+    def _tuple_masks(self, tup):
+        return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
 
     def _new_tuples(self, fresh: Trace):
         """Tuples involving the fresh trace, in deterministic order."""
@@ -288,67 +261,24 @@ class Session:
             yield tuple(pool[i] for i in combo)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
-        checker = self.checker
-        if checker is not None:
-            for old in self.store.traces:
-                if checker.dominates(old, fresh):
-                    self.store.dropped.append((fresh.name, old.name))
-                    return CLEAN
+        if self.store.drop_if_covered(fresh, self.checker):
+            return CLEAN
         violating = self._scan_tuples(fresh)
         if violating is not None:
             return Verdict(self._build_counterexample(violating))
-        if checker is not None:
-            kept = []
-            for old in self.store.traces:
-                if checker.dominates(fresh, old):
-                    self.store.dropped.append((old.name, fresh.name))
-                else:
-                    kept.append(old)
-            self.store.traces = kept
-        self.store.add(fresh)
+        self.store.insert(fresh, self.checker)
         return CLEAN
 
     def _scan_tuples(self, fresh: Trace):
-        if not self.options.parallel:
-            for tup in self._new_tuples(fresh):
-                self.stats.instances_run += 1
-                if not self._accepts_tuple(tup):
-                    return tup
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor()
-        batch = []
+        auto = self.template.automaton
         for tup in self._new_tuples(fresh):
-            batch.append(tup)
-            if len(batch) >= _PARALLEL_BATCH:
-                hit = self._scan_batch(batch)
-                if hit is not None:
-                    return hit
-                batch = []
-        if batch:
-            return self._scan_batch(batch)
-        return None
-
-    def _scan_batch(self, batch):
-        results = list(self._executor.map(self._accepts_tuple, batch))
-        self.stats.instances_run += len(batch)
-        for tup, ok in zip(batch, results):
-            if not ok:
+            self.stats.instances_run += 1
+            if not run_masks(auto, self._tuple_masks(tup)):
                 return tup
         return None
 
     def _build_counterexample(self, tup) -> CounterExample:
-        mask_lists = [
-            self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)
-        ]
-        length = max((len(m) for m in mask_lists), default=0)
-        letters = []
-        for j in range(length):
-            letter = 0
-            for ml in mask_lists:
-                if j < len(ml):
-                    letter |= ml[j]
-            letters.append(letter)
+        letters = list(joint_word(self._tuple_masks(tup)))
         position = rejecting_position(self.template.automaton, letters)
         assignment = tuple(
             (var, trace.name) for var, trace in zip(self.qf.variables, tup)
@@ -358,25 +288,8 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        checker = self.checker
-        if checker is not None:
-            dominated = False
-            for old in self.store.traces:
-                if checker.dominates(old, fresh):
-                    self.store.dropped.append((fresh.name, old.name))
-                    dominated = True
-                    break
-            if not dominated:
-                kept = []
-                for old in self.store.traces:
-                    if checker.dominates(fresh, old):
-                        self.store.dropped.append((old.name, fresh.name))
-                    else:
-                        kept.append(old)
-                self.store.traces = kept
-                self.store.add(fresh)
-        else:
-            self.store.add(fresh)
+        if not self.store.drop_if_covered(fresh, self.checker):
+            self.store.insert(fresh, self.checker)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN
         return Verdict(self._provisional_counterexample())
@@ -394,11 +307,6 @@ class Session:
 
     def verdict(self) -> Verdict:
         return self._verdict
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
 
 def new_session(qf: QuantifiedFormula, options: MonitorOptions = None) -> Session:

@@ -13,9 +13,9 @@ than the full alphabet; the per-state subset count is guarded by
 explicit :class:`~hypermon.automata.Dfa` for the algebra operations.
 """
 
-import threading
+from itertools import zip_longest
 
-from .automata import Dfa
+from .automata import Dfa, _shortest_word
 from .errors import MonitorError, ResourceLimitError, SupportMismatchError
 from .formula import (
     FALSE,
@@ -148,9 +148,6 @@ class TemplateAutomaton:
         self.delta = {}
         self.true_sid = -1
         self.false_sid = -1
-        # registration appends to parallel tables; concurrent acceptance runs
-        # must not interleave those appends
-        self._lock = threading.Lock()
         # deep-simplify once so every residual literal is already canonical
         self.initial_state = self._register(canonical_state(simplify(body)))
 
@@ -158,26 +155,22 @@ class TemplateAutomaton:
         sid = self.index.get(f)
         if sid is not None:
             return sid
-        with self._lock:
-            sid = self.index.get(f)
-            if sid is not None:
-                return sid
-            if len(self.formulas) >= self.state_limit:
-                raise ResourceLimitError(
-                    f"monitor automaton exceeds {self.state_limit} states"
-                )
-            sid = len(self.formulas)
-            self.formulas.append(f)
-            self.acc.append(eps_eval(f))
-            mask = 0
-            for ref in atom_refs(f):
-                mask |= 1 << self.bits[ref]
-            self.rel.append(mask)
-            if isinstance(f, TrueF):
-                self.true_sid = sid
-            elif isinstance(f, FalseF):
-                self.false_sid = sid
-            self.index[f] = sid
+        if len(self.formulas) >= self.state_limit:
+            raise ResourceLimitError(
+                f"monitor automaton exceeds {self.state_limit} states"
+            )
+        sid = len(self.formulas)
+        self.formulas.append(f)
+        self.acc.append(eps_eval(f))
+        mask = 0
+        for ref in atom_refs(f):
+            mask |= 1 << self.bits[ref]
+        self.rel.append(mask)
+        if isinstance(f, TrueF):
+            self.true_sid = sid
+        elif isinstance(f, FalseF):
+            self.false_sid = sid
+        self.index[f] = sid
         return sid
 
     def step(self, state: int, letter: int) -> int:
@@ -300,36 +293,21 @@ def lazy_is_empty(auto, start=None, atom_limit=None):
         atom_limit = auto.atom_limit
     if start is None:
         start = auto.initial_state
-    if auto.accepting(start):
-        return False, ()
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        next_queue = []
-        for state in queue:
-            rel = auto.relevant(state)
-            if rel.bit_count() > atom_limit:
-                raise ResourceLimitError(
-                    f"state fan-out over {rel.bit_count()} atoms exceeds the "
-                    f"limit of {atom_limit}"
-                )
-            for letter in _submasks_ascending(rel):
-                succ = auto.step(state, letter)
-                if succ in parent:
-                    continue
-                parent[succ] = (state, letter)
-                if auto.accepting(succ):
-                    word = []
-                    cur = succ
-                    while parent[cur] is not None:
-                        prev, letter = parent[cur]
-                        word.append(letter)
-                        cur = prev
-                    word.reverse()
-                    return False, tuple(word)
-                next_queue.append(succ)
-        queue = next_queue
-    return True, None
+
+    def expand(state):
+        rel = auto.relevant(state)
+        if rel.bit_count() > atom_limit:
+            raise ResourceLimitError(
+                f"state fan-out over {rel.bit_count()} atoms exceeds the "
+                f"limit of {atom_limit}"
+            )
+        for letter in _submasks_ascending(rel):
+            yield letter, auto.step(state, letter)
+
+    word = _shortest_word(start, expand, auto.accepting)
+    if word is None:
+        return True, None
+    return False, word
 
 
 def materialize(auto, atom_limit=None) -> Dfa:
@@ -371,18 +349,19 @@ def materialize(auto, atom_limit=None) -> Dfa:
     return Dfa(support, 0, accepting, tuple(rows))
 
 
+def joint_word(mask_lists):
+    """Letters of the joint word of per-variable mask sequences, lazily.
+
+    A sequence past its end contributes no atoms.  Masks of distinct
+    variables occupy disjoint bits, so summing a step's masks unions them.
+    """
+    return map(sum, zip_longest(*mask_lists, fillvalue=0))
+
+
 def run_masks(auto, mask_lists) -> bool:
     """Run the joint word of per-variable mask sequences; True iff accepted."""
-    length = 0
-    for ml in mask_lists:
-        if len(ml) > length:
-            length = len(ml)
     state = auto.initial_state
-    for j in range(length):
-        letter = 0
-        for ml in mask_lists:
-            if j < len(ml):
-                letter |= ml[j]
+    for letter in joint_word(mask_lists):
         state = auto.step(state, letter)
         if auto.is_dead(state):
             return False

@@ -35,7 +35,13 @@ class DominanceJudgment:
 
 @dataclass
 class TraceStore:
-    """Ordered, uniquely named traces plus a log of dropped ones."""
+    """Ordered traces plus a log of dropped ones.
+
+    Names are not checked here; the session checks them before a trace
+    reaches the store.  A fresh trace goes in by :meth:`drop_if_covered`,
+    then, if not dropped, :meth:`insert`; the session runs its tuple loop in
+    between.  A ``checker`` of None means trace analysis is off.
+    """
 
     traces: list = field(default_factory=list)
     dropped: list = field(default_factory=list)  # (dropped name, dominator name)
@@ -44,9 +50,32 @@ class TraceStore:
         return [t.name for t in self.traces]
 
     def add(self, trace: Trace) -> None:
-        if trace.name in self.names():
-            raise ValueError(f"duplicate trace name {trace.name!r}")
         self.traces.append(trace)
+
+    def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
+        """Log ``fresh`` as dropped if a stored trace dominates it.
+
+        Stored traces are tried in insertion order; the first dominator is
+        logged as the covering trace.
+        """
+        if checker is not None:
+            for old in self.traces:
+                if checker.dominates(old, fresh):
+                    self.dropped.append((fresh.name, old.name))
+                    return True
+        return False
+
+    def insert(self, fresh: Trace, checker: "DominanceChecker") -> None:
+        """Evict every stored trace ``fresh`` dominates, then append it."""
+        if checker is not None:
+            kept = []
+            for old in self.traces:
+                if checker.dominates(fresh, old):
+                    self.dropped.append((old.name, fresh.name))
+                else:
+                    kept.append(old)
+            self.traces = kept
+        self.add(fresh)
 
     def copy(self) -> "TraceStore":
         return TraceStore(list(self.traces), list(self.dropped))
@@ -119,25 +148,14 @@ def minimize_store(template, qclass, store: TraceStore, fresh: Trace,
                    checker: DominanceChecker = None) -> TraceStore:
     """Insert a fresh trace, keeping the store redundancy-free.
 
-    If any stored trace dominates the fresh one, the store is returned
-    unchanged (fresh discarded).  Otherwise every stored trace the fresh one
-    dominates is removed, and the fresh trace appended.  Stored traces are
-    visited in insertion order.
+    Returns a new store; the one passed in is left unchanged.  If any stored
+    trace dominates the fresh one, the fresh trace is only logged as dropped.
+    Otherwise every stored trace the fresh one dominates is removed, and the
+    fresh trace appended.  Stored traces are visited in insertion order.
     """
     if checker is None:
         checker = DominanceChecker(template, qclass)
-    for old in store.traces:
-        if checker.dominates(old, fresh):
-            out = store.copy()
-            out.dropped.append((fresh.name, old.name))
-            return out
     out = store.copy()
-    kept = []
-    for old in out.traces:
-        if checker.dominates(fresh, old):
-            out.dropped.append((old.name, fresh.name))
-        else:
-            kept.append(old)
-    out.traces = kept
-    out.add(fresh)
+    if not out.drop_if_covered(fresh, checker):
+        out.insert(fresh, checker)
     return out

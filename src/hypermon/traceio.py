@@ -51,7 +51,10 @@ def load_trace(path) -> Trace:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    return parse_trace(text, path.stem)
+    try:
+        return parse_trace(text, path.stem)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from hypermon.automata import (
 from hypermon.errors import SupportMismatchError
 from hypermon.formula import AtomRef, desugar, rename_variables
 from hypermon.parser import parse_formula
-from hypermon.template import build_template, materialize
+from hypermon.template import build_template, lazy_is_empty, materialize
 
 from conftest import random_body
 
@@ -52,6 +53,15 @@ class TestEmptiness:
         # both {a} and {a,b} accepted; the numerically smaller letter wins
         empty, witness = is_empty(explicit("forall p. a@p | a@p & b@p"))
         assert witness == (frozenset({A_P}),)
+
+    def test_lazy_and_explicit_searches_find_the_same_witness(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            auto = build_template(desugar(random_body(rng, 3)), ("p", "q")).automaton
+            empty, word = lazy_is_empty(auto)
+            if word is not None:
+                word = tuple(letter_to_atoms(l, auto.support) for l in word)
+            assert (empty, word) == is_empty(materialize(auto))
 
 
 class TestInclusion:

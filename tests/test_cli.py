@@ -92,6 +92,16 @@ class TestMonitor:
         t1 = write(tmp_path / "t1.trace", "a,,b\n")
         assert main(["monitor", spec, t1]) == 2
 
+    def test_bad_trace_in_directory_named(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, EQ)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write(corpus / "ok.trace", "a\n")
+        write(corpus / "bad.trace", "a,,b\n")
+        assert main(["monitor", spec, str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus / 'bad.trace'}: line 1: invalid proposition ''\n"
+
     def test_non_utf8_trace_exit_2(self, tmp_path, capsys):
         spec = spec_file(tmp_path, EQ)
         t1 = tmp_path / "t1.trace"

@@ -120,6 +120,14 @@ class TestUniversalSessions:
         with pytest.raises(ValueError):
             session.process_trace(Trace.of([{"a"}], "t"))
 
+    def test_duplicate_of_dropped_name_rejected(self):
+        session = new_session(parse_formula(EQ))
+        session.process_trace(Trace.of([{"a"}], "t1"))
+        session.process_trace(Trace.of([{"a"}], "t2"))
+        assert session.store.dropped == [("t2", "t1")]
+        with pytest.raises(ValueError):
+            session.process_trace(Trace.of([set()], "t2"))
+
     def test_extra_propositions_projected_with_warning(self, caplog):
         session = new_session(parse_formula(EQ))
         with caplog.at_level(logging.WARNING, logger="hypermon.engine"):
@@ -149,24 +157,6 @@ class TestUniversalSessions:
             )
             violated = feed(session, traces)[0] is not None
             assert violated == (not eval_quantified(traces, qf))
-
-
-class TestParallel:
-    def test_parallel_matches_sequential(self, rng):
-        for _ in range(10):
-            body = random_body(rng, 3)
-            qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), body)
-            traces = [random_trace(rng, f"t{i}", 4) for i in range(6)]
-            results = []
-            for parallel in (False, True):
-                session = Session(
-                    qf, MonitorOptions(parallel=parallel, trace_analysis=False)
-                )
-                idx, verdict = feed(session, traces)
-                ce = verdict.counterexample if verdict else None
-                results.append((idx, ce.assignment if ce else None))
-                session.close()
-            assert results[0] == results[1]
 
 
 class TestProvisionalSessions:

@@ -106,6 +106,16 @@ class TestMinimizeStore:
         assert out.names() == ["t"]
         assert out.dropped == [("copy", "t")]
 
+    def test_input_store_unchanged(self):
+        # F a@p & F b@q: the blank trace displaces both stored traces
+        tpl, qc = setup("forall p. forall q. F a@p & F b@q")
+        has_a, has_b = Trace.of([{"a"}], "has_a"), Trace.of([{"b"}], "has_b")
+        store = TraceStore([has_a, has_b], [("gone", "has_a")])
+        for fresh in (Trace.of([set()], "blank"), has_a.renamed("copy")):
+            minimize_store(tpl, qc, store, fresh)
+            assert store.traces == [has_a, has_b]
+            assert store.dropped == [("gone", "has_a")]
+
     def test_universal_body_store_stays_singleton(self, rng):
         tpl, qc = setup("forall p. forall q. true")
         store = TraceStore()
