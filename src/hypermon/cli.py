@@ -19,7 +19,7 @@ from pathlib import Path
 from .automata import to_dot
 from .circuits import KINDS, input_bits, output_bits, random_traces
 from .engine import MonitorOptions, Session
-from .errors import MonitorError, ResourceLimitError, TraceFormatError
+from .errors import MonitorError, ResourceLimitError
 from .formula import pretty_quantified
 from .parser import parse_formula
 from .spec_analysis import analyze, decode_word
@@ -106,23 +106,6 @@ def _load_spec(path: str):
 
 
 def cmd_monitor(args) -> int:
-    try:
-        qf = _load_spec(args.spec)
-        paths = collect_trace_paths(args.traces)
-        if not paths:
-            print("error: no trace files found", file=sys.stderr)
-            return EXIT_USAGE
-        traces = [load_trace(p) for p in paths]
-    except (MonitorError, TraceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    first_path = {}
-    for path, trace in zip(paths, traces):
-        if trace.name in first_path:
-            print(f"error: duplicate trace name {trace.name!r}: "
-                  f"{first_path[trace.name]} and {path}", file=sys.stderr)
-            return EXIT_USAGE
-        first_path[trace.name] = path
     options = MonitorOptions(
         trace_analysis=not args.no_trace_analysis,
         spec_analysis=not args.no_spec_analysis,
@@ -130,12 +113,21 @@ def cmd_monitor(args) -> int:
         state_limit=args.state_limit,
     )
     try:
+        qf = _load_spec(args.spec)
+        paths = collect_trace_paths(args.traces)
+        if not paths:
+            raise MonitorError("no trace files found")
         session = Session(qf, options)
-        for trace in traces:
-            session.process_trace(trace)
+        # one trace in memory at a time; files after a violation are still
+        # read, so a bad one exits 2
+        for path in paths:
+            session.process_trace(load_trace(path))
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (MonitorError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = build_report(session)
     rendered = report.to_json() + "\n" if args.stats_format == "json" else report.to_text()
     if args.out:

@@ -241,8 +241,6 @@ class Session:
         if self.transitive:
             if stored:
                 yield (stored[0], fresh)
-            elif not self.reflexive:
-                yield (fresh, fresh)
             return
         if self.symmetric:
             for old in stored:
@@ -261,12 +259,12 @@ class Session:
             yield tuple(pool[i] for i in combo)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
-        if self.store.drop_if_covered(fresh, self.checker):
-            return CLEAN
+        # a trace some stored trace dominates never violates, so only a trace
+        # that passes its tuples is worth the dominance checks
         violating = self._scan_tuples(fresh)
         if violating is not None:
             return Verdict(self._build_counterexample(violating))
-        self.store.insert(fresh, self.checker)
+        self.store.add(fresh, self.checker)
         return CLEAN
 
     def _scan_tuples(self, fresh: Trace):
@@ -288,8 +286,7 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        if not self.store.drop_if_covered(fresh, self.checker):
-            self.store.insert(fresh, self.checker)
+        self.store.add(fresh, self.checker)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN
         return Verdict(self._provisional_counterexample())

@@ -62,7 +62,11 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def collect_trace_paths(paths):
-    """Expand directories to their *.trace files in name order."""
+    """Expand directories to their *.trace files in name order.
+
+    Raises TraceFormatError, naming both paths, when two files share a stem
+    and so would give two traces the same name.
+    """
     out = []
     for p in paths:
         p = Path(p)
@@ -70,6 +74,13 @@ def collect_trace_paths(paths):
             out.extend(sorted(p.glob("*.trace")))
         else:
             out.append(p)
+    first = {}
+    for path in out:
+        if path.stem in first:
+            raise TraceFormatError(
+                f"duplicate trace name {path.stem!r}: {first[path.stem]} and {path}"
+            )
+        first[path.stem] = path
     return out
 
 

@@ -130,6 +130,42 @@ class TestMonitor:
         assert str(tmp_path / "d1" / "t.trace") in err
         assert str(tmp_path / "d2" / "t.trace") in err
 
+    def test_traces_streamed_one_at_a_time(self, tmp_path, capsys, monkeypatch):
+        from hypermon import cli
+        from hypermon.engine import Session
+
+        events = []
+        load, process = cli.load_trace, Session.process_trace
+
+        def logged_load(path):
+            events.append("load")
+            return load(path)
+
+        def logged_process(session, trace):
+            events.append("process")
+            return process(session, trace)
+
+        monkeypatch.setattr(cli, "load_trace", logged_load)
+        monkeypatch.setattr(Session, "process_trace", logged_process)
+        spec = spec_file(tmp_path, EQ)
+        paths = [write(tmp_path / f"t{i}.trace", "a\n") for i in range(3)]
+        assert main(["monitor", spec, *paths]) == 0
+        assert events == ["load", "process"] * 3
+
+    def test_bad_trace_after_violation_exit_2(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, EQ)
+        t1 = write(tmp_path / "t1.trace", "a\n")
+        t2 = write(tmp_path / "t2.trace", "{}\n")
+        t3 = write(tmp_path / "t3.trace", "a,,b\n")
+        assert main(["monitor", spec, t1, t2, t3]) == 2
+        assert "t3.trace: line 1" in capsys.readouterr().err
+
+    def test_resource_limit_before_bad_trace_exit_3(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")
+        t1 = write(tmp_path / "t1.trace", "a\nb\n")  # trips the guard
+        t2 = write(tmp_path / "t2.trace", "a,,b\n")
+        assert main(["monitor", spec, t1, t2, "--state-limit", "1"]) == 3
+
     def test_resource_limit_exit_3(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")
         t1 = write(tmp_path / "t1.trace", "a\nb\n")

@@ -5,7 +5,7 @@ import pytest
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
 from hypermon.formula import QuantifiedFormula
 from hypermon.parser import parse_formula
-from hypermon.semantics import Trace, eval_quantified
+from hypermon.semantics import Trace, eval_body, eval_quantified
 
 from conftest import random_body, random_trace
 
@@ -108,11 +108,19 @@ class TestUniversalSessions:
             parse_formula(EQ), MonitorOptions(continue_after_violation=True)
         )
         session.process_trace(Trace.of([{"a"}], "t1"))
+        # a clean duplicate of t1 makes inclusion checks and is dropped
+        assert not session.process_trace(Trace.of([{"a"}], "dup")).is_violation
         for i, steps in enumerate(([set()], [set(), {"a"}], [set(), set()])):
-            # each trace is checked for dominance first, then violates
             assert session.process_trace(Trace.of(steps, f"v{i}")).is_violation
         assert session.checker.inclusion_checks > 0
         assert session.stats.inclusion_checks == session.checker.inclusion_checks
+
+    def test_violating_trace_makes_no_inclusion_check(self):
+        session = new_session(parse_formula(EQ))
+        session.process_trace(Trace.of([{"a"}], "t1"))
+        assert session.process_trace(Trace.of([set()], "t2")).is_violation
+        assert session.checker.inclusion_checks == 0
+        assert session.store.names() == ["t1"] and session.store.dropped == []
 
     def test_duplicate_names_rejected(self):
         session = new_session(parse_formula(EQ))
@@ -200,6 +208,32 @@ class TestOptimizationTransparencyMini:
                     )
                     outcomes.add(feed(session, traces)[0] is not None)
             assert len(outcomes) == 1
+
+
+class TestPerTraceVerdicts:
+    def test_four_configurations_give_the_same_verdict_sequence(self, rng):
+        for _ in range(30):
+            body = random_body(rng, 3)
+            qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), body)
+            traces = [random_trace(rng, f"t{i}", 4) for i in range(7)]
+            by_name = {t.name: t for t in traces}
+            sequences = set()
+            for ta in (False, True):
+                for sa in (False, True):
+                    session = Session(qf, MonitorOptions(
+                        trace_analysis=ta, spec_analysis=sa,
+                        continue_after_violation=True,
+                    ))
+                    verdicts = [session.process_trace(t) for t in traces]
+                    sequences.add(tuple(v.is_violation for v in verdicts))
+                    for v in verdicts:
+                        if v.is_violation:
+                            assignment = {
+                                var: by_name[name]
+                                for var, name in v.counterexample.assignment
+                            }
+                            assert not eval_body(assignment, body), (str(qf), ta, sa)
+            assert len(sequences) == 1, str(qf)
 
 
 class TestThreeQuantifiers:

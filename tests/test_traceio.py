@@ -66,6 +66,13 @@ def test_collect_paths_expands_directories(tmp_path):
     assert [p.name for p in got] == ["a.trace", "b.trace"]
 
 
+def test_collect_paths_rejects_duplicate_stems_unread(tmp_path):
+    first, second = tmp_path / "d1" / "t.trace", tmp_path / "d2" / "t.trace"
+    with pytest.raises(TraceFormatError) as info:
+        collect_trace_paths([first, tmp_path / "u.trace", second])  # none exist
+    assert str(info.value) == f"duplicate trace name 't': {first} and {second}"
+
+
 def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, kind="xor4", n=3, seed=1)
