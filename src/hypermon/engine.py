@@ -231,6 +231,11 @@ class Session:
             self._masks[key] = masks
         return masks
 
+    def _forget(self, name: str) -> None:
+        # only stored traces appear in later tuples
+        for var in self.qf.variables:
+            self._masks.pop((name, var), None)
+
     def _tuple_masks(self, tup):
         return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
 
@@ -259,12 +264,17 @@ class Session:
             yield tuple(pool[i] for i in combo)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
-        # a trace some stored trace dominates never violates, so only a trace
-        # that passes its tuples is worth the dominance checks
+        if self.store.drop_if_covered(fresh, self.checker):
+            return CLEAN
         violating = self._scan_tuples(fresh)
         if violating is not None:
-            return Verdict(self._build_counterexample(violating))
+            verdict = Verdict(self._build_counterexample(violating))
+            self._forget(fresh.name)
+            return verdict
+        logged = len(self.store.dropped)
         self.store.add(fresh, self.checker)
+        for evicted, _ in self.store.dropped[logged:]:
+            self._forget(evicted)
         return CLEAN
 
     def _scan_tuples(self, fresh: Trace):
@@ -286,7 +296,8 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        self.store.add(fresh, self.checker)
+        if not self.store.drop_if_covered(fresh, self.checker):
+            self.store.add(fresh, self.checker)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN
         return Verdict(self._provisional_counterexample())

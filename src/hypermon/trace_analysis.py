@@ -38,7 +38,9 @@ class TraceStore:
     """Ordered traces plus a log of dropped ones.
 
     Names are not checked here; the session checks them before a trace
-    reaches the store.
+    reaches the store.  A fresh trace goes in by :meth:`drop_if_covered`,
+    then, if not dropped, :meth:`add`; the session runs its tuple loop in
+    between.  A ``checker`` of None means trace analysis is off.
     """
 
     traces: list = field(default_factory=list)
@@ -47,19 +49,22 @@ class TraceStore:
     def names(self):
         return [t.name for t in self.traces]
 
-    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> bool:
-        """Admit ``fresh`` unless a stored trace dominates it; True if stored.
+    def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
+        """Log ``fresh`` as dropped if a stored trace dominates it.
 
-        A dominated ``fresh`` is only logged as dropped, covered by its first
-        dominator in insertion order.  Otherwise every stored trace ``fresh``
-        dominates is evicted and ``fresh`` appended.  A ``checker`` of None
-        means trace analysis is off: ``fresh`` is appended.
+        Stored traces are tried in insertion order; the first dominator is
+        logged as the covering trace.
         """
         if checker is not None:
             for old in self.traces:
                 if checker.dominates(old, fresh):
                     self.dropped.append((fresh.name, old.name))
-                    return False
+                    return True
+        return False
+
+    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> None:
+        """Evict every stored trace ``fresh`` dominates, then append it."""
+        if checker is not None:
             kept = []
             for old in self.traces:
                 if checker.dominates(fresh, old):
@@ -68,7 +73,6 @@ class TraceStore:
                     kept.append(old)
             self.traces = kept
         self.traces.append(fresh)
-        return True
 
     def copy(self) -> "TraceStore":
         return TraceStore(list(self.traces), list(self.dropped))
@@ -139,13 +143,16 @@ def dominates(template: MonitorTemplate, qclass: QuantifierClass,
 
 def minimize_store(template, qclass, store: TraceStore, fresh: Trace,
                    checker: DominanceChecker = None) -> TraceStore:
-    """Insert a fresh trace by :meth:`TraceStore.add`, keeping the store
-    redundancy-free.
+    """Insert a fresh trace, keeping the store redundancy-free.
 
-    Returns a new store; the one passed in is left unchanged.
+    Returns a new store; the one passed in is left unchanged.  If any stored
+    trace dominates the fresh one, the fresh trace is only logged as dropped.
+    Otherwise every stored trace the fresh one dominates is removed, and the
+    fresh trace appended.  Stored traces are visited in insertion order.
     """
     if checker is None:
         checker = DominanceChecker(template, qclass)
     out = store.copy()
-    out.add(fresh, checker)
+    if not out.drop_if_covered(fresh, checker):
+        out.add(fresh, checker)
     return out

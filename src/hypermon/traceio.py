@@ -64,8 +64,7 @@ def save_trace(trace: Trace, path) -> None:
 def collect_trace_paths(paths):
     """Expand directories to their *.trace files in name order.
 
-    Raises TraceFormatError, naming both paths, when two files share a stem
-    and so would give two traces the same name.
+    Raises TraceFormatError when two files share a stem, i.e. a trace name.
     """
     out = []
     for p in paths:
@@ -76,11 +75,11 @@ def collect_trace_paths(paths):
             out.append(p)
     first = {}
     for path in out:
-        if path.stem in first:
+        other = first.setdefault(path.stem, path)
+        if other is not path:
             raise TraceFormatError(
-                f"duplicate trace name {path.stem!r}: {first[path.stem]} and {path}"
+                f"duplicate trace name {path.stem!r}: {other} and {path}"
             )
-        first[path.stem] = path
     return out
 
 

@@ -162,9 +162,14 @@ class TestMonitor:
 
     def test_resource_limit_before_bad_trace_exit_3(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")
-        t1 = write(tmp_path / "t1.trace", "a\nb\n")  # trips the guard
+        t1 = write(tmp_path / "t1.trace", "a\nb\n")
         t2 = write(tmp_path / "t2.trace", "a,,b\n")
+        # set-up passes this limit: alone, the bad file is reached and exits 2
+        assert main(["monitor", spec, t2, "--state-limit", "1"]) == 2
+        capsys.readouterr()
+        # monitoring t1 trips the guard before t2 is read
         assert main(["monitor", spec, t1, t2, "--state-limit", "1"]) == 3
+        assert capsys.readouterr().err.startswith("resource limit:")
 
     def test_resource_limit_exit_3(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")

@@ -108,19 +108,24 @@ class TestUniversalSessions:
             parse_formula(EQ), MonitorOptions(continue_after_violation=True)
         )
         session.process_trace(Trace.of([{"a"}], "t1"))
-        # a clean duplicate of t1 makes inclusion checks and is dropped
-        assert not session.process_trace(Trace.of([{"a"}], "dup")).is_violation
         for i, steps in enumerate(([set()], [set(), {"a"}], [set(), set()])):
+            # each trace is checked for dominance first, then violates
             assert session.process_trace(Trace.of(steps, f"v{i}")).is_violation
         assert session.checker.inclusion_checks > 0
         assert session.stats.inclusion_checks == session.checker.inclusion_checks
 
-    def test_violating_trace_makes_no_inclusion_check(self):
-        session = new_session(parse_formula(EQ))
-        session.process_trace(Trace.of([{"a"}], "t1"))
-        assert session.process_trace(Trace.of([set()], "t2")).is_violation
-        assert session.checker.inclusion_checks == 0
-        assert session.store.names() == ["t1"] and session.store.dropped == []
+    def test_masks_kept_for_stored_traces_only(self):
+        session = Session(
+            parse_formula("forall p. forall q. a@p -> !b@q"),
+            MonitorOptions(continue_after_violation=True),
+        )
+        session.process_trace(Trace.of([set()], "blank"))
+        session.process_trace(Trace.of([{"a"}, {"b"}], "a_b"))  # evicts blank
+        session.process_trace(Trace.of([set()], "copy"))  # dropped
+        assert session.process_trace(Trace.of([{"b"}], "b")).is_violation
+        assert session.store.names() == ["a_b"]
+        assert session.store.dropped == [("blank", "a_b"), ("copy", "a_b")]
+        assert {name for name, _ in session._masks} == {"a_b"}
 
     def test_duplicate_names_rejected(self):
         session = new_session(parse_formula(EQ))

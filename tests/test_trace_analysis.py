@@ -106,17 +106,6 @@ class TestMinimizeStore:
         assert out.names() == ["t"]
         assert out.dropped == [("copy", "t")]
 
-    def test_add_reports_whether_stored(self):
-        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
-        checker = DominanceChecker(tpl, qc)
-        t = Trace.of([{"a"}], "t")
-        store = TraceStore()
-        assert store.add(t, checker)
-        assert not store.add(t.renamed("copy"), checker)
-        assert store.add(t.renamed("plain"))  # no checker: a plain append
-        assert store.names() == ["t", "plain"]
-        assert store.dropped == [("copy", "t")]
-
     def test_input_store_unchanged(self):
         # F a@p & F b@q: the blank trace displaces both stored traces
         tpl, qc = setup("forall p. forall q. F a@p & F b@q")
