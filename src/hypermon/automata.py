@@ -114,6 +114,14 @@ def language_included(a: Dfa, b: Dfa):
 
     The counterexample is the shortest word in L(a) but not L(b).
     """
+    word = _uncovered_word(a, b)
+    if word is None:
+        return True, None
+    return False, tuple(letter_to_atoms(l, a.support) for l in word)
+
+
+def _uncovered_word(a: Dfa, b: Dfa):
+    """Shortest word in L(a) but not L(b) as letter ints, or None if none."""
     if a.support != b.support:
         raise SupportMismatchError(
             f"automata have different supports: {a.support} vs {b.support}"
@@ -125,10 +133,7 @@ def language_included(a: Dfa, b: Dfa):
     def bad(pair):
         return pair[0] in a.accepting and pair[1] not in b.accepting
 
-    word = _shortest_word((a.initial, b.initial), expand, bad)
-    if word is None:
-        return True, None
-    return False, tuple(letter_to_atoms(l, a.support) for l in word)
+    return _shortest_word((a.initial, b.initial), expand, bad)
 
 
 def _reachable(d: Dfa) -> "Dfa":

@@ -231,10 +231,12 @@ class Session:
             self._masks[key] = masks
         return masks
 
-    def _forget(self, name: str) -> None:
-        # only stored traces appear in later tuples
+    def _forget(self, trace: Trace) -> None:
+        # only stored traces appear in later tuples and dominance checks
         for var in self.qf.variables:
-            self._masks.pop((name, var), None)
+            self._masks.pop((trace.name, var), None)
+        if self.checker is not None:
+            self.checker.forget(trace, self.store.traces)
 
     def _tuple_masks(self, tup):
         return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
@@ -265,17 +267,19 @@ class Session:
 
     def _process_universal(self, fresh: Trace) -> Verdict:
         if self.store.drop_if_covered(fresh, self.checker):
+            self._forget(fresh)
             return CLEAN
         violating = self._scan_tuples(fresh)
         if violating is not None:
             verdict = Verdict(self._build_counterexample(violating))
-            self._forget(fresh.name)
+            self._forget(fresh)
             return verdict
-        logged = len(self.store.dropped)
-        self.store.add(fresh, self.checker)
-        for evicted, _ in self.store.dropped[logged:]:
-            self._forget(evicted)
+        self._add(fresh)
         return CLEAN
+
+    def _add(self, fresh: Trace) -> None:
+        for evicted in self.store.add(fresh, self.checker):
+            self._forget(evicted)
 
     def _scan_tuples(self, fresh: Trace):
         auto = self.template.automaton
@@ -296,8 +300,10 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        if not self.store.drop_if_covered(fresh, self.checker):
-            self.store.add(fresh, self.checker)
+        if self.store.drop_if_covered(fresh, self.checker):
+            self._forget(fresh)
+        else:
+            self._add(fresh)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN
         return Verdict(self._provisional_counterexample())

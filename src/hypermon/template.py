@@ -11,6 +11,14 @@ in its residual, so exploration fans out over subsets of those atoms rather
 than the full alphabet; the per-state subset count is guarded by
 ``atom_limit``.  :func:`materialize` converts a lazy automaton into an
 explicit :class:`~hypermon.automata.Dfa` for the algebra operations.
+
+Transitions come from a lazily grown tree of atom reads per state.
+Progression stops at the first child that decides an or, an and or an until,
+so the atoms one letter makes it read are a path of decisions, and every
+letter that agrees with it on those atoms has the same successor.  A letter
+the tree does not cover yet runs progression once and grafts its reads below
+the point where the walk fell off; so progression runs once per leaf (a
+letter class), not once per distinct letter.
 """
 
 from itertools import zip_longest
@@ -103,27 +111,48 @@ def canonical_state(f: Formula) -> Formula:
     )
 
 
-def prog(f: Formula, letter: int, bits: dict) -> Formula:
-    """Residual of f after reading one letter (bitmask over ``bits``)."""
+def prog(f: Formula, letter: int, bits: dict, reads=None) -> Formula:
+    """Residual of f after reading one letter (bitmask over ``bits``).
+
+    Or stops at its first true child, And at its first false one, and Until
+    when its right-hand side progresses to true: exactly where ``mk_or`` and
+    ``mk_and`` would return the absorbing constant, so skipping the rest
+    changes no result.  When ``reads`` is a list, the bit of every atom read
+    is appended to it in order.  Which atom is read next then depends only on
+    the values of the atoms read before it.
+    """
     if isinstance(f, Atom):
-        return TRUE if letter >> bits[f.ref] & 1 else FALSE
+        bit = bits[f.ref]
+        if reads is not None:
+            reads.append(bit)
+        return TRUE if letter >> bit & 1 else FALSE
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Not):
-        return mk_not(prog(f.sub, letter, bits))
+        return mk_not(prog(f.sub, letter, bits, reads))
     if isinstance(f, Or):
-        return mk_or(prog(a, letter, bits) for a in f.args)
+        args = []
+        for a in f.args:
+            r = prog(a, letter, bits, reads)
+            if isinstance(r, TrueF):
+                return r
+            args.append(r)
+        return mk_or(args)
     if isinstance(f, And):
-        return mk_and(prog(a, letter, bits) for a in f.args)
+        args = []
+        for a in f.args:
+            r = prog(a, letter, bits, reads)
+            if isinstance(r, FalseF):
+                return r
+            args.append(r)
+        return mk_and(args)
     if isinstance(f, Next):
         return f.sub
     if isinstance(f, Until):
-        return mk_or(
-            (
-                prog(f.rhs, letter, bits),
-                mk_and((prog(f.lhs, letter, bits), f)),
-            )
-        )
+        rhs = prog(f.rhs, letter, bits, reads)
+        if isinstance(rhs, TrueF):
+            return rhs
+        return mk_or((rhs, mk_and((prog(f.lhs, letter, bits, reads), f))))
     raise MonitorError(f"automaton states must be desugared bodies, got {type(f).__name__}")
 
 
@@ -132,6 +161,10 @@ class TemplateAutomaton:
 
     States are ints indexing a table of residual formulas.  ``bits`` maps each
     support atom to its bit position; letters are ints in that bit space.
+    ``delta`` caches the successor of each (state, relevant letter).
+    ``trees[state]`` is that state's tree of atom reads: None where nothing
+    is known yet, a successor sid at a leaf, and ``[bit, lo, hi]`` at a node
+    that reads ``bit`` and goes to ``lo`` when it is 0, ``hi`` when it is 1.
     """
 
     def __init__(self, body, support, state_limit=DEFAULT_STATE_LIMIT,
@@ -146,6 +179,7 @@ class TemplateAutomaton:
         self.acc = []
         self.rel = []
         self.delta = {}
+        self.trees = []
         self.true_sid = -1
         self.false_sid = -1
         # deep-simplify once so every residual literal is already canonical
@@ -166,6 +200,7 @@ class TemplateAutomaton:
         for ref in atom_refs(f):
             mask |= 1 << self.bits[ref]
         self.rel.append(mask)
+        self.trees.append(None)
         if isinstance(f, TrueF):
             self.true_sid = sid
         elif isinstance(f, FalseF):
@@ -177,9 +212,31 @@ class TemplateAutomaton:
         key = (state, letter & self.rel[state])
         sid = self.delta.get(key)
         if sid is None:
-            residual = prog(self.formulas[state], key[1], self.bits)
-            sid = self._register(canonical_state(residual))
+            sid = self._successor(state, key[1])
             self.delta[key] = sid
+        return sid
+
+    def _successor(self, state: int, letter: int) -> int:
+        """Walk the state's tree of atom reads; on falling off, progress once
+        and graft the reads the walk had not covered."""
+        parent, side, node = self.trees, state, self.trees[state]
+        depth = 0
+        while type(node) is list:
+            parent = node
+            side = 2 if letter >> node[0] & 1 else 1
+            node = node[side]
+            depth += 1
+        if node is not None:
+            return node
+        reads = []
+        sid = self._register(
+            canonical_state(prog(self.formulas[state], letter, self.bits, reads))
+        )
+        # grafted only now, so a tripped resource guard leaves the tree intact
+        node = sid
+        for bit in reversed(list(dict.fromkeys(reads))[depth:]):
+            node = [bit, None, node] if letter >> bit & 1 else [bit, node, None]
+        parent[side] = node
         return sid
 
     def accepting(self, state: int) -> bool:
@@ -240,15 +297,20 @@ class InstantiatedAutomaton:
         return (self.base.step(s, letter), j)
 
     def accepting(self, state) -> bool:
-        hit = self._acc_memo.get(state)
-        if hit is not None:
-            return hit
-        s, j = state
-        cur = s
-        for k in range(j, self.nsteps):
-            cur = self.base.step(cur, self.tmasks[k])
-        out = self.base.accepting(cur)
-        self._acc_memo[state] = out
+        memo = self._acc_memo
+        # run the rest of the bound trace until a state already decided;
+        # every state passed on the way gets the same answer
+        chain = []
+        while state not in memo:
+            chain.append(state)
+            s, j = state
+            if j == self.nsteps:
+                memo[state] = self.base.accepting(s)
+                break
+            state = (self.base.step(s, self.tmasks[j]), j + 1)
+        out = memo[state]
+        for passed in chain:
+            memo[passed] = out
         return out
 
     def relevant(self, state) -> int:
@@ -321,13 +383,11 @@ def materialize(auto, atom_limit=None) -> Dfa:
             f"explicit alphabet over {k} atoms exceeds the limit of {atom_limit}"
         )
     scatter = [1 << auto.bits[ref] for ref in support]
-
-    def to_global(local: int) -> int:
-        g = 0
-        for i in range(k):
-            if local >> i & 1:
-                g |= scatter[i]
-        return g
+    # local letter -> the same letter in the global bit space
+    global_letters = [
+        sum(bit for i, bit in enumerate(scatter) if local >> i & 1)
+        for local in range(1 << k)
+    ]
 
     order = [auto.initial_state]
     ids = {auto.initial_state: 0}
@@ -341,10 +401,7 @@ def materialize(auto, atom_limit=None) -> Dfa:
                 ids[succ] = len(order)
                 order.append(succ)
             succ_of_class[cls] = ids[succ]
-        row = tuple(
-            succ_of_class[to_global(letter) & rel] for letter in range(1 << k)
-        )
-        rows.append(row)
+        rows.append(tuple(succ_of_class[g & rel] for g in global_letters))
     accepting = frozenset(i for i, st in enumerate(order) if auto.accepting(st))
     return Dfa(support, 0, accepting, tuple(rows))
 

@@ -16,7 +16,9 @@ Inclusion checks run on explicit minimized automata, so they are exact.
 
 from dataclasses import dataclass, field
 
-from .automata import language_included, minimize
+# language_included stays importable from here: perfbench/child.py wraps it
+# under this module's name
+from .automata import _uncovered_word, language_included, minimize  # noqa: F401
 from .errors import FragmentError
 from .formula import QuantifierClass
 from .semantics import Trace
@@ -62,17 +64,23 @@ class TraceStore:
                     return True
         return False
 
-    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> None:
-        """Evict every stored trace ``fresh`` dominates, then append it."""
+    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> list:
+        """Evict every stored trace ``fresh`` dominates, then append it.
+
+        Returns the evicted traces.
+        """
+        evicted = []
         if checker is not None:
             kept = []
             for old in self.traces:
                 if checker.dominates(fresh, old):
                     self.dropped.append((old.name, fresh.name))
+                    evicted.append(old)
                 else:
                     kept.append(old)
             self.traces = kept
         self.traces.append(fresh)
+        return evicted
 
     def copy(self) -> "TraceStore":
         return TraceStore(list(self.traces), list(self.dropped))
@@ -82,7 +90,11 @@ class TraceStore:
 
 
 class DominanceChecker:
-    """Caches per-(trace, variable) instantiated automata across queries."""
+    """Caches per-(trace, variable) instantiated automata across queries.
+
+    The caller frees the entries of a trace that leaves the store, or never
+    enters it, with :meth:`forget`; the cache is then bounded by the store.
+    """
 
     def __init__(self, template: MonitorTemplate, qclass: QuantifierClass):
         if qclass.kind == "exists_n" and qclass.n != 2:
@@ -108,8 +120,15 @@ class DominanceChecker:
 
     def _included(self, t1: Trace, t2: Trace, var: str) -> bool:
         self.inclusion_checks += 1
-        ok, _ = language_included(self._instance(t1, var), self._instance(t2, var))
-        return ok
+        return _uncovered_word(self._instance(t1, var), self._instance(t2, var)) is None
+
+    def forget(self, trace: Trace, stored) -> None:
+        """Free the cached automata of ``trace`` unless a trace in ``stored``
+        has the same steps (the cache is keyed by steps, not by name)."""
+        if any(t.steps == trace.steps for t in stored):
+            return
+        for var in self.template.free_variables:
+            self._cache.pop((trace.steps, var), None)
 
     def dominates(self, t1: Trace, t2: Trace) -> bool:
         """True when t1 dominates t2 (t2 is redundant while t1 is stored)."""

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from hypermon.cli import SessionReport, main
 
@@ -262,6 +263,13 @@ class TestTemplate:
         dot = capsys.readouterr().out
         assert dot.count("shape=circle") + dot.count("shape=doublecircle") >= 2
         assert "a@p" in dot
+
+    def test_two_state_dot_matches_golden(self, tmp_path):
+        spec = spec_file(tmp_path, EQ)
+        out = tmp_path / "eq.dot"
+        assert main(["template", spec, "--dot", str(out)]) == 0
+        golden = Path(__file__).parent / "golden" / "eq_template.dot"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_universal_single_state(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. true\n")

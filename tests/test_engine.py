@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
 from hypermon.formula import QuantifiedFormula
 from hypermon.parser import parse_formula
@@ -11,6 +12,12 @@ from conftest import random_body, random_trace
 
 EQ = "forall p. forall q. G (a@p <-> a@q)"
 OBSDET = "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)"
+
+
+def cache_within_store(session) -> bool:
+    """Every cached dominance automaton belongs to a stored trace's steps."""
+    stored = {(t.steps, v) for t in session.store.traces for v in session.qf.variables}
+    return set(session.checker._cache) <= stored
 
 
 def feed(session, traces):
@@ -127,6 +134,19 @@ class TestUniversalSessions:
         assert session.store.dropped == [("blank", "a_b"), ("copy", "a_b")]
         assert {name for name, _ in session._masks} == {"a_b"}
 
+    def test_dominance_cache_bounded_by_store(self):
+        session = Session(
+            independence_property("counter3", ("incr",), ("overflow",)),
+            MonitorOptions(continue_after_violation=True),
+        )
+        corpus = random_traces("counter3", 200, 20, seed=5,
+                               bias={"incr": 0.85, "decr": 0.05})
+        verdicts = [
+            session.process_trace(c.to_trace(f"t{i}")) for i, c in enumerate(corpus)
+        ]
+        assert any(v.is_violation for v in verdicts) and session.store.dropped
+        assert cache_within_store(session)
+
     def test_duplicate_names_rejected(self):
         session = new_session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t"))
@@ -187,6 +207,14 @@ class TestProvisionalSessions:
         session = new_session(qf, MonitorOptions(trace_analysis=False))
         verdict = session.process_trace(Trace.of([{"a"}], "lone"))
         assert not verdict.is_violation  # (lone, lone) pairs with itself
+
+    def test_dominance_cache_bounded_by_store(self, rng):
+        for _ in range(20):
+            qf = QuantifiedFormula((("forall", "p"), ("exists", "q")), random_body(rng, 3))
+            session = Session(qf)
+            for i in range(12):
+                session.process_trace(random_trace(rng, f"t{i}", 4))
+            assert cache_within_store(session)
 
     def test_forall_exists_violation(self):
         # a@p must be followed somewhere by b on the partner trace

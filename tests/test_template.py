@@ -1,11 +1,30 @@
 import pytest
 
+from hypermon import template
+from hypermon.circuits import independence_property, random_traces
+from hypermon.engine import MonitorOptions, Session
 from hypermon.errors import MonitorError, ResourceLimitError
-from hypermon.formula import desugar
+from hypermon.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    FalseF,
+    Next,
+    Not,
+    Or,
+    TrueF,
+    Until,
+    desugar,
+    mk_and,
+    mk_not,
+    mk_or,
+)
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body
 from hypermon.template import (
     build_template,
+    canonical_state,
     lazy_is_empty,
     materialize,
     rejecting_position,
@@ -174,3 +193,122 @@ class TestRejectingPosition:
     def test_empty_language_is_position_zero(self):
         tpl, _ = template_for("forall p. G a@p")
         assert rejecting_position(tpl.automaton, [1, 1]) == 0
+
+
+def oracle_prog(f, letter, bits):
+    """Progression as it was before short-circuiting: every child is read."""
+    if isinstance(f, Atom):
+        return TRUE if letter >> bits[f.ref] & 1 else FALSE
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, Not):
+        return mk_not(oracle_prog(f.sub, letter, bits))
+    if isinstance(f, Or):
+        return mk_or(oracle_prog(a, letter, bits) for a in f.args)
+    if isinstance(f, And):
+        return mk_and(oracle_prog(a, letter, bits) for a in f.args)
+    if isinstance(f, Next):
+        return f.sub
+    if isinstance(f, Until):
+        return mk_or(
+            (
+                oracle_prog(f.rhs, letter, bits),
+                mk_and((oracle_prog(f.lhs, letter, bits), f)),
+            )
+        )
+    raise MonitorError(f"automaton states must be desugared bodies, got {type(f).__name__}")
+
+
+def count_progressions(monkeypatch):
+    """Count the canonical_state calls ``step`` makes from now on."""
+    calls = []
+    original = template.canonical_state
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(template, "canonical_state", counted)
+    return calls
+
+
+class TestTransitionTree:
+    def test_matches_full_progression(self, rng):
+        """Every (state, letter) successor equals the oracle's, letters in
+        shuffled order so the trees grow in many shapes."""
+        props = ("a", "b", "c", "d")  # with p and q: at most 8 atoms
+        checked = 0
+        for _ in range(60):
+            body = desugar(random_body(rng, 4, props=props))
+            auto = build_template(body, ("p", "q")).automaton
+            letters = list(range(1 << len(auto.support)))
+            order = [auto.initial_state]
+            for state in order:  # grows while stepping; capped below
+                rng.shuffle(letters)
+                for letter in letters:
+                    succ = auto.step(state, letter)
+                    expected = canonical_state(
+                        oracle_prog(auto.formulas[state], letter, auto.bits)
+                    )
+                    assert auto.formulas[succ] == expected
+                    checked += 1
+                    if succ not in order and len(order) < 12:
+                        order.append(succ)
+        assert checked > 5_000
+
+    def test_one_progression_per_letter_class(self, monkeypatch):
+        qf = independence_property("xor4", ("lhs1",), ("out0",))
+        session = Session(qf, MonitorOptions(trace_analysis=False))
+        calls = count_progressions(monkeypatch)
+        for i, circuit in enumerate(random_traces("xor4", 150, 5, seed=7)):
+            assert not session.process_trace(circuit.to_trace(f"t{i}")).is_violation
+        auto = session.template.automaton
+        assert len(auto.delta) > 1000
+        assert 0 < len(calls) < len(auto.delta) / 10
+
+    def test_state_limit_trips_on_the_same_step(self, rng):
+        qf = parse_formula("forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)")
+        body = desugar(qf.body)
+        trips = 0
+        for limit in (1, 2, 3) * 10:
+            auto = build_template(body, qf.variables, state_limit=limit).automaton
+            letters = [rng.randrange(1 << len(auto.support)) for _ in range(12)]
+            # oracle run: the first step whose successor would be state limit + 1
+            current = auto.formulas[auto.initial_state]
+            known = {current}
+            expected = None
+            for i, letter in enumerate(letters):
+                current = canonical_state(oracle_prog(current, letter, auto.bits))
+                if current not in known and len(known) == limit:
+                    expected = i
+                    break
+                known.add(current)
+            tripped = None
+            state = auto.initial_state
+            for i, letter in enumerate(letters):
+                try:
+                    state = auto.step(state, letter)
+                except ResourceLimitError:
+                    tripped = i
+                    break
+            assert tripped == expected
+            trips += tripped is not None
+        assert trips >= 10
+
+    def test_grafted_path_survives_a_tripped_limit(self, monkeypatch):
+        qf = parse_formula("forall p. (a@p | b@p) U (c@p & X d@p)")
+        auto = build_template(desugar(qf.body), qf.variables, state_limit=1).automaton
+        bit = {ref.proposition: 1 << i for ref, i in auto.bits.items()}
+        start = auto.initial_state
+        # c false, a true: the residual stays put, b is never read
+        assert auto.step(start, bit["a"]) == start
+        with pytest.raises(ResourceLimitError):
+            auto.step(start, bit["c"])  # a second state is over the limit
+        calls = count_progressions(monkeypatch)
+        # new letters on the grafted path: answered by the tree alone
+        assert auto.step(start, bit["a"] | bit["b"]) == start
+        assert auto.step(start, bit["a"] | bit["d"]) == start
+        assert calls == []
+        with pytest.raises(ResourceLimitError):
+            auto.step(start, bit["c"] | bit["a"])
+        assert len(auto.formulas) == 1

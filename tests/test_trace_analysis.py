@@ -95,8 +95,27 @@ class TestDominates:
                     )
         assert positives >= 10
 
+    def test_forget_keeps_steps_a_stored_trace_has(self):
+        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
+        checker = DominanceChecker(tpl, qc)
+        kept, other = Trace.of([{"a"}], "kept"), Trace.of([set()], "other")
+        assert not checker.dominates(kept, other)
+        assert set(checker._cache) == {(kept.steps, "p"), (other.steps, "p")}
+        checker.forget(kept.renamed("copy"), [kept])
+        checker.forget(other, [kept])
+        assert set(checker._cache) == {(kept.steps, "p")}
+
 
 class TestMinimizeStore:
+    def test_add_returns_the_evicted_traces(self):
+        tpl, qc = setup("forall p. forall q. a@p -> !b@q")
+        checker = DominanceChecker(tpl, qc)
+        store = TraceStore()
+        blank, a_b = Trace.of([set()], "blank"), Trace.of([{"a"}, {"b"}], "a_b")
+        assert store.add(blank, checker) == []
+        assert store.add(a_b, checker) == [blank]
+        assert store.names() == ["a_b"]
+
     def test_identical_fresh_is_discarded(self):
         tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
         t = Trace.of([{"a"}], "t")
