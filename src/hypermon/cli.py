@@ -42,6 +42,7 @@ class SessionReport:
     rejecting_position: int = None
     stats: dict = field(default_factory=dict)
     optimizations: dict = field(default_factory=dict)
+    trace_analysis: dict = field(default_factory=dict)
     dropped_traces: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -68,6 +69,8 @@ class SessionReport:
             if key == "wall_time":
                 value = f"{value:.3f}s"
             lines.append(f"{key}: {value}")
+        for key, value in self.trace_analysis.items():
+            lines.append(f"{key}: {value}")
         if self.dropped_traces:
             lines.append(
                 "dropped traces: "
@@ -93,6 +96,7 @@ def build_report(session: Session) -> SessionReport:
             "transitive": session.transitive,
             "reflexive": session.reflexive,
         },
+        trace_analysis=session.trace_analysis_counts(),
         dropped_traces=list(session.store.dropped),
     )
 

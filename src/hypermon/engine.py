@@ -5,7 +5,9 @@ Each incoming trace is checked in every new tuple it forms with the stored
 traces; a rejected tuple is reported as a counterexample.  Specification
 analysis removes tuple orders (symmetry), self-pairs (reflexivity) or all but
 one comparison partner (transitivity); trace analysis discards traces that a
-stored trace dominates.
+stored trace dominates.  On universal prefixes with trace analysis on, a
+trace whose projection already violated skips the dominance pass: a
+dominated trace cannot violate, and the copy violates again.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly against the stored trace set and their
@@ -39,6 +41,10 @@ from .template import (
 from .trace_analysis import DominanceChecker, TraceStore
 
 log = logging.getLogger(__name__)
+
+# distinct violating projections a session remembers, oldest evicted first; a
+# resource guard: past it a repeat violator runs the dominance pass again
+VIOLATOR_MEMO_CAP = 1024
 
 
 @dataclass
@@ -142,6 +148,9 @@ class Session:
         self._seen_names = set()
         self._warned_extra = frozenset()
         self._masks = {}
+        # per-step joint masks of violating traces, as an insertion-ordered set
+        self._violators = {}
+        self.memo_hits = 0
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -236,7 +245,7 @@ class Session:
         for var in self.qf.variables:
             self._masks.pop((trace.name, var), None)
         if self.checker is not None:
-            self.checker.forget(trace, self.store.traces)
+            self.checker.forget(trace, self.store)
 
     def _tuple_masks(self, tup):
         return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
@@ -266,16 +275,35 @@ class Session:
             yield tuple(pool[i] for i in combo)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
+        key = None
+        if self.checker is not None:
+            key = tuple(joint_word(self._tuple_masks((fresh,) * self.qclass.n)))
+            if key in self._violators:
+                self.memo_hits += 1
+                ran = self.stats.instances_run
+                violating = self._scan_tuples(fresh)
+                if violating is not None:
+                    return self._reject(fresh, violating, key)
+                # the copy passed after all: undo and take the normal order
+                del self._violators[key]
+                self.stats.instances_run = ran
         if self.store.drop_if_covered(fresh, self.checker):
             self._forget(fresh)
             return CLEAN
         violating = self._scan_tuples(fresh)
         if violating is not None:
-            verdict = Verdict(self._build_counterexample(violating))
-            self._forget(fresh)
-            return verdict
+            return self._reject(fresh, violating, key)
         self._add(fresh)
         return CLEAN
+
+    def _reject(self, fresh: Trace, violating, key) -> Verdict:
+        if key is not None:
+            self._violators[key] = None
+            if len(self._violators) > VIOLATOR_MEMO_CAP:
+                del self._violators[next(iter(self._violators))]
+        verdict = Verdict(self._build_counterexample(violating))
+        self._forget(fresh)
+        return verdict
 
     def _add(self, fresh: Trace) -> None:
         for evicted in self.store.add(fresh, self.checker):
@@ -321,6 +349,15 @@ class Session:
 
     def verdict(self) -> Verdict:
         return self._verdict
+
+    def trace_analysis_counts(self) -> dict:
+        """How often each exact shortcut of trace analysis answered."""
+        checker = self.checker
+        return {
+            "copy_hits": checker.copy_hits if checker else 0,
+            "memo_hits": self.memo_hits,
+            "probe_refutations": checker.probe_refutations if checker else 0,
+        }
 
 
 def new_session(qf: QuantifiedFormula, options: MonitorOptions = None) -> Session:

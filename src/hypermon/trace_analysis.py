@@ -11,7 +11,20 @@ present or future verdict.  Coverage is fragment-specific:
 * forall-exists: t1's language is included in t2's on the universal variable
   and t2's is included in t1's on the existential variable.
 
-Inclusion checks run on explicit minimized automata, so they are exact.
+Inclusion is decided exactly, by a shortest-word search on explicit minimized
+automata.  Two cheaper paths sit in front of it, and neither can change an
+answer:
+
+* **copy index**: dominance is reflexive, so a fresh trace whose projected
+  steps equal those of a trace the store admitted is dropped at once, logged
+  against that trace, with no inclusion check;
+* **probe vector**: each cached automaton keeps the acceptance bits of every
+  word up to a small depth (:data:`PROBE_WORDS`), so a short word accepted
+  by one automaton and not the other refutes the inclusion without a search.
+
+The session adds a third path in front of the store (see
+``engine.Session``): a trace whose projection already violated skips the
+dominance pass, since a dominated trace cannot violate.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +36,32 @@ from .errors import FragmentError
 from .formula import QuantifierClass
 from .semantics import Trace
 from .template import MonitorTemplate, materialize
+
+# words a probe vector may cover: every word up to the largest depth whose
+# count of words of that length or shorter fits
+PROBE_WORDS = 512
+
+
+def probe(dfa) -> int:
+    """Acceptance bits of every short word, one bit per word.
+
+    Automata over the same support number their words the same way, so
+    ``probe(a) & ~probe(b)`` is non-zero only when some word is in L(a) and
+    not in L(b).
+    """
+    letters = dfa.num_letters
+    words = level = 1
+    while words + level * letters <= PROBE_WORDS:
+        level *= letters
+        words += level
+    rows, accepting = dfa.transitions, dfa.accepting
+    bits = []
+    states = [dfa.initial]
+    while True:
+        bits.extend("1" if s in accepting else "0" for s in states)
+        if len(bits) == words:
+            return int("".join(bits), 2)
+        states = [succ for s in states for succ in rows[s]]
 
 
 @dataclass(frozen=True)
@@ -43,13 +82,26 @@ class TraceStore:
     reaches the store.  A fresh trace goes in by :meth:`drop_if_covered`,
     then, if not dropped, :meth:`add`; the session runs its tuple loop in
     between.  A ``checker`` of None means trace analysis is off.
+
+    The copy index maps projected steps to the stored trace that has them.
+    It holds only traces that went through both steps with a checker: no
+    trace stored before such a trace dominates it (it would have been
+    dropped), so it is the first dominator of any copy in insertion order.
+    Traces passed to the constructor, and the traces of :meth:`copy`, are
+    not indexed; copies of them are found by the linear scan.
     """
 
     traces: list = field(default_factory=list)
     dropped: list = field(default_factory=list)  # (dropped name, dominator name)
+    _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cleared: Trace = field(default=None, init=False, repr=False, compare=False)
 
     def names(self):
         return [t.name for t in self.traces]
+
+    def copy_of(self, trace: Trace):
+        """The indexed stored trace with ``trace``'s steps, or None."""
+        return self._copies.get(trace.steps)
 
     def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
         """Log ``fresh`` as dropped if a stored trace dominates it.
@@ -57,11 +109,18 @@ class TraceStore:
         Stored traces are tried in insertion order; the first dominator is
         logged as the covering trace.
         """
-        if checker is not None:
-            for old in self.traces:
-                if checker.dominates(old, fresh):
-                    self.dropped.append((fresh.name, old.name))
-                    return True
+        if checker is None:
+            return False
+        copy = self.copy_of(fresh)
+        if copy is not None:
+            checker.copy_hits += 1
+            self.dropped.append((fresh.name, copy.name))
+            return True
+        for old in self.traces:
+            if checker.dominates(old, fresh):
+                self.dropped.append((fresh.name, old.name))
+                return True
+        self._cleared = fresh
         return False
 
     def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> list:
@@ -76,9 +135,14 @@ class TraceStore:
                 if checker.dominates(fresh, old):
                     self.dropped.append((old.name, fresh.name))
                     evicted.append(old)
+                    if self._copies.get(old.steps) is old:
+                        del self._copies[old.steps]
                 else:
                     kept.append(old)
             self.traces = kept
+            if fresh is self._cleared:
+                self._copies[fresh.steps] = fresh
+        self._cleared = None
         self.traces.append(fresh)
         return evicted
 
@@ -108,24 +172,31 @@ class DominanceChecker:
         self.template = template
         self.qclass = qclass
         self.inclusion_checks = 0
-        self._cache = {}
+        self.copy_hits = 0  # drops found in the store's copy index
+        self.probe_refutations = 0  # inclusion checks refuted by the probes
+        self._cache = {}  # (steps, variable) -> (minimized DFA, probe)
 
     def _instance(self, trace: Trace, var: str):
         key = (trace.steps, var)
-        dfa = self._cache.get(key)
-        if dfa is None:
+        entry = self._cache.get(key)
+        if entry is None:
             dfa = minimize(materialize(self.template.instantiate(trace, var).automaton))
-            self._cache[key] = dfa
-        return dfa
+            entry = self._cache[key] = (dfa, probe(dfa))
+        return entry
 
     def _included(self, t1: Trace, t2: Trace, var: str) -> bool:
         self.inclusion_checks += 1
-        return _uncovered_word(self._instance(t1, var), self._instance(t2, var)) is None
+        a, probe_a = self._instance(t1, var)
+        b, probe_b = self._instance(t2, var)
+        if probe_a & ~probe_b:
+            self.probe_refutations += 1
+            return False
+        return _uncovered_word(a, b) is None
 
-    def forget(self, trace: Trace, stored) -> None:
-        """Free the cached automata of ``trace`` unless a trace in ``stored``
-        has the same steps (the cache is keyed by steps, not by name)."""
-        if any(t.steps == trace.steps for t in stored):
+    def forget(self, trace: Trace, store: TraceStore) -> None:
+        """Free the cached automata of ``trace`` unless ``store`` indexes a
+        trace with the same steps (the cache is keyed by steps, not by name)."""
+        if store.copy_of(trace) is not None:
             return
         for var in self.template.free_variables:
             self._cache.pop((trace.steps, var), None)

@@ -57,6 +57,35 @@ class TestMonitor:
         assert report.verdict == "clean"
         assert report.to_json() == out.rstrip("\n")
 
+    def test_trace_analysis_counts_reported(self, tmp_path, capsys):
+        # t2 copies t1 (copy index); t3 violates; t4 repeats t3 (memo); the
+        # check of t1 against t3 is refuted by the one-letter word {a}
+        spec = spec_file(tmp_path, EQ)
+        paths = [
+            write(tmp_path / f"t{i}.trace", text)
+            for i, text in enumerate(("a\n", "a\n", "{}\n", "{}\n"), start=1)
+        ]
+        args = ["monitor", spec, *paths, "--continue-after-violation"]
+        assert main([*args, "--stats-format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "formula", "verdict", "provisional", "counterexample",
+            "rejecting_position", "stats", "optimizations", "trace_analysis",
+            "dropped_traces",
+        }
+        assert report["trace_analysis"] == {
+            "copy_hits": 1, "memo_hits": 1, "probe_refutations": 1,
+        }
+        assert report["stats"]["inclusion_checks"] == 1
+        assert report["dropped_traces"] == [["t2", "t1"]]
+        assert main(args) == 1
+        text = capsys.readouterr().out
+        for line in ("copy_hits: 1", "memo_hits: 1", "probe_refutations: 1"):
+            assert line + "\n" in text
+        assert main([*args, "--no-trace-analysis", "--stats-format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["trace_analysis"].values()) == {0}
+
     def test_out_file(self, tmp_path, capsys):
         spec = spec_file(tmp_path, EQ)
         t1 = write(tmp_path / "t1.trace", "a\n")

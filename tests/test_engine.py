@@ -2,9 +2,10 @@ import logging
 
 import pytest
 
+from hypermon import engine
 from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
-from hypermon.formula import QuantifiedFormula
+from hypermon.formula import QuantifiedFormula, pretty_quantified
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 
@@ -298,6 +299,47 @@ class TestThreeQuantifiers:
         verdict = session.process_trace(Trace.of([{"i", "o"}], "t0"))
         assert not verdict.is_violation
         assert session.stats.instances_run == 0  # only the all-same triple arose
+
+
+def _memo_run(qf, traces):
+    """Per-trace outputs of a session, plus whether every memo hit violated."""
+    session = Session(qf, MonitorOptions(continue_after_violation=True))
+    verdicts, hits_violated = [], True
+    for t in traces:
+        hits = session.memo_hits
+        ce = session.process_trace(t).counterexample
+        verdicts.append(None if ce is None else (ce.assignment, ce.rejecting_position))
+        if session.memo_hits != hits and ce is None:
+            hits_violated = False  # the fallback ran
+    outputs = (verdicts, session.store.names(), session.store.dropped,
+               session.stats.instances_run)
+    return outputs, session.memo_hits, hits_violated
+
+
+class TestViolatorMemo:
+    @pytest.mark.parametrize("text, n, transitive", [
+        (pretty_quantified(independence_property("counter3", ("incr",), ("overflow",))),
+         120, False),
+        ("forall p. forall q. forall r. ((overflow@p <-> overflow@q) | "
+         "(overflow@p <-> overflow@r)) W (!(decr@p <-> decr@q) | !(decr@p <-> decr@r))",
+         60, False),
+        ("forall p. forall q. G (overflow@p <-> overflow@q)", 120, True),
+    ], ids=("forall-forall", "three-quantifiers", "transitive"))
+    def test_memo_changes_no_output(self, monkeypatch, text, n, transitive):
+        qf = parse_formula(text)
+        assert new_session(qf).transitive == transitive
+        for seed in (1, 2):
+            corpus = random_traces("counter3", n, 10, seed,
+                                   bias={"incr": 0.85, "decr": 0.05})
+            traces = [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+            outputs, hits, hits_violated = _memo_run(qf, traces)
+            assert hits > 0 and hits_violated
+            for cap in (0, 1):  # 0 evicts every entry at once: no memo
+                monkeypatch.setattr(engine, "VIOLATOR_MEMO_CAP", cap)
+                capped, capped_hits, hits_violated = _memo_run(qf, traces)
+                assert capped == outputs, (text, seed, cap)
+                assert hits_violated and (capped_hits == 0) == (cap == 0)
+            monkeypatch.undo()
 
 
 def test_stats_snapshot_fields():

@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from hypermon.automata import _uncovered_word
 from hypermon.errors import FragmentError
-from hypermon.formula import QuantifiedFormula, classify_prefix, desugar
+from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_quantified
 from hypermon.template import build_template
 from hypermon.trace_analysis import (
+    PROBE_WORDS,
     DominanceChecker,
     TraceStore,
     dominates,
@@ -99,10 +101,13 @@ class TestDominates:
         tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
         checker = DominanceChecker(tpl, qc)
         kept, other = Trace.of([{"a"}], "kept"), Trace.of([set()], "other")
+        store = TraceStore()
+        assert not store.drop_if_covered(kept, checker)
+        store.add(kept, checker)
         assert not checker.dominates(kept, other)
         assert set(checker._cache) == {(kept.steps, "p"), (other.steps, "p")}
-        checker.forget(kept.renamed("copy"), [kept])
-        checker.forget(other, [kept])
+        checker.forget(kept.renamed("copy"), store)
+        checker.forget(other, store)
         assert set(checker._cache) == {(kept.steps, "p")}
 
 
@@ -206,3 +211,140 @@ class TestVerdictPreservation:
                         break
                 outcomes.append(hit)
             assert outcomes[0] == outcomes[1]
+
+
+def probe_depth(letters: int) -> int:
+    """The longest word length a probe covers over ``letters`` letters."""
+    depth, words, level = 0, 1, 1
+    while words + level * letters <= PROBE_WORDS:
+        level *= letters
+        words += level
+        depth += 1
+    return depth
+
+
+def short_words(letters: int, depth: int):
+    level = [()]
+    for _ in range(depth + 1):
+        yield from level
+        level = [w + (l,) for w in level for l in range(letters)]
+
+
+class TestProbe:
+    @pytest.mark.parametrize("props, cases", [
+        (("a", "b"), 300),  # 4 letters per instance, as on counter3
+        (tuple("abcdefgh"), 40),  # 256 letters per instance, as on xor4
+    ], ids=("4-letters", "256-letters"))
+    def test_refutes_exactly_the_short_uncovered_words(self, rng, props, cases):
+        support = tuple(sorted(AtomRef(p, v) for p in props for v in ("p", "q")))
+        refuted = held = 0
+        for _ in range(cases):
+            body = desugar(random_body(rng, 3, props=props))
+            tpl = build_template(body, ("p", "q"), support=support)
+            qc = classify_prefix(QuantifiedFormula((("forall", "p"), ("forall", "q")), body))
+            checker = DominanceChecker(tpl, qc)
+            t1, t2 = (random_trace(rng, n, 3, props=props) for n in ("t1", "t2"))
+            for var in ("p", "q"):
+                (a, pa), (b, pb) = checker._instance(t1, var), checker._instance(t2, var)
+                depth = probe_depth(a.num_letters)
+                short = any(
+                    a.accepts(w) and not b.accepts(w)
+                    for w in short_words(a.num_letters, depth)
+                )
+                assert bool(pa & ~pb) == short, str(body)
+                word = _uncovered_word(a, b)
+                assert checker._included(t1, t2, var) == (word is None), str(body)
+                if word is None:
+                    held += 1
+                    assert not pa & ~pb, str(body)
+                else:
+                    assert short == (len(word) <= depth), str(body)
+                    refuted += short
+        assert refuted >= cases // 10 and held >= cases // 10
+
+    def test_included_counts_probe_refutations(self):
+        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
+        checker = DominanceChecker(tpl, qc)
+        t1, t2 = Trace.of([{"a"}], "t1"), Trace.of([set()], "t2")
+        assert not checker.dominates(t1, t2)
+        assert checker.inclusion_checks == 1 and checker.probe_refutations == 1
+
+
+def linear_dominator(checker, store, fresh):
+    """The first stored trace, in insertion order, that dominates ``fresh``."""
+    return next((old.name for old in store.traces if checker.dominates(old, fresh)), None)
+
+
+PREFIXES = (
+    (("forall", "p"), ("forall", "q")),
+    (("exists", "p"), ("exists", "q")),
+    (("forall", "p"), ("exists", "q")),
+)
+
+
+class TestCopyIndex:
+    def stream(self, rng, store, checker, pool, tag):
+        """Feed random pool traces, sometimes by a bare ``add``; every drop
+        must name the linear scan's first dominator."""
+        for i in range(12):
+            fresh = rng.choice(pool).renamed(f"{tag}{i}")
+            if rng.random() < 0.15:
+                store.add(fresh, checker)  # skips drop_if_covered: not indexed
+                continue
+            expected = linear_dominator(checker, store, fresh)
+            assert store.drop_if_covered(fresh, checker) == (expected is not None)
+            if expected is None:
+                store.add(fresh, checker)
+            else:
+                assert store.dropped[-1] == (fresh.name, expected)
+
+    @pytest.mark.parametrize("shape", PREFIXES)
+    def test_same_dominator_as_the_linear_scan(self, rng, shape):
+        hits = 0
+        for _ in range(25):
+            body = random_body(rng, 3)
+            tpl = build_template(desugar(body), ("p", "q"))
+            checker = DominanceChecker(tpl, classify_prefix(QuantifiedFormula(shape, body)))
+            pool = [random_trace(rng, f"u{i}", 2) for i in range(6)]
+            # empty, and hand-built with a copy and traces that may dominate
+            for store in (
+                TraceStore(), TraceStore([pool[0], pool[0].renamed("twin"), *pool[1:3]])
+            ):
+                self.stream(rng, store, checker, pool, "s")
+                store = store.copy()
+                self.stream(rng, store, checker, pool, "c")
+            hits += checker.copy_hits
+        assert hits >= 25
+
+    @pytest.mark.parametrize("shape", PREFIXES)
+    def test_minimize_store_matches_the_linear_scan(self, rng, shape):
+        for _ in range(15):
+            body = random_body(rng, 3)
+            tpl = build_template(desugar(body), ("p", "q"))
+            qc = classify_prefix(QuantifiedFormula(shape, body))
+            checker = DominanceChecker(tpl, qc)
+            pool = [random_trace(rng, f"u{i}", 2) for i in range(5)]
+            store = TraceStore([pool[1], pool[1].renamed("twin")])
+            for i in range(10):
+                fresh = rng.choice(pool).renamed(f"f{i}")
+                expected = linear_dominator(checker, store, fresh)
+                out = minimize_store(tpl, qc, store, fresh, checker)
+                if expected is not None:
+                    assert out.traces == store.traces
+                    assert out.dropped == store.dropped + [(fresh.name, expected)]
+                else:
+                    assert out.traces[-1] is fresh
+                store = out
+
+    def test_eviction_leaves_the_index(self):
+        tpl, qc = setup("forall p. forall q. a@p -> !b@q")
+        checker = DominanceChecker(tpl, qc)
+        store = TraceStore()
+        blank, a_b = Trace.of([set()], "blank"), Trace.of([{"a"}, {"b"}], "a_b")
+        for t in (blank, a_b):
+            assert not store.drop_if_covered(t, checker)
+            store.add(t, checker)
+        assert store.names() == ["a_b"]
+        assert store.copy_of(blank) is None and store.copy_of(a_b) is a_b
+        assert store.drop_if_covered(blank.renamed("again"), checker)
+        assert store.dropped[-1] == ("again", "a_b") and checker.copy_hits == 0
