@@ -5,9 +5,14 @@ Each incoming trace is checked in every new tuple it forms with the stored
 traces; a rejected tuple is reported as a counterexample.  Specification
 analysis removes tuple orders (symmetry), self-pairs (reflexivity) or all but
 one comparison partner (transitivity); trace analysis discards traces that a
-stored trace dominates.  On universal prefixes with trace analysis on, a
-trace whose projection already violated skips the dominance pass: a
-dominated trace cannot violate, and the copy violates again.
+stored trace dominates.
+
+On universal prefixes a fresh trace goes through three steps, in this order:
+the store's copy index drops an exact projected copy of a stored trace;
+otherwise the tuple loop runs; only a trace that passes it gets the
+dominance pass, which drops it or adds it to the store.  A dominated trace
+cannot violate, so a violator skips the dominance pass without changing any
+output, and a dropped trace's tuples are taken back out of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly against the stored trace set and their
@@ -41,10 +46,6 @@ from .template import (
 from .trace_analysis import DominanceChecker, TraceStore
 
 log = logging.getLogger(__name__)
-
-# distinct violating projections a session remembers, oldest evicted first; a
-# resource guard: past it a repeat violator runs the dominance pass again
-VIOLATOR_MEMO_CAP = 1024
 
 
 @dataclass
@@ -148,9 +149,6 @@ class Session:
         self._seen_names = set()
         self._warned_extra = frozenset()
         self._masks = {}
-        # per-step joint masks of violating traces, as an insertion-ordered set
-        self._violators = {}
-        self.memo_hits = 0
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -275,32 +273,23 @@ class Session:
             yield tuple(pool[i] for i in combo)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
-        key = None
-        if self.checker is not None:
-            key = tuple(joint_word(self._tuple_masks((fresh,) * self.qclass.n)))
-            if key in self._violators:
-                self.memo_hits += 1
-                ran = self.stats.instances_run
-                violating = self._scan_tuples(fresh)
-                if violating is not None:
-                    return self._reject(fresh, violating, key)
-                # the copy passed after all: undo and take the normal order
-                del self._violators[key]
-                self.stats.instances_run = ran
-        if self.store.drop_if_covered(fresh, self.checker):
+        if self.store.drop_if_copy(fresh, self.checker):
             self._forget(fresh)
             return CLEAN
+        ran = self.stats.instances_run
         violating = self._scan_tuples(fresh)
         if violating is not None:
-            return self._reject(fresh, violating, key)
+            # a dominated trace cannot violate: no dominance pass needed
+            return self._reject(fresh, violating)
+        if self.store.drop_if_covered(fresh, self.checker):
+            # count only the tuples of kept or violating traces
+            self.stats.instances_run = ran
+            self._forget(fresh)
+            return CLEAN
         self._add(fresh)
         return CLEAN
 
-    def _reject(self, fresh: Trace, violating, key) -> Verdict:
-        if key is not None:
-            self._violators[key] = None
-            if len(self._violators) > VIOLATOR_MEMO_CAP:
-                del self._violators[next(iter(self._violators))]
+    def _reject(self, fresh: Trace, violating) -> Verdict:
         verdict = Verdict(self._build_counterexample(violating))
         self._forget(fresh)
         return verdict
@@ -355,7 +344,6 @@ class Session:
         checker = self.checker
         return {
             "copy_hits": checker.copy_hits if checker else 0,
-            "memo_hits": self.memo_hits,
             "probe_refutations": checker.probe_refutations if checker else 0,
         }
 

@@ -22,9 +22,10 @@ answer:
   word up to a small depth (:data:`PROBE_WORDS`), so a short word accepted
   by one automaton and not the other refutes the inclusion without a search.
 
-The session adds a third path in front of the store (see
-``engine.Session``): a trace whose projection already violated skips the
-dominance pass, since a dominated trace cannot violate.
+On universal prefixes the session asks the copy index alone first, with
+:meth:`TraceStore.drop_if_copy`, and runs the dominance pass only for a
+trace whose tuples pass (see ``engine.Session``): a dominated trace cannot
+violate, so a violator needs no inclusion check.
 """
 
 from dataclasses import dataclass, field
@@ -80,8 +81,10 @@ class TraceStore:
 
     Names are not checked here; the session checks them before a trace
     reaches the store.  A fresh trace goes in by :meth:`drop_if_covered`,
-    then, if not dropped, :meth:`add`; the session runs its tuple loop in
-    between.  A ``checker`` of None means trace analysis is off.
+    then, if not dropped, :meth:`add`, with nothing between the two.  On
+    universal prefixes the session calls :meth:`drop_if_copy` and runs its
+    tuple loop before them.  A ``checker`` of None means trace analysis is
+    off.
 
     The copy index maps projected steps to the stored trace that has them.
     It holds only traces that went through both steps with a checker: no
@@ -103,18 +106,27 @@ class TraceStore:
         """The indexed stored trace with ``trace``'s steps, or None."""
         return self._copies.get(trace.steps)
 
-    def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
-        """Log ``fresh`` as dropped if a stored trace dominates it.
-
-        Stored traces are tried in insertion order; the first dominator is
-        logged as the covering trace.
-        """
+    def drop_if_copy(self, fresh: Trace, checker: "DominanceChecker") -> bool:
+        """Log ``fresh`` as dropped if the copy index holds its steps."""
         if checker is None:
             return False
         copy = self.copy_of(fresh)
-        if copy is not None:
-            checker.copy_hits += 1
-            self.dropped.append((fresh.name, copy.name))
+        if copy is None:
+            return False
+        checker.copy_hits += 1
+        self.dropped.append((fresh.name, copy.name))
+        return True
+
+    def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
+        """Log ``fresh`` as dropped if a stored trace dominates it.
+
+        The copy index is asked first; then stored traces are tried in
+        insertion order, and the first dominator is logged as the covering
+        trace.
+        """
+        if checker is None:
+            return False
+        if self.drop_if_copy(fresh, checker):
             return True
         for old in self.traces:
             if checker.dominates(old, fresh):

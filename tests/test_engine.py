@@ -116,10 +116,13 @@ class TestUniversalSessions:
             parse_formula(EQ), MonitorOptions(continue_after_violation=True)
         )
         session.process_trace(Trace.of([{"a"}], "t1"))
+        # passes its tuples and is not a copy, so it runs inclusion checks
+        assert not session.process_trace(Trace.of([{"a"}, set()], "pass")).is_violation
+        checks = session.checker.inclusion_checks
+        assert checks > 0
         for i, steps in enumerate(([set()], [set(), {"a"}], [set(), set()])):
-            # each trace is checked for dominance first, then violates
             assert session.process_trace(Trace.of(steps, f"v{i}")).is_violation
-        assert session.checker.inclusion_checks > 0
+        assert session.checker.inclusion_checks == checks  # violators run none
         assert session.stats.inclusion_checks == session.checker.inclusion_checks
 
     def test_masks_kept_for_stored_traces_only(self):
@@ -301,45 +304,86 @@ class TestThreeQuantifiers:
         assert session.stats.instances_run == 0  # only the all-same triple arose
 
 
-def _memo_run(qf, traces):
-    """Per-trace outputs of a session, plus whether every memo hit violated."""
+def _reference_process(session, fresh):
+    """The dominance-first order: the dominance pass, then the tuples."""
+    if session.store.drop_if_covered(fresh, session.checker):
+        session._forget(fresh)
+        return engine.CLEAN
+    violating = session._scan_tuples(fresh)
+    if violating is not None:
+        return session._reject(fresh, violating)
+    session._add(fresh)
+    return engine.CLEAN
+
+
+def _order_run(qf, traces, reference):
+    """Per-trace outputs of a session, run in the session's order or in the
+    reference order, plus whether every violator ran no inclusion check."""
     session = Session(qf, MonitorOptions(continue_after_violation=True))
-    verdicts, hits_violated = [], True
+    if reference:
+        session._process_universal = lambda fresh: _reference_process(session, fresh)
+    verdicts, violators_unchecked = [], True
     for t in traces:
-        hits = session.memo_hits
+        checks = session.checker.inclusion_checks
         ce = session.process_trace(t).counterexample
         verdicts.append(None if ce is None else (ce.assignment, ce.rejecting_position))
-        if session.memo_hits != hits and ce is None:
-            hits_violated = False  # the fallback ran
+        if ce is not None and session.checker.inclusion_checks != checks:
+            violators_unchecked = False
     outputs = (verdicts, session.store.names(), session.store.dropped,
                session.stats.instances_run)
-    return outputs, session.memo_hits, hits_violated
+    return outputs, violators_unchecked
 
 
-class TestViolatorMemo:
-    @pytest.mark.parametrize("text, n, transitive", [
+class TestTuplesBeforeDominance:
+    @pytest.mark.parametrize("text, n, length, bias, transitive", [
         (pretty_quantified(independence_property("counter3", ("incr",), ("overflow",))),
-         120, False),
+         120, 10, {"incr": 0.85, "decr": 0.05}, False),
         ("forall p. forall q. forall r. ((overflow@p <-> overflow@q) | "
          "(overflow@p <-> overflow@r)) W (!(decr@p <-> decr@q) | !(decr@p <-> decr@r))",
-         60, False),
-        ("forall p. forall q. G (overflow@p <-> overflow@q)", 120, True),
-    ], ids=("forall-forall", "three-quantifiers", "transitive"))
-    def test_memo_changes_no_output(self, monkeypatch, text, n, transitive):
+         60, 10, {"incr": 0.85, "decr": 0.05}, False),
+        ("forall p. forall q. G (overflow@p <-> overflow@q)",
+         120, 10, {"incr": 0.85, "decr": 0.05}, True),
+        (pretty_quantified(independence_property("counter3", ("incr",), ("overflow",))),
+         200, 6, None, False),
+    ], ids=("forall-forall", "three-quantifiers", "transitive", "drop-heavy"))
+    def test_same_outputs_as_dominance_first(self, text, n, length, bias, transitive):
         qf = parse_formula(text)
         assert new_session(qf).transitive == transitive
         for seed in (1, 2):
-            corpus = random_traces("counter3", n, 10, seed,
-                                   bias={"incr": 0.85, "decr": 0.05})
+            corpus = random_traces("counter3", n, length, seed, bias=bias)
             traces = [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
-            outputs, hits, hits_violated = _memo_run(qf, traces)
-            assert hits > 0 and hits_violated
-            for cap in (0, 1):  # 0 evicts every entry at once: no memo
-                monkeypatch.setattr(engine, "VIOLATOR_MEMO_CAP", cap)
-                capped, capped_hits, hits_violated = _memo_run(qf, traces)
-                assert capped == outputs, (text, seed, cap)
-                assert hits_violated and (capped_hits == 0) == (cap == 0)
-            monkeypatch.undo()
+            outputs, violators_unchecked = _order_run(qf, traces, reference=False)
+            expected, _ = _order_run(qf, traces, reference=True)
+            assert outputs == expected, (text, seed)
+            assert violators_unchecked
+            verdicts, _, dropped, _ = outputs
+            if bias is None:
+                assert len(dropped) > n // 2  # drop-heavy
+            else:
+                assert any(v is not None for v in verdicts)
+
+    def test_dominated_non_copy_takes_back_its_tuples(self):
+        qf = parse_formula("forall p. forall q. a@p -> !b@q")
+        traces = [
+            Trace.of([set()], "blank"),
+            Trace.of([{"a"}, {"b"}], "a_b"),  # evicts blank
+            Trace.of([set()], "again"),  # copies evicted blank: no copy hit
+        ]
+        expected, _ = _order_run(qf, traces, reference=True)
+        session = Session(qf, MonitorOptions(continue_after_violation=True))
+        for t in traces[:2]:
+            session.process_trace(t)
+        ran = session.stats.instances_run
+        scanned = []
+        scan = session._scan_tuples
+        session._scan_tuples = lambda fresh: scanned.append(fresh.name) or scan(fresh)
+        assert not session.process_trace(traces[2]).is_violation
+        assert scanned == ["again"]  # the tuples ran before the dominance pass
+        assert session.checker.copy_hits == 0
+        assert session.store.dropped == [("blank", "a_b"), ("again", "a_b")]
+        assert session.stats.instances_run == ran == expected[3]
+        assert {name for name, _ in session._masks} == {"a_b"}
+        assert cache_within_store(session)
 
 
 def test_stats_snapshot_fields():

@@ -346,5 +346,20 @@ class TestCopyIndex:
             store.add(t, checker)
         assert store.names() == ["a_b"]
         assert store.copy_of(blank) is None and store.copy_of(a_b) is a_b
+        checks = checker.inclusion_checks
+        assert not store.drop_if_copy(blank.renamed("again"), checker)
+        assert checker.inclusion_checks == checks and store.names() == ["a_b"]
         assert store.drop_if_covered(blank.renamed("again"), checker)
         assert store.dropped[-1] == ("again", "a_b") and checker.copy_hits == 0
+
+    def test_drop_if_copy_runs_no_inclusion(self):
+        tpl, qc = setup("forall p. forall q. a@p -> !b@q")
+        checker = DominanceChecker(tpl, qc)
+        store = TraceStore()
+        a_b = Trace.of([{"a"}, {"b"}], "a_b")
+        assert not store.drop_if_covered(a_b, checker)
+        store.add(a_b, checker)
+        assert not store.drop_if_copy(a_b.renamed("twin"), None)
+        assert store.drop_if_copy(a_b.renamed("twin"), checker)
+        assert store.dropped == [("twin", "a_b")] and checker.copy_hits == 1
+        assert checker.inclusion_checks == 0
