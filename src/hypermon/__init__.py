@@ -66,7 +66,6 @@ from .spec_analysis import (
 from .template import MonitorTemplate, build_template, materialize
 from .trace_analysis import (
     DominanceChecker,
-    DominanceJudgment,
     TraceStore,
     dominates,
     minimize_store,

@@ -56,10 +56,6 @@ class Dfa:
     def accepts_atom_word(self, word) -> bool:
         return self.accepts(atoms_to_letter(a, self.support) for a in word)
 
-    def complement(self) -> "Dfa":
-        rejecting = frozenset(range(self.num_states)) - self.accepting
-        return Dfa(self.support, self.initial, rejecting, self.transitions)
-
 
 def _shortest_word(start, expand, goal):
     """Breadth-first search for a shortest word leading from ``start`` to a goal.

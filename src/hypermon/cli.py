@@ -23,6 +23,7 @@ from .errors import MonitorError, ResourceLimitError
 from .formula import pretty_quantified
 from .parser import parse_formula
 from .spec_analysis import analyze, decode_word
+from .template import DEFAULT_STATE_LIMIT
 from .traceio import collect_trace_paths, load_trace, save_trace, write_manifest
 
 EXIT_CLEAN = 0
@@ -258,7 +259,7 @@ def make_parser() -> argparse.ArgumentParser:
     mon.add_argument("--no-trace-analysis", action="store_true")
     mon.add_argument("--no-spec-analysis", action="store_true")
     mon.add_argument("--continue-after-violation", action="store_true")
-    mon.add_argument("--state-limit", type=int, default=100_000)
+    mon.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
     mon.add_argument("--stats-format", choices=("text", "json"), default="text")
     mon.add_argument("--out", help="write the report to this file")
     mon.set_defaults(func=cmd_monitor)
@@ -283,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     tpl = sub.add_parser("template", help="export the monitor automaton as DOT")
     tpl.add_argument("spec")
     tpl.add_argument("--dot", help="output file (default stdout)")
-    tpl.add_argument("--state-limit", type=int, default=100_000)
+    tpl.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
     tpl.set_defaults(func=cmd_template)
     return parser
 

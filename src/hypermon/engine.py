@@ -24,7 +24,7 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .errors import FragmentError
+from .errors import FragmentError, ResourceLimitError
 from .formula import (
     QuantifiedFormula,
     classify_prefix,
@@ -35,7 +35,6 @@ from .formula import (
 from .semantics import Trace, eval_body, eval_quantified
 from .spec_analysis import analyze
 from .template import (
-    DEFAULT_ATOM_LIMIT,
     DEFAULT_STATE_LIMIT,
     build_template,
     joint_word,
@@ -56,7 +55,6 @@ class MonitorOptions:
     spec_analysis: bool = True
     continue_after_violation: bool = False
     state_limit: int = DEFAULT_STATE_LIMIT
-    atom_limit: int = DEFAULT_ATOM_LIMIT
 
 
 @dataclass(frozen=True)
@@ -129,23 +127,22 @@ class Session:
             qf.variables,
             self.alphabet,
             state_limit=self.options.state_limit,
-            atom_limit=self.options.atom_limit,
         )
         self.universal = self.qclass.kind == "forall_n"
         self.provisional = not self.universal
         self.analysis = None
         if self.options.spec_analysis and self.universal and self.qclass.n >= 2:
-            self.analysis = analyze(
-                qf, self.options.state_limit, self.options.atom_limit
-            )
+            self.analysis = analyze(qf, self.options.state_limit)
         self.store = TraceStore()
         self.stats = MonitorStats()
         self.checker = None
         if self.options.trace_analysis:
             try:
                 self.checker = DominanceChecker(self.template, self.qclass)
-            except FragmentError:
-                self.checker = None  # no dominance rule for this prefix shape
+            except (FragmentError, ResourceLimitError) as exc:
+                # no dominance rule for this prefix, or instance alphabets
+                # too wide to enumerate: the tuple loop alone decides
+                log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
         self._warned_extra = frozenset()
         self._masks = {}

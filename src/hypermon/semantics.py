@@ -54,9 +54,6 @@ class Trace:
         return Trace(self.steps, name)
 
 
-EMPTY_TRACE = Trace()
-
-
 def subsequence(t: Trace, i: int, j: int) -> Trace:
     """Positions i..j of t (inclusive), empty when i is past the end; j clamps."""
     if i < 0 or j < 0:

@@ -30,7 +30,6 @@ from .formula import (
 )
 from .semantics import Trace
 from .template import (
-    DEFAULT_ATOM_LIMIT,
     DEFAULT_STATE_LIMIT,
     TemplateAutomaton,
     lazy_is_empty,
@@ -56,12 +55,12 @@ class SpecAnalysisResult:
         return (self.symmetric, self.transitive, self.reflexive)
 
 
-def _unsat(body, state_limit, atom_limit):
+def _unsat(body, state_limit):
     """(True, None) if the desugared body has no satisfying finite word,
     else (False, witness word decoded to atom sets)."""
     core = simplify(desugar(body))
     support = tuple(sorted(atom_refs(core)))
-    auto = TemplateAutomaton(core, support, state_limit, atom_limit)
+    auto = TemplateAutomaton(core, support, state_limit)
     empty, word = lazy_is_empty(auto)
     if empty:
         return True, None
@@ -86,8 +85,7 @@ def decode_word(word: Word, variables) -> dict:
     }
 
 
-def check_symmetry(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
-                   atom_limit=DEFAULT_ATOM_LIMIT):
+def check_symmetry(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT):
     """(True, None) when the body is invariant under variable exchange."""
     variables = qf.variables
     if len(variables) < 2:
@@ -95,14 +93,13 @@ def check_symmetry(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
     for i in range(len(variables) - 1):
         a, b = variables[i], variables[i + 1]
         swapped = rename_variables(qf.body, {a: b, b: a})
-        unsat, witness = _unsat(Xor(qf.body, swapped), state_limit, atom_limit)
+        unsat, witness = _unsat(Xor(qf.body, swapped), state_limit)
         if not unsat:
             return False, witness
     return True, None
 
 
-def check_reflexivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
-                      atom_limit=DEFAULT_ATOM_LIMIT):
+def check_reflexivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT):
     """(True, None) when every trace paired with itself satisfies the body."""
     quants = {q for q, _ in qf.prefix}
     if len(quants) > 1:
@@ -112,14 +109,13 @@ def check_reflexivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
         raise FragmentError("reflexivity needs at least one quantifier")
     one = variables[0]
     identified = rename_variables(qf.body, {v: one for v in variables})
-    unsat, witness = _unsat(Not(identified), state_limit, atom_limit)
+    unsat, witness = _unsat(Not(identified), state_limit)
     if unsat:
         return True, None
     return False, witness
 
 
-def check_transitivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
-                       atom_limit=DEFAULT_ATOM_LIMIT):
+def check_transitivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT):
     """(True, None) when body(1,2) and body(2,3) always force body(1,3)."""
     quants = {q for q, _ in qf.prefix}
     if len(qf.variables) != 2 or len(quants) != 1:
@@ -135,14 +131,14 @@ def check_transitivity(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
             Not(rename_variables(qf.body, {v2: v3})),
         )
     )
-    unsat, witness = _unsat(chain, state_limit, atom_limit)
+    unsat, witness = _unsat(chain, state_limit)
     if unsat:
         return True, None
     return False, witness
 
 
-def analyze(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
-            atom_limit=DEFAULT_ATOM_LIMIT) -> SpecAnalysisResult:
+def analyze(qf: QuantifiedFormula,
+            state_limit=DEFAULT_STATE_LIMIT) -> SpecAnalysisResult:
     """Run all three checks, degrading to "not detected" on resource limits.
 
     Prefixes with fewer than two variables have no tuple reductions to make,
@@ -160,7 +156,7 @@ def analyze(qf: QuantifiedFormula, state_limit=DEFAULT_STATE_LIMIT,
     for name, witness_field, check in checks:
         begin = time.perf_counter()
         try:
-            ok, witness = check(qf, state_limit, atom_limit)
+            ok, witness = check(qf, state_limit)
         except (ResourceLimitError, FragmentError) as exc:
             ok, witness = False, None
             result.notes[name] = f"not detected: {exc}"

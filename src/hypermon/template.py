@@ -9,7 +9,7 @@ atoms).
 Automata are explored lazily.  Each state only depends on the atoms occurring
 in its residual, so exploration fans out over subsets of those atoms rather
 than the full alphabet; the per-state subset count is guarded by
-``atom_limit``.  :func:`materialize` converts a lazy automaton into an
+:data:`ATOM_LIMIT`.  :func:`materialize` converts a lazy automaton into an
 explicit :class:`~hypermon.automata.Dfa` for the algebra operations.
 
 Transitions come from a lazily grown tree of atom reads per state.
@@ -47,7 +47,8 @@ from .formula import (
 from .semantics import Trace, eps_eval
 
 DEFAULT_STATE_LIMIT = 100_000
-DEFAULT_ATOM_LIMIT = 14
+# widest explicit alphabet, in atoms, that letter enumeration may cover
+ATOM_LIMIT = 14
 _DNF_TERM_CAP = 4096
 
 _STATE_TYPES = (Atom, TrueF, FalseF, Not, Or, And, Next, Until)
@@ -167,13 +168,11 @@ class TemplateAutomaton:
     that reads ``bit`` and goes to ``lo`` when it is 0, ``hi`` when it is 1.
     """
 
-    def __init__(self, body, support, state_limit=DEFAULT_STATE_LIMIT,
-                 atom_limit=DEFAULT_ATOM_LIMIT):
+    def __init__(self, body, support, state_limit=DEFAULT_STATE_LIMIT):
         self.support = tuple(support)
         self.bits = {ref: i for i, ref in enumerate(self.support)}
         self.support_mask = (1 << len(self.support)) - 1
         self.state_limit = state_limit
-        self.atom_limit = atom_limit
         self.formulas = []
         self.index = {}
         self.acc = []
@@ -261,8 +260,6 @@ class InstantiatedAutomaton:
 
     def __init__(self, base, var: str, trace: Trace):
         self.base = base
-        self.var = var
-        self.trace = trace
         self.bits = base.bits
         self.support = tuple(r for r in base.support if r.variable != var)
         mask = 0
@@ -280,14 +277,6 @@ class InstantiatedAutomaton:
         self.nsteps = len(self.tmasks)
         self.initial_state = (base.initial_state, 0)
         self._acc_memo = {}
-
-    @property
-    def state_limit(self):
-        return self.base.state_limit
-
-    @property
-    def atom_limit(self):
-        return self.base.atom_limit
 
     def step(self, state, letter: int):
         s, j = state
@@ -343,25 +332,23 @@ def _submasks_ascending(mask: int):
         yield sub
 
 
-def lazy_is_empty(auto, start=None, atom_limit=None):
+def lazy_is_empty(auto, start=None):
     """Emptiness of the language from ``start`` (default: initial state).
 
     Returns (True, None) or (False, witness) where the witness is the
     shortest accepting letter sequence (global bitmask ints), smallest letters
     first among equals.  Raises ResourceLimitError when some state's relevant
-    atom set exceeds the fan-out guard.
+    atom set is wider than :data:`ATOM_LIMIT`.
     """
-    if atom_limit is None:
-        atom_limit = auto.atom_limit
     if start is None:
         start = auto.initial_state
 
     def expand(state):
         rel = auto.relevant(state)
-        if rel.bit_count() > atom_limit:
+        if rel.bit_count() > ATOM_LIMIT:
             raise ResourceLimitError(
                 f"state fan-out over {rel.bit_count()} atoms exceeds the "
-                f"limit of {atom_limit}"
+                f"limit of {ATOM_LIMIT}"
             )
         for letter in _submasks_ascending(rel):
             yield letter, auto.step(state, letter)
@@ -372,15 +359,13 @@ def lazy_is_empty(auto, start=None, atom_limit=None):
     return False, word
 
 
-def materialize(auto, atom_limit=None) -> Dfa:
+def materialize(auto) -> Dfa:
     """Explicit DFA over the automaton's own support with contiguous bits."""
-    if atom_limit is None:
-        atom_limit = auto.atom_limit
     support = tuple(auto.support)
     k = len(support)
-    if k > atom_limit:
+    if k > ATOM_LIMIT:
         raise ResourceLimitError(
-            f"explicit alphabet over {k} atoms exceeds the limit of {atom_limit}"
+            f"explicit alphabet over {k} atoms exceeds the limit of {ATOM_LIMIT}"
         )
     scatter = [1 << auto.bits[ref] for ref in support]
     # local letter -> the same letter in the global bit space
@@ -440,11 +425,9 @@ def trace_masks(auto, var: str, trace: Trace):
 class MonitorTemplate:
     """A compiled body with free trace variables, instantiable at runtime."""
 
-    def __init__(self, automaton, free_vars, bound=None, body=None):
+    def __init__(self, automaton, free_vars):
         self.automaton = automaton
         self.free_variables = tuple(free_vars)
-        self.bound = dict(bound or {})
-        self.body = body
         self._dfa = None
 
     @property
@@ -476,19 +459,16 @@ class MonitorTemplate:
             raise MonitorError(f"variable {var!r} is not free in this template")
         auto = InstantiatedAutomaton(self.automaton, var, trace)
         free = tuple(v for v in self.free_variables if v != var)
-        bound = dict(self.bound)
-        bound[var] = trace
-        return MonitorTemplate(auto, free, bound, self.body)
+        return MonitorTemplate(auto, free)
 
 
 def build_template(body: Formula, variables, support=None,
-                   state_limit=DEFAULT_STATE_LIMIT,
-                   atom_limit=DEFAULT_ATOM_LIMIT) -> MonitorTemplate:
+                   state_limit=DEFAULT_STATE_LIMIT) -> MonitorTemplate:
     """Compile a desugared body into a monitor template.
 
     ``support`` defaults to the atoms of the body; when given it must cover
     them.  The automaton is built lazily; ``state_limit`` caps distinct
-    residuals and ``atom_limit`` caps explicit-alphabet fan-outs.
+    residuals.
     """
     _check_state_types(body)
     variables = tuple(variables)
@@ -507,8 +487,8 @@ def build_template(body: Formula, variables, support=None,
     bad = {r.variable for r in support} - set(variables)
     if bad:
         raise SupportMismatchError(f"support mentions unknown variables {sorted(bad)}")
-    auto = TemplateAutomaton(body, support, state_limit, atom_limit)
-    return MonitorTemplate(auto, variables, {}, body)
+    auto = TemplateAutomaton(body, support, state_limit)
+    return MonitorTemplate(auto, variables)
 
 
 def _check_state_types(f: Formula) -> None:

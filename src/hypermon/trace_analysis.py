@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 # language_included stays importable from here: perfbench/child.py wraps it
 # under this module's name
 from .automata import _uncovered_word, language_included, minimize  # noqa: F401
-from .errors import FragmentError
+from .errors import FragmentError, ResourceLimitError
 from .formula import QuantifierClass
 from .semantics import Trace
-from .template import MonitorTemplate, materialize
+from .template import ATOM_LIMIT, MonitorTemplate, materialize
 
 # words a probe vector may cover: every word up to the largest depth whose
 # count of words of that length or shorter fits
@@ -63,16 +63,6 @@ def probe(dfa) -> int:
         if len(bits) == words:
             return int("".join(bits), 2)
         states = [succ for s in states for succ in rows[s]]
-
-
-@dataclass(frozen=True)
-class DominanceJudgment:
-    """Outcome of one dominance query, for reporting."""
-
-    dominator: str
-    dominated: str
-    fragment: QuantifierClass
-    inclusion_checks: int
 
 
 @dataclass
@@ -170,6 +160,9 @@ class DominanceChecker:
 
     The caller frees the entries of a trace that leaves the store, or never
     enters it, with :meth:`forget`; the cache is then bounded by the store.
+    Raises FragmentError for a prefix with no dominance rule, and
+    ResourceLimitError when an instance alphabet (the support minus one
+    variable's atoms) is wider than :data:`~hypermon.template.ATOM_LIMIT`.
     """
 
     def __init__(self, template: MonitorTemplate, qclass: QuantifierClass):
@@ -181,6 +174,13 @@ class DominanceChecker:
             raise FragmentError(f"no dominance rule for prefix shape {qclass.shape!r}")
         if qclass.kind in ("forall_n", "exists_n") and qclass.n < 1:
             raise FragmentError("dominance needs at least one quantifier")
+        for var in template.free_variables:
+            width = sum(ref.variable != var for ref in template.support)
+            if width > ATOM_LIMIT:
+                raise ResourceLimitError(
+                    f"instance alphabet over {width} atoms exceeds the limit "
+                    f"of {ATOM_LIMIT}"
+                )
         self.template = template
         self.qclass = qclass
         self.inclusion_checks = 0
@@ -223,18 +223,6 @@ class DominanceChecker:
         # forall-exists: first variable universal, second existential
         univ, exis = variables
         return self._included(t1, t2, univ) and self._included(t2, t1, exis)
-
-    def judge(self, t1: Trace, t2: Trace):
-        """DominanceJudgment when t1 dominates t2, else None."""
-        before = self.inclusion_checks
-        if not self.dominates(t1, t2):
-            return None
-        return DominanceJudgment(
-            dominator=t1.name,
-            dominated=t2.name,
-            fragment=self.qclass,
-            inclusion_checks=self.inclusion_checks - before,
-        )
 
 
 def dominates(template: MonitorTemplate, qclass: QuantifierClass,

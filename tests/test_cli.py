@@ -15,6 +15,15 @@ def spec_file(tmp_path, text, name="spec.hm"):
 
 EQ = "forall p. forall q. G (a@p <-> a@q)\n"
 OBSDET = "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)\n"
+XOR4_BODY = (
+    "(out0@p <-> out0@q) W (!(lhs0@p <-> lhs0@q) | !(lhs2@p <-> lhs2@q) | "
+    "!(lhs3@p <-> lhs3@q) | !(rhs0@p <-> rhs0@q) | !(rhs1@p <-> rhs1@q) | "
+    "!(rhs2@p <-> rhs2@q) | !(rhs3@p <-> rhs3@q))"
+)
+XOR4_THREE_QUANTIFIERS = (
+    f"forall p. forall q. forall r. ({XOR4_BODY}) & "
+    f"({XOR4_BODY.replace('@q', '@r').replace('@p', '@q')})\n"
+)
 
 
 class TestMonitor:
@@ -207,6 +216,32 @@ class TestMonitor:
         t1 = write(tmp_path / "t1.trace", "a\nb\n")
         assert main(["monitor", spec, t1, "--state-limit", "1"]) == 3
 
+    def test_wide_instance_alphabet_turns_trace_analysis_off(
+            self, tmp_path, capsys, caplog):
+        # each instance alphabet has 16 atoms, past the explicit-alphabet
+        # guard: the run goes on without trace analysis instead of exiting 3
+        spec = spec_file(tmp_path, XOR4_THREE_QUANTIFIERS)
+        corpus = tmp_path / "corpus"
+        main(["gen", "--kind", "xor4", "--n", "30", "--length", "5",
+              "--seed", "1", "--out", str(corpus)])
+        capsys.readouterr()
+        reports = []
+        for flags in ([], ["--no-trace-analysis"]):
+            out = tmp_path / "report.json"
+            code = main(["monitor", spec, str(corpus), "--stats-format", "json",
+                         "--out", str(out), *flags])
+            assert code == 0
+            report = json.loads(out.read_text())
+            del report["stats"]["wall_time"]
+            reports.append(report)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert sum(w.startswith("trace analysis off:") for w in warnings) == 1
+        on, off = reports
+        assert on["stats"] == off["stats"]
+        assert on["stats"]["instances_run"] == 26_970
+        assert on["verdict"] == off["verdict"] == "clean"
+        assert on["counterexample"] == off["counterexample"]
+
 
 class TestAnalyze:
     def test_eq_text(self, tmp_path, capsys):
@@ -306,6 +341,12 @@ class TestTemplate:
         assert main(["template", spec]) == 0
         dot = capsys.readouterr().out
         assert dot.count("[shape=") == 1 + dot.count("shape=point")
+
+    def test_wide_alphabet_exit_3(self, tmp_path, capsys):
+        # the two-variable xor4 body has 16 atoms: too wide to enumerate
+        spec = spec_file(tmp_path, f"forall p. forall q. {XOR4_BODY}\n")
+        assert main(["template", spec]) == 3
+        assert capsys.readouterr().err.startswith("resource limit:")
 
     def test_empty_language_template(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. G a@p\n")

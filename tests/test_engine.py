@@ -1,11 +1,12 @@
 import logging
+import random
 
 import pytest
 
 from hypermon import engine
 from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
-from hypermon.formula import QuantifiedFormula, pretty_quantified
+from hypermon.formula import And, QuantifiedFormula, pretty_quantified, rename_variables
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 
@@ -384,6 +385,59 @@ class TestTuplesBeforeDominance:
         assert session.stats.instances_run == ran == expected[3]
         assert {name for name, _ in session._masks} == {"a_b"}
         assert cache_within_store(session)
+
+
+WIDE_TWO_VARIABLES = "forall p. forall q. (x0@p <-> x0@q) W ({})".format(
+    " | ".join(f"!(x{i}@p <-> x{i}@q)" for i in range(1, 15))
+)
+XOR4_BODY = independence_property("xor4", ("lhs1",), ("out0",)).body
+WIDE_THREE_QUANTIFIERS = QuantifiedFormula(
+    tuple(("forall", v) for v in "pqr"),
+    And((XOR4_BODY, rename_variables(XOR4_BODY, {"p": "q", "q": "r"}))),
+)
+
+
+def _wide_stream(qf, seed):
+    """A seeded stream with one planted violator: a copy of an earlier trace
+    whose first step flips the proposition the body compares first."""
+    rng = random.Random(seed)
+    if qf.variables == ("p", "q"):
+        flip, props = "x0", [f"x{i}" for i in range(15)]
+        traces = [random_trace(rng, f"t{i}", 4, props) for i in range(20)]
+    else:
+        flip = "out0"
+        corpus = random_traces("xor4", 14, 5, seed)
+        traces = [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    i = rng.randrange(len(traces) // 2)
+    j = rng.randrange(i + 1, len(traces))
+    steps = list(traces[i].steps) or [frozenset()]
+    steps[0] = steps[0] ^ {flip}
+    traces[j] = Trace(tuple(steps), traces[j].name)
+    return traces
+
+
+class TestWideInstanceAlphabet:
+    @pytest.mark.parametrize("qf", [
+        parse_formula(WIDE_TWO_VARIABLES), WIDE_THREE_QUANTIFIERS,
+    ], ids=("two-variables-15-propositions", "three-quantifiers-xor4"))
+    def test_trace_analysis_steps_aside(self, qf, caplog):
+        for seed in (1, 2, 3):
+            traces = _wide_stream(qf, seed)
+            runs = []
+            for ta in (True, False):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="hypermon.engine"):
+                    session = Session(qf, MonitorOptions(
+                        trace_analysis=ta, continue_after_violation=True,
+                    ))
+                    verdicts = [session.process_trace(t).counterexample for t in traces]
+                off = [r for r in caplog.records
+                       if r.getMessage().startswith("trace analysis off:")]
+                assert session.checker is None
+                assert len(off) == (1 if ta else 0)
+                runs.append((verdicts, session.stats.instances_run))
+            assert runs[0] == runs[1], seed
+            assert any(ce is not None for ce in runs[0][0])
 
 
 def test_stats_snapshot_fields():

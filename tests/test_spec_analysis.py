@@ -145,13 +145,15 @@ class TestAnalyze:
         assert all(d < 1.0 for d in result.durations.values())
 
     def test_resource_degradation_is_conservative(self):
-        # a wide asymmetric body exceeds the explicit-alphabet guard: the
-        # affected flags fall back to "not detected" instead of erroring
-        bits = " & ".join(f"(x{i}@p -> x{i}@q)" for i in range(9))
+        # a wide asymmetric body exceeds the explicit-alphabet guard (20
+        # atoms against ATOM_LIMIT): the affected flags fall back to "not
+        # detected" instead of erroring
+        bits = " & ".join(f"(x{i}@p -> x{i}@q)" for i in range(10))
         qf = parse_formula(f"forall p. forall q. G ({bits})")
-        result = analyze(qf, atom_limit=6)
+        result = analyze(qf)
         assert result.symmetric is False
         assert result.transitive is False
         assert "symmetric" in result.notes and "transitive" in result.notes
-        # reflexivity identifies the variables first, so it stays decidable
+        # reflexivity identifies the variables first (10 atoms), so it stays
+        # decidable
         assert result.reflexive is True

@@ -55,15 +55,6 @@ class TestDominates:
         with pytest.raises(FragmentError):
             DominanceChecker(tpl, classify_prefix(qf))
 
-    def test_judgment_record(self):
-        tpl, qc = setup("forall p. forall q. true")
-        checker = DominanceChecker(tpl, qc)
-        judgment = checker.judge(Trace.of([{"a"}], "big"), Trace.of([], "small"))
-        assert judgment is not None
-        assert judgment.dominator == "big" and judgment.dominated == "small"
-        assert judgment.inclusion_checks == 2  # one per variable
-        assert judgment.fragment == qc
-
     def test_transitive_within_fragment(self, rng):
         for _ in range(60):
             body = random_body(rng, 3)
