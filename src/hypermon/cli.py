@@ -91,8 +91,9 @@ def build_report(session: Session) -> SessionReport:
         rejecting_position=ce.rejecting_position if ce is not None else None,
         stats=session.stats.as_dict(),
         optimizations={
-            "spec_analysis": session.options.spec_analysis,
-            "trace_analysis": session.options.trace_analysis,
+            # what ran: either analysis may step aside for the spec at hand
+            "spec_analysis": session.analysis is not None,
+            "trace_analysis": session.checker is not None,
             "symmetric": session.symmetric,
             "transitive": session.transitive,
             "reflexive": session.reflexive,
@@ -246,6 +247,13 @@ def cmd_template(args) -> int:
     return EXIT_CLEAN
 
 
+def state_limit(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermon",
@@ -259,7 +267,7 @@ def make_parser() -> argparse.ArgumentParser:
     mon.add_argument("--no-trace-analysis", action="store_true")
     mon.add_argument("--no-spec-analysis", action="store_true")
     mon.add_argument("--continue-after-violation", action="store_true")
-    mon.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    mon.add_argument("--state-limit", type=state_limit, default=DEFAULT_STATE_LIMIT)
     mon.add_argument("--stats-format", choices=("text", "json"), default="text")
     mon.add_argument("--out", help="write the report to this file")
     mon.set_defaults(func=cmd_monitor)
@@ -284,7 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
     tpl = sub.add_parser("template", help="export the monitor automaton as DOT")
     tpl.add_argument("spec")
     tpl.add_argument("--dot", help="output file (default stdout)")
-    tpl.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    tpl.add_argument("--state-limit", type=state_limit, default=DEFAULT_STATE_LIMIT)
     tpl.set_defaults(func=cmd_template)
     return parser
 

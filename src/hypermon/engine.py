@@ -9,10 +9,10 @@ stored trace dominates.
 
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace;
-otherwise the tuple loop runs; only a trace that passes it gets the
-dominance pass, which drops it or adds it to the store.  A dominated trace
-cannot violate, so a violator skips the dominance pass without changing any
-output, and a dropped trace's tuples are taken back out of ``instances_run``.
+otherwise the tuple loop runs; only a trace that passes it goes to
+``TraceStore.add``, which drops it or stores it.  A dominated trace cannot
+violate, so a violator skips the dominance pass without changing any output,
+and a dropped trace's tuples are taken back out of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly against the stored trace set and their
@@ -108,6 +108,23 @@ class MonitorStats:
             "inclusion_checks": self.inclusion_checks,
             "wall_time": self.wall_time,
         }
+
+
+def tuples_with_last(pool, n: int, skip_self: bool = False):
+    """The n-tuples over ``pool`` that hold its last element, in
+    ``itertools.product`` order, less the all-last tuple when ``skip_self``.
+    Only the head is enumerated: the final position is the last element
+    unless the head already holds it."""
+    if n == 0:
+        return
+    last = len(pool) - 1
+    indices = range(len(pool))
+    all_last = (last,) * n if skip_self else None
+    for head in itertools.product(indices, repeat=n - 1):
+        for i in indices if last in head else (last,):
+            combo = head + (i,)
+            if combo != all_last:
+                yield tuple(pool[j] for j in combo)
 
 
 class Session:
@@ -235,19 +252,17 @@ class Session:
             self._masks[key] = masks
         return masks
 
-    def _forget(self, trace: Trace) -> None:
-        # only stored traces appear in later tuples and dominance checks
-        for var in self.qf.variables:
-            self._masks.pop((trace.name, var), None)
-        if self.checker is not None:
-            self.checker.forget(trace, self.store)
+    def _forget(self, traces) -> None:
+        # only stored traces appear in later tuples
+        for trace in traces:
+            for var in self.qf.variables:
+                self._masks.pop((trace.name, var), None)
 
     def _tuple_masks(self, tup):
         return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
 
     def _new_tuples(self, fresh: Trace):
         """Tuples involving the fresh trace, in deterministic order."""
-        n = self.qclass.n
         stored = self.store.traces
         if self.transitive:
             if stored:
@@ -259,41 +274,25 @@ class Session:
             if not self.reflexive:
                 yield (fresh, fresh)
             return
-        pool = stored + [fresh]
-        fresh_idx = len(pool) - 1
-        skip_self = self.reflexive
-        for combo in itertools.product(range(len(pool)), repeat=n):
-            if fresh_idx not in combo:
-                continue
-            if skip_self and len(set(combo)) == 1:
-                continue
-            yield tuple(pool[i] for i in combo)
+        yield from tuples_with_last(stored + [fresh], self.qclass.n, self.reflexive)
 
     def _process_universal(self, fresh: Trace) -> Verdict:
         if self.store.drop_if_copy(fresh, self.checker):
-            self._forget(fresh)
             return CLEAN
         ran = self.stats.instances_run
         violating = self._scan_tuples(fresh)
         if violating is not None:
             # a dominated trace cannot violate: no dominance pass needed
-            return self._reject(fresh, violating)
-        if self.store.drop_if_covered(fresh, self.checker):
+            verdict = Verdict(self._build_counterexample(violating))
+            self._forget([fresh])
+            return verdict
+        evicted = self.store.add(fresh, self.checker)
+        if evicted is None:
             # count only the tuples of kept or violating traces
             self.stats.instances_run = ran
-            self._forget(fresh)
-            return CLEAN
-        self._add(fresh)
+            evicted = [fresh]
+        self._forget(evicted)
         return CLEAN
-
-    def _reject(self, fresh: Trace, violating) -> Verdict:
-        verdict = Verdict(self._build_counterexample(violating))
-        self._forget(fresh)
-        return verdict
-
-    def _add(self, fresh: Trace) -> None:
-        for evicted in self.store.add(fresh, self.checker):
-            self._forget(evicted)
 
     def _scan_tuples(self, fresh: Trace):
         auto = self.template.automaton
@@ -314,10 +313,8 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        if self.store.drop_if_covered(fresh, self.checker):
-            self._forget(fresh)
-        else:
-            self._add(fresh)
+        # no tuple loop here, so no masks to free
+        self.store.add(fresh, self.checker)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN
         return Verdict(self._provisional_counterexample())

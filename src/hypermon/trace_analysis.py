@@ -22,10 +22,12 @@ answer:
   word up to a small depth (:data:`PROBE_WORDS`), so a short word accepted
   by one automaton and not the other refutes the inclusion without a search.
 
-On universal prefixes the session asks the copy index alone first, with
-:meth:`TraceStore.drop_if_copy`, and runs the dominance pass only for a
-trace whose tuples pass (see ``engine.Session``): a dominated trace cannot
-violate, so a violator needs no inclusion check.
+:meth:`TraceStore.add` is the one insertion routine: copy index, then the
+scan for a dominator, then eviction, and it frees the cached automata of
+every trace that leaves.  On universal prefixes the session asks the copy
+index alone first, with :meth:`TraceStore.drop_if_copy`, and calls ``add``
+only for a trace whose tuples pass (see ``engine.Session``): a dominated
+trace cannot violate, so a violator needs no inclusion check.
 """
 
 from dataclasses import dataclass, field
@@ -70,82 +72,71 @@ class TraceStore:
     """Ordered traces plus a log of dropped ones.
 
     Names are not checked here; the session checks them before a trace
-    reaches the store.  A fresh trace goes in by :meth:`drop_if_covered`,
-    then, if not dropped, :meth:`add`, with nothing between the two.  On
-    universal prefixes the session calls :meth:`drop_if_copy` and runs its
-    tuple loop before them.  A ``checker`` of None means trace analysis is
+    reaches the store.  :meth:`add` is the one insertion routine; on
+    universal prefixes the session also asks :meth:`drop_if_copy` before it
+    runs a trace's tuples.  A ``checker`` of None means trace analysis is
     off.
 
     The copy index maps projected steps to the stored trace that has them.
-    It holds only traces that went through both steps with a checker: no
-    trace stored before such a trace dominates it (it would have been
-    dropped), so it is the first dominator of any copy in insertion order.
-    Traces passed to the constructor, and the traces of :meth:`copy`, are
-    not indexed; copies of them are found by the linear scan.
+    It holds every trace :meth:`add` appended with a checker: no trace
+    stored before it dominates it (it would have been dropped), so it is the
+    first dominator of any copy in insertion order.  Traces passed to the
+    constructor, and the traces of :meth:`copy`, are not indexed; copies of
+    them are found by the linear scan.
     """
 
     traces: list = field(default_factory=list)
     dropped: list = field(default_factory=list)  # (dropped name, dominator name)
     _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cleared: Trace = field(default=None, init=False, repr=False, compare=False)
 
     def names(self):
         return [t.name for t in self.traces]
-
-    def copy_of(self, trace: Trace):
-        """The indexed stored trace with ``trace``'s steps, or None."""
-        return self._copies.get(trace.steps)
 
     def drop_if_copy(self, fresh: Trace, checker: "DominanceChecker") -> bool:
         """Log ``fresh`` as dropped if the copy index holds its steps."""
         if checker is None:
             return False
-        copy = self.copy_of(fresh)
+        copy = self._copies.get(fresh.steps)
         if copy is None:
             return False
         checker.copy_hits += 1
         self.dropped.append((fresh.name, copy.name))
         return True
 
-    def drop_if_covered(self, fresh: Trace, checker: "DominanceChecker") -> bool:
-        """Log ``fresh`` as dropped if a stored trace dominates it.
+    def add(self, fresh: Trace, checker: "DominanceChecker" = None):
+        """Store ``fresh`` unless a stored trace dominates it.
 
         The copy index is asked first; then stored traces are tried in
         insertion order, and the first dominator is logged as the covering
-        trace.
+        trace.  Otherwise every stored trace ``fresh`` dominates is evicted,
+        and ``fresh`` is appended and indexed.  The checker's automata of a
+        trace that leaves (``fresh`` or an evicted trace) are freed.
+
+        Returns the evicted traces, or None when ``fresh`` was dropped.
         """
         if checker is None:
-            return False
+            self.traces.append(fresh)
+            return []
         if self.drop_if_copy(fresh, checker):
-            return True
+            return None
         for old in self.traces:
             if checker.dominates(old, fresh):
                 self.dropped.append((fresh.name, old.name))
-                return True
-        self._cleared = fresh
-        return False
-
-    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> list:
-        """Evict every stored trace ``fresh`` dominates, then append it.
-
-        Returns the evicted traces.
-        """
-        evicted = []
-        if checker is not None:
-            kept = []
-            for old in self.traces:
-                if checker.dominates(fresh, old):
-                    self.dropped.append((old.name, fresh.name))
-                    evicted.append(old)
-                    if self._copies.get(old.steps) is old:
-                        del self._copies[old.steps]
-                else:
-                    kept.append(old)
-            self.traces = kept
-            if fresh is self._cleared:
-                self._copies[fresh.steps] = fresh
-        self._cleared = None
-        self.traces.append(fresh)
+                checker.forget(fresh)
+                return None
+        kept, evicted = [], []
+        for old in self.traces:
+            if checker.dominates(fresh, old):
+                self.dropped.append((old.name, fresh.name))
+                evicted.append(old)
+                checker.forget(old)
+                if self._copies.get(old.steps) is old:
+                    del self._copies[old.steps]
+            else:
+                kept.append(old)
+        kept.append(fresh)
+        self.traces = kept
+        self._copies[fresh.steps] = fresh
         return evicted
 
     def copy(self) -> "TraceStore":
@@ -158,8 +149,9 @@ class TraceStore:
 class DominanceChecker:
     """Caches per-(trace, variable) instantiated automata across queries.
 
-    The caller frees the entries of a trace that leaves the store, or never
-    enters it, with :meth:`forget`; the cache is then bounded by the store.
+    :meth:`TraceStore.add` frees the entries of a trace that leaves the
+    store, or never enters it, with :meth:`forget`; the cache is then
+    bounded by the store.
     Raises FragmentError for a prefix with no dominance rule, and
     ResourceLimitError when an instance alphabet (the support minus one
     variable's atoms) is wider than :data:`~hypermon.template.ATOM_LIMIT`.
@@ -205,11 +197,8 @@ class DominanceChecker:
             return False
         return _uncovered_word(a, b) is None
 
-    def forget(self, trace: Trace, store: TraceStore) -> None:
-        """Free the cached automata of ``trace`` unless ``store`` indexes a
-        trace with the same steps (the cache is keyed by steps, not by name)."""
-        if store.copy_of(trace) is not None:
-            return
+    def forget(self, trace: Trace) -> None:
+        """Free the cached automata of ``trace``'s steps."""
         for var in self.template.free_variables:
             self._cache.pop((trace.steps, var), None)
 
@@ -243,6 +232,5 @@ def minimize_store(template, qclass, store: TraceStore, fresh: Trace,
     if checker is None:
         checker = DominanceChecker(template, qclass)
     out = store.copy()
-    if not out.drop_if_covered(fresh, checker):
-        out.add(fresh, checker)
+    out.add(fresh, checker)
     return out

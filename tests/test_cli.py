@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hypermon.cli import SessionReport, main
 
 
@@ -241,6 +243,33 @@ class TestMonitor:
         assert on["stats"]["instances_run"] == 26_970
         assert on["verdict"] == off["verdict"] == "clean"
         assert on["counterexample"] == off["counterexample"]
+
+    @pytest.mark.parametrize("text, traces, ran", [
+        (EQ, ["a\n", "a\n"], True),
+        (XOR4_THREE_QUANTIFIERS, ["lhs0\nout0\n", "rhs1\n"], False),
+        ("exists p. forall q. G (a@p <-> a@q)\n", ["a\n", "{}\n"], False),
+    ], ids=("both-ran", "wide-instance-alphabet", "no-dominance-rule"))
+    def test_optimizations_report_what_ran(self, tmp_path, capsys, text, traces, ran):
+        # default options ask for both analyses; the report says which ran
+        spec = spec_file(tmp_path, text)
+        paths = [write(tmp_path / f"t{i}.trace", t) for i, t in enumerate(traces)]
+        assert main(["monitor", spec, *paths, "--stats-format", "json"]) in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        universal = text.startswith("forall")
+        assert report["optimizations"]["trace_analysis"] is ran
+        assert report["optimizations"]["spec_analysis"] is universal
+
+    @pytest.mark.parametrize("command", ("monitor", "template"))
+    @pytest.mark.parametrize("limit", ("0", "-5", "many"))
+    def test_state_limit_below_one_is_bad_usage(self, tmp_path, capsys, command, limit):
+        spec = spec_file(tmp_path, EQ)
+        t1 = write(tmp_path / "t1.trace", "a\n")
+        args = [command, spec, *([t1] if command == "monitor" else [])]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--state-limit", limit])
+        assert exc.value.code == 2
+        assert "--state-limit" in capsys.readouterr().err
+        assert main([*args, "--state-limit", "1"]) in (0, 3)
 
 
 class TestAnalyze:

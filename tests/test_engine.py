@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 
@@ -305,15 +306,47 @@ class TestThreeQuantifiers:
         assert session.stats.instances_run == 0  # only the all-same triple arose
 
 
+def _product_and_filter(pool, n, skip_self):
+    """The generic tuple generator as it was: every index tuple of the
+    product, kept when it holds the last index."""
+    last = len(pool) - 1
+    for combo in itertools.product(range(len(pool)), repeat=n):
+        if last not in combo:
+            continue
+        if skip_self and len(set(combo)) == 1:
+            continue
+        yield tuple(pool[i] for i in combo)
+
+
+@pytest.mark.parametrize("skip_self", (False, True))
+def test_tuples_with_last_keeps_the_product_order(skip_self):
+    for n in range(5):
+        for k in range(7):
+            pool = [f"t{i}" for i in range(k + 1)]
+            expected = list(_product_and_filter(pool, n, skip_self))
+            assert list(engine.tuples_with_last(pool, n, skip_self)) == expected, (n, k)
+            if n == 0:
+                assert expected == []
+
+
 def _reference_process(session, fresh):
-    """The dominance-first order: the dominance pass, then the tuples."""
-    if session.store.drop_if_covered(fresh, session.checker):
-        session._forget(fresh)
-        return engine.CLEAN
+    """The dominance-first order, written out without the store's routines:
+    the first stored dominator in insertion order drops ``fresh``; otherwise
+    its tuples run, and a passing trace evicts every trace it dominates."""
+    store, checker = session.store, session.checker
+    for old in store.traces:
+        if checker.dominates(old, fresh):
+            store.dropped.append((fresh.name, old.name))
+            return engine.CLEAN
     violating = session._scan_tuples(fresh)
     if violating is not None:
-        return session._reject(fresh, violating)
-    session._add(fresh)
+        verdict = engine.Verdict(session._build_counterexample(violating))
+        session._forget([fresh])
+        return verdict
+    evicted = [old for old in store.traces if checker.dominates(fresh, old)]
+    store.dropped.extend((old.name, fresh.name) for old in evicted)
+    store.traces = [old for old in store.traces if old not in evicted] + [fresh]
+    session._forget(evicted)
     return engine.CLEAN
 
 
@@ -332,6 +365,8 @@ def _order_run(qf, traces, reference):
             violators_unchecked = False
     outputs = (verdicts, session.store.names(), session.store.dropped,
                session.stats.instances_run)
+    # masks are kept for stored traces only
+    assert {name for name, _ in session._masks} <= set(session.store.names())
     return outputs, violators_unchecked
 
 

@@ -93,12 +93,14 @@ class TestDominates:
         checker = DominanceChecker(tpl, qc)
         kept, other = Trace.of([{"a"}], "kept"), Trace.of([set()], "other")
         store = TraceStore()
-        assert not store.drop_if_covered(kept, checker)
-        store.add(kept, checker)
-        assert not checker.dominates(kept, other)
-        assert set(checker._cache) == {(kept.steps, "p"), (other.steps, "p")}
-        checker.forget(kept.renamed("copy"), store)
-        checker.forget(other, store)
+        for t in (kept, other):
+            assert store.add(t, checker) == []
+        both = {(kept.steps, "p"), (other.steps, "p")}
+        assert set(checker._cache) == both
+        # a copy hit builds nothing, so it frees nothing
+        assert store.add(kept.renamed("copy"), checker) is None
+        assert set(checker._cache) == both and checker.copy_hits == 1
+        checker.forget(other)
         assert set(checker._cache) == {(kept.steps, "p")}
 
 
@@ -273,21 +275,28 @@ PREFIXES = (
 )
 
 
+def cache_within_store(checker, store) -> bool:
+    """Every cached dominance automaton belongs to a stored trace's steps."""
+    variables = checker.template.free_variables
+    stored = {(t.steps, v) for t in store.traces for v in variables}
+    return set(checker._cache) <= stored
+
+
 class TestCopyIndex:
     def stream(self, rng, store, checker, pool, tag):
-        """Feed random pool traces, sometimes by a bare ``add``; every drop
-        must name the linear scan's first dominator."""
+        """Feed random pool traces, sometimes with no checker; every drop
+        must name the linear scan's first dominator, and the cache must stay
+        within the stored steps."""
         for i in range(12):
             fresh = rng.choice(pool).renamed(f"{tag}{i}")
             if rng.random() < 0.15:
-                store.add(fresh, checker)  # skips drop_if_covered: not indexed
+                assert store.add(fresh) == []  # appended unchecked: not indexed
                 continue
             expected = linear_dominator(checker, store, fresh)
-            assert store.drop_if_covered(fresh, checker) == (expected is not None)
-            if expected is None:
-                store.add(fresh, checker)
-            else:
+            assert (store.add(fresh, checker) is None) == (expected is not None)
+            if expected is not None:
                 assert store.dropped[-1] == (fresh.name, expected)
+            assert cache_within_store(checker, store)
 
     @pytest.mark.parametrize("shape", PREFIXES)
     def test_same_dominator_as_the_linear_scan(self, rng, shape):
@@ -295,16 +304,17 @@ class TestCopyIndex:
         for _ in range(25):
             body = random_body(rng, 3)
             tpl = build_template(desugar(body), ("p", "q"))
-            checker = DominanceChecker(tpl, classify_prefix(QuantifiedFormula(shape, body)))
+            qc = classify_prefix(QuantifiedFormula(shape, body))
             pool = [random_trace(rng, f"u{i}", 2) for i in range(6)]
             # empty, and hand-built with a copy and traces that may dominate
             for store in (
                 TraceStore(), TraceStore([pool[0], pool[0].renamed("twin"), *pool[1:3]])
             ):
+                checker = DominanceChecker(tpl, qc)
                 self.stream(rng, store, checker, pool, "s")
                 store = store.copy()
                 self.stream(rng, store, checker, pool, "c")
-            hits += checker.copy_hits
+                hits += checker.copy_hits
         assert hits >= 25
 
     @pytest.mark.parametrize("shape", PREFIXES)
@@ -332,24 +342,24 @@ class TestCopyIndex:
         checker = DominanceChecker(tpl, qc)
         store = TraceStore()
         blank, a_b = Trace.of([set()], "blank"), Trace.of([{"a"}, {"b"}], "a_b")
-        for t in (blank, a_b):
-            assert not store.drop_if_covered(t, checker)
-            store.add(t, checker)
+        assert store.add(blank, checker) == []
+        assert store.add(a_b, checker) == [blank]
         assert store.names() == ["a_b"]
-        assert store.copy_of(blank) is None and store.copy_of(a_b) is a_b
         checks = checker.inclusion_checks
         assert not store.drop_if_copy(blank.renamed("again"), checker)
         assert checker.inclusion_checks == checks and store.names() == ["a_b"]
-        assert store.drop_if_covered(blank.renamed("again"), checker)
+        assert store.add(blank.renamed("again"), checker) is None
         assert store.dropped[-1] == ("again", "a_b") and checker.copy_hits == 0
+        assert store.drop_if_copy(a_b.renamed("twin"), checker)
+        assert store.dropped[-1] == ("twin", "a_b") and checker.copy_hits == 1
+        assert cache_within_store(checker, store)
 
     def test_drop_if_copy_runs_no_inclusion(self):
         tpl, qc = setup("forall p. forall q. a@p -> !b@q")
         checker = DominanceChecker(tpl, qc)
         store = TraceStore()
         a_b = Trace.of([{"a"}, {"b"}], "a_b")
-        assert not store.drop_if_covered(a_b, checker)
-        store.add(a_b, checker)
+        assert store.add(a_b, checker) == []
         assert not store.drop_if_copy(a_b.renamed("twin"), None)
         assert store.drop_if_copy(a_b.renamed("twin"), checker)
         assert store.dropped == [("twin", "a_b")] and checker.copy_hits == 1
