@@ -152,7 +152,8 @@ def random_traces(kind: str, n: int, length: int, seed: int, bias: dict = None):
     """n i.i.d.-input simulations of the given length; deterministic per seed.
 
     ``bias`` maps input-bit names to the probability of that bit being 1
-    (default 0.5 for every bit).
+    (default 0.5 for every bit); a probability outside [0, 1], or NaN, raises
+    CircuitInputError.
     """
     _check_kind(kind)
     if n < 1 or length < 1:
@@ -161,6 +162,10 @@ def random_traces(kind: str, n: int, length: int, seed: int, bias: dict = None):
     unknown = set(bias) - set(_INPUTS[kind])
     if unknown:
         raise CircuitInputError(f"bias names unknown bits {sorted(unknown)}")
+    # written so that NaN fails too
+    bad = {b: p for b, p in bias.items() if not 0 <= p <= 1}
+    if bad:
+        raise CircuitInputError(f"bias outside [0, 1]: {bad}")
     probs = [(b, bias.get(b, 0.5)) for b in _INPUTS[kind]]
     traces = []
     for idx in range(n):

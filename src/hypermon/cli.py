@@ -103,6 +103,11 @@ def build_report(session: Session) -> SessionReport:
     )
 
 
+def _write_failed(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _load_spec(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -137,7 +142,10 @@ def cmd_monitor(args) -> int:
     report = build_report(session)
     rendered = report.to_json() + "\n" if args.stats_format == "json" else report.to_text()
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     else:
         sys.stdout.write(rendered)
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_CLEAN
@@ -208,21 +216,24 @@ def cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(args.n - 1)))
-    for idx, circuit_trace in enumerate(traces):
-        name = f"t{idx:0{width}d}"
-        save_trace(circuit_trace.to_trace(name), out / f"{name}.trace")
-    write_manifest(
-        out / "manifest.json",
-        kind=args.kind,
-        n=args.n,
-        length=args.length,
-        seed=args.seed,
-        bias=bias,
-        input_bits=list(input_bits(args.kind)),
-        output_bits=list(output_bits(args.kind)),
-    )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for idx, circuit_trace in enumerate(traces):
+            name = f"t{idx:0{width}d}"
+            save_trace(circuit_trace.to_trace(name), out / f"{name}.trace")
+        write_manifest(
+            out / "manifest.json",
+            kind=args.kind,
+            n=args.n,
+            length=args.length,
+            seed=args.seed,
+            bias=bias,
+            input_bits=list(input_bits(args.kind)),
+            output_bits=list(output_bits(args.kind)),
+        )
+    except OSError as exc:
+        return _write_failed(out, exc)
     print(f"wrote {args.n} traces to {out}")
     return EXIT_CLEAN
 
@@ -241,7 +252,10 @@ def cmd_template(args) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     if args.dot:
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.dot).write_text(dot, encoding="utf-8")
+        except OSError as exc:
+            return _write_failed(args.dot, exc)
     else:
         sys.stdout.write(dot)
     return EXIT_CLEAN

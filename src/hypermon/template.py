@@ -254,8 +254,10 @@ class TemplateAutomaton:
 class InstantiatedAutomaton:
     """Product of a lazy automaton with one concrete trace bound to a variable.
 
-    States are (base state, position in the bound trace).  Letters live in the
-    same global bit space as the base, restricted to the remaining atoms.
+    States are (base state, position in the bound trace); a decided base
+    state (universal or dead) takes the end position, since the rest of the
+    bound trace cannot change it.  Letters live in the same global bit space
+    as the base, restricted to the remaining atoms.
     """
 
     def __init__(self, base, var: str, trace: Trace):
@@ -266,14 +268,7 @@ class InstantiatedAutomaton:
         for ref in self.support:
             mask |= 1 << self.bits[ref]
         self.support_mask = mask
-        bound_bits = {
-            ref.proposition: self.bits[ref]
-            for ref in base.support
-            if ref.variable == var
-        }
-        self.tmasks = tuple(
-            _project(step, bound_bits) for step in trace.steps
-        )
+        self.tmasks = tuple(trace_masks(base, var, trace))
         self.nsteps = len(self.tmasks)
         self.initial_state = (base.initial_state, 0)
         self._acc_memo = {}
@@ -281,9 +276,12 @@ class InstantiatedAutomaton:
     def step(self, state, letter: int):
         s, j = state
         letter &= self.support_mask
-        if j < self.nsteps:
-            return (self.base.step(s, letter | self.tmasks[j]), j + 1)
-        return (self.base.step(s, letter), j)
+        if j == self.nsteps:
+            return (self.base.step(s, letter), j)
+        s = self.base.step(s, letter | self.tmasks[j])
+        if self.base.is_universal(s) or self.base.is_dead(s):
+            return (s, self.nsteps)
+        return (s, j + 1)
 
     def accepting(self, state) -> bool:
         memo = self._acc_memo
@@ -296,7 +294,7 @@ class InstantiatedAutomaton:
             if j == self.nsteps:
                 memo[state] = self.base.accepting(s)
                 break
-            state = (self.base.step(s, self.tmasks[j]), j + 1)
+            state = self.step(state, 0)
         out = memo[state]
         for passed in chain:
             memo[passed] = out

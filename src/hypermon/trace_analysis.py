@@ -11,9 +11,10 @@ present or future verdict.  Coverage is fragment-specific:
 * forall-exists: t1's language is included in t2's on the universal variable
   and t2's is included in t1's on the existential variable.
 
-Inclusion is decided exactly, by a shortest-word search on explicit minimized
-automata.  Two cheaper paths sit in front of it, and neither can change an
-answer:
+Inclusion is decided exactly, by a shortest-word search on explicit instance
+automata; these are not minimised, but their decided states do not depend on
+the position in the bound trace, which keeps them close to minimal.  Two
+cheaper paths sit in front of it, and neither can change an answer:
 
 * **copy index**: dominance is reflexive, so a fresh trace whose projected
   steps equal those of a trace the store admitted is dropped at once, logged
@@ -32,8 +33,8 @@ trace cannot violate, so a violator needs no inclusion check.
 
 from dataclasses import dataclass, field
 
-# language_included stays importable from here: perfbench/child.py wraps it
-# under this module's name
+# language_included and minimize stay importable from here, unused:
+# perfbench/child.py wraps both under this module's name
 from .automata import _uncovered_word, language_included, minimize  # noqa: F401
 from .errors import FragmentError, ResourceLimitError
 from .formula import QuantifierClass
@@ -178,13 +179,13 @@ class DominanceChecker:
         self.inclusion_checks = 0
         self.copy_hits = 0  # drops found in the store's copy index
         self.probe_refutations = 0  # inclusion checks refuted by the probes
-        self._cache = {}  # (steps, variable) -> (minimized DFA, probe)
+        self._cache = {}  # (steps, variable) -> (instance DFA, probe)
 
     def _instance(self, trace: Trace, var: str):
         key = (trace.steps, var)
         entry = self._cache.get(key)
         if entry is None:
-            dfa = minimize(materialize(self.template.instantiate(trace, var).automaton))
+            dfa = materialize(self.template.instantiate(trace, var).automaton)
             entry = self._cache[key] = (dfa, probe(dfa))
         return entry
 

@@ -167,6 +167,17 @@ class TestRandomTraces:
         with pytest.raises(CircuitInputError):
             random_traces("counter3", 1, 1, seed=0, bias={"nope": 0.5})
 
+    @pytest.mark.parametrize("prob", [1.5, -0.2, float("nan"), float("inf")])
+    def test_bias_outside_unit_interval(self, prob):
+        with pytest.raises(CircuitInputError):
+            random_traces("counter3", 1, 1, seed=0, bias={"incr": prob})
+
+    def test_bias_bounds_are_valid(self):
+        never = random_traces("counter3", 5, 10, seed=0, bias={"incr": 0})
+        always = random_traces("counter3", 5, 10, seed=0, bias={"incr": 1})
+        assert not any(r["incr"] for t in never for r in t.steps)
+        assert all(r["incr"] for t in always for r in t.steps)
+
 
 class TestIndependenceProperty:
     def test_counter_property_shape(self):

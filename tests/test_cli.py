@@ -28,6 +28,12 @@ XOR4_THREE_QUANTIFIERS = (
 )
 
 
+def assert_write_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path in err and "Traceback" not in err
+
+
 class TestMonitor:
     def test_violation_exit_and_names(self, tmp_path, capsys):
         spec = spec_file(tmp_path, EQ)
@@ -107,6 +113,14 @@ class TestMonitor:
         )
         assert code == 0
         assert json.loads(target.read_text())["verdict"] == "clean"
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, target):
+        spec = spec_file(tmp_path, EQ)
+        t1 = write(tmp_path / "t1.trace", "a\n")
+        out = str(tmp_path / target)
+        assert main(["monitor", spec, t1, "--out", out]) == 2
+        assert_write_error(capsys, out)
 
     def test_flags_disable_optimizations(self, tmp_path, capsys):
         spec = spec_file(tmp_path, OBSDET)
@@ -349,6 +363,45 @@ class TestGen:
         manifest = json.loads((corpus / "manifest.json").read_text())
         assert manifest["bias"] == {"incr": 0.9}
 
+    @pytest.mark.parametrize("bias", ["incr=1.5", "incr=-0.2", "incr=nan"])
+    def test_bias_outside_unit_interval_exit_2(self, tmp_path, capsys, bias):
+        corpus = tmp_path / "corpus"
+        code = main(
+            [
+                "gen", "--kind", "counter3", "--n", "2", "--length", "3",
+                "--seed", "1", "--out", str(corpus), "--bias", bias,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not corpus.exists()
+
+    @pytest.mark.parametrize("bias", ["incr=0", "incr=1"])
+    def test_bias_bounds_accepted(self, tmp_path, capsys, bias):
+        corpus = tmp_path / "corpus"
+        code = main(
+            [
+                "gen", "--kind", "counter3", "--n", "2", "--length", "3",
+                "--seed", "1", "--out", str(corpus), "--bias", bias,
+            ]
+        )
+        assert code == 0
+        assert json.loads((corpus / "manifest.json").read_text())["bias"] == {
+            "incr": float(bias[-1])
+        }
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = write(tmp_path / "taken", "")
+        code = main(
+            [
+                "gen", "--kind", "xor4", "--n", "2", "--length", "2",
+                "--seed", "1", "--out", out,
+            ]
+        )
+        assert code == 2
+        assert_write_error(capsys, out)
+
 
 class TestTemplate:
     def test_eq_dot(self, tmp_path, capsys):
@@ -364,6 +417,13 @@ class TestTemplate:
         assert main(["template", spec, "--dot", str(out)]) == 0
         golden = Path(__file__).parent / "golden" / "eq_template.dot"
         assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("target", ["missing/eq.dot", "."])
+    def test_unwritable_dot_exit_2(self, tmp_path, capsys, target):
+        spec = spec_file(tmp_path, EQ)
+        out = str(tmp_path / target)
+        assert main(["template", spec, "--dot", out]) == 2
+        assert_write_error(capsys, out)
 
     def test_universal_single_state(self, tmp_path, capsys):
         spec = spec_file(tmp_path, "forall p. true\n")

@@ -178,6 +178,56 @@ class TestInstantiate:
             assert language_included(d1, d2)[0] and language_included(d2, d1)[0]
 
 
+class TestInstanceFold:
+    """An instance pairs a decided base state with the end of the bound trace."""
+
+    @staticmethod
+    def _word(trace, var, support):
+        return [
+            {ref for ref in support if ref.variable == var and ref.proposition in step}
+            for step in trace.steps
+        ]
+
+    def test_materialized_instances_match_the_oracle(self, rng):
+        partners = all_traces(3)
+        mismatches = checked = 0
+        for _ in range(40):
+            f = random_body(rng, 3)
+            tpl = build_template(desugar(f), ("p", "q"))
+            bound = random_trace(rng, "b", 6)
+            for var, other in (("p", "q"), ("q", "p")):
+                d = materialize(tpl.instantiate(bound, var).automaton)
+                for t in partners:
+                    accepted = d.accepts_atom_word(self._word(t, other, d.support))
+                    mismatches += accepted != eval_body({var: bound, other: t}, f)
+                    checked += 1
+            for t in partners:
+                d = materialize(tpl.instantiate(bound, "p").instantiate(t, "q").automaton)
+                mismatches += d.accepts(()) != eval_body({"p": bound, "q": t}, f)
+                checked += 1
+        assert checked == 40 * 3 * len(partners)
+        assert mismatches == 0
+
+    @pytest.mark.parametrize(
+        "text, steps, states",
+        [
+            ("forall p. forall q. G (a@p <-> a@q)", [{"a"}] * 20, 22),
+            (
+                "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)",
+                [{"i", "o"} if k % 3 == 0 else {"i"} for k in range(20)],
+                23,
+            ),
+        ],
+    )
+    def test_decided_states_do_not_repeat_per_position(self, text, steps, states):
+        from hypermon.automata import minimize
+
+        tpl, _ = template_for(text)
+        d = materialize(tpl.instantiate(Trace.of(steps, "t"), "p").automaton)
+        assert d.num_states == states
+        assert minimize(d).num_states == states
+
+
 class TestRejectingPosition:
     def test_dead_state_position(self):
         tpl, _ = template_for("forall p. forall q. G (a@p <-> a@q)")
