@@ -11,7 +11,9 @@ Commands:
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,6 +110,21 @@ def _write_failed(path, exc: OSError) -> int:
     return EXIT_USAGE
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error a later write of ``path`` would meet when its parent is
+    missing or not a directory, or when ``path`` is a directory."""
+    target = Path(path)
+    if not target.parent.exists():
+        code = errno.ENOENT
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR
+    elif target.is_dir():
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _load_spec(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -123,6 +140,12 @@ def cmd_monitor(args) -> int:
         continue_after_violation=args.continue_after_violation,
         state_limit=args.state_limit,
     )
+    if args.out:
+        # before the run, so a long run is not thrown away for a bad path
+        try:
+            _check_writable(args.out)
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     try:
         qf = _load_spec(args.spec)
         paths = collect_trace_paths(args.traces)

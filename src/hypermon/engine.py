@@ -3,9 +3,10 @@
 A session compiles the specification's body into a monitor template once.
 Each incoming trace is checked in every new tuple it forms with the stored
 traces; a rejected tuple is reported as a counterexample.  Specification
-analysis removes tuple orders (symmetry), self-pairs (reflexivity) or all but
-one comparison partner (transitivity); trace analysis discards traces that a
-stored trace dominates.
+analysis removes tuple orders (symmetry: one tuple per permutation class, at
+any number of quantifiers), the all-same tuple (reflexivity) or all but one
+comparison partner (transitivity); trace analysis discards traces that a
+stored trace dominates.  ``tuples_with_last`` alone applies these reductions.
 
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace;
@@ -21,6 +22,8 @@ verdicts are provisional: a later trace can change them.
 
 import itertools
 import logging
+import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -89,8 +92,9 @@ class MonitorStats:
     """Cumulative session counters.
 
     With no reductions a fresh trace adds (k+1)**n - k**n instances against a
-    store of k traces; reflexivity removes the self-tuple, symmetry (two
-    quantifiers) halves pairs to k, and transitivity drops all but the
+    store of k traces; symmetry keeps one tuple per permutation class,
+    C(k+n-1, n-1) of them (k+1 pairs for two quantifiers), reflexivity
+    removes the all-fresh tuple, and transitivity drops all but the
     representative comparison.
     """
 
@@ -110,12 +114,26 @@ class MonitorStats:
         }
 
 
-def tuples_with_last(pool, n: int, skip_self: bool = False):
-    """The n-tuples over ``pool`` that hold its last element, in
-    ``itertools.product`` order, less the all-last tuple when ``skip_self``.
-    Only the head is enumerated: the final position is the last element
-    unless the head already holds it."""
+def tuples_with_last(pool, n: int, skip_self: bool = False, ordered: bool = False):
+    """The n-tuples over ``pool`` that hold its last element, less the
+    all-last tuple when ``skip_self``.
+
+    Unordered, they come in ``itertools.product`` order; only the head is
+    enumerated: the final position is the last element unless the head
+    already holds it.  ``ordered`` keeps one tuple per permutation class:
+    the ones whose positions never decrease in pool order, so the last
+    element ends each tuple.  They come in ``combinations_with_replacement``
+    order, whose all-last tuple comes last.
+    """
     if n == 0:
+        return
+    if ordered:
+        heads = itertools.combinations_with_replacement(pool, n - 1)
+        tuples = map(operator.add, heads, itertools.repeat((pool[-1],)))
+        if skip_self:
+            count = math.comb(len(pool) + n - 2, n - 1)
+            tuples = itertools.islice(tuples, count - 1)
+        yield from tuples
         return
     last = len(pool) - 1
     indices = range(len(pool))
@@ -134,6 +152,7 @@ class Session:
         begin = time.perf_counter()
         validate_quantified(qf)
         self.qf = qf
+        self.variables = qf.variables
         self.options = options or MonitorOptions()
         self.qclass = classify_prefix(qf)
         self.body = desugar(qf.body)
@@ -141,7 +160,7 @@ class Session:
         self.propositions = {ref.proposition for ref in self.alphabet}
         self.template = build_template(
             self.body,
-            qf.variables,
+            self.variables,
             self.alphabet,
             state_limit=self.options.state_limit,
         )
@@ -174,11 +193,7 @@ class Session:
 
     @property
     def symmetric(self) -> bool:
-        return (
-            self.analysis is not None
-            and self.analysis.symmetric
-            and self.qclass.n == 2
-        )
+        return self.analysis is not None and self.analysis.symmetric
 
     @property
     def reflexive(self) -> bool:
@@ -255,26 +270,20 @@ class Session:
     def _forget(self, traces) -> None:
         # only stored traces appear in later tuples
         for trace in traces:
-            for var in self.qf.variables:
+            for var in self.variables:
                 self._masks.pop((trace.name, var), None)
 
     def _tuple_masks(self, tup):
-        return [self._mask(trace, var) for var, trace in zip(self.qf.variables, tup)]
+        return [self._mask(trace, var) for var, trace in zip(self.variables, tup)]
 
     def _new_tuples(self, fresh: Trace):
-        """Tuples involving the fresh trace, in deterministic order."""
-        stored = self.store.traces
-        if self.transitive:
-            if stored:
-                yield (stored[0], fresh)
-            return
-        if self.symmetric:
-            for old in stored:
-                yield (old, fresh)
-            if not self.reflexive:
-                yield (fresh, fresh)
-            return
-        yield from tuples_with_last(stored + [fresh], self.qclass.n, self.reflexive)
+        """Tuples involving the fresh trace, in deterministic order.  A
+        transitive spec compares the fresh trace with the first stored one
+        only (transitivity implies symmetry and reflexivity)."""
+        stored = self.store.traces[:1] if self.transitive else self.store.traces
+        return tuples_with_last(
+            stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
+        )
 
     def _process_universal(self, fresh: Trace) -> Verdict:
         if self.store.drop_if_copy(fresh, self.checker):
@@ -306,7 +315,7 @@ class Session:
         letters = list(joint_word(self._tuple_masks(tup)))
         position = rejecting_position(self.template.automaton, letters)
         assignment = tuple(
-            (var, trace.name) for var, trace in zip(self.qf.variables, tup)
+            (var, trace.name) for var, trace in zip(self.variables, tup)
         )
         return CounterExample(assignment, position)
 
@@ -321,7 +330,7 @@ class Session:
 
     def _provisional_counterexample(self) -> CounterExample:
         if self.qclass.kind == "forall_exists":
-            univ, exis = self.qf.variables
+            univ, exis = self.variables
             for t in self.store.traces:
                 if not any(
                     eval_body({univ: t, exis: s}, self.qf.body)

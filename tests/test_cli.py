@@ -115,12 +115,17 @@ class TestMonitor:
         assert json.loads(target.read_text())["verdict"] == "clean"
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
-    def test_unwritable_out_exit_2(self, tmp_path, capsys, target):
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, target):
         spec = spec_file(tmp_path, EQ)
         t1 = write(tmp_path / "t1.trace", "a\n")
         out = str(tmp_path / target)
+        from hypermon import cli
+
+        read = []
+        monkeypatch.setattr(cli, "load_trace", read.append)
         assert main(["monitor", spec, t1, "--out", out]) == 2
         assert_write_error(capsys, out)
+        assert read == []  # the path was checked before any trace was read
 
     def test_flags_disable_optimizations(self, tmp_path, capsys):
         spec = spec_file(tmp_path, OBSDET)

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 
 import pytest
@@ -294,26 +295,70 @@ class TestThreeQuantifiers:
                     assert hit == expected, (str(qf), ta, sa)
 
     def test_reflexive_skip_covers_all_same_triples(self):
-        text = (
-            "forall p0. forall p1. forall p2. "
-            "!((i@p1 <-> i@p0) & (i@p2 <-> i@p0) "
-            "& !(o@p0 <-> o@p1) & !(o@p0 <-> o@p2) & !(o@p1 <-> o@p2))"
-        )
+        # reflexive but not symmetric, so the unordered generator runs
+        text = "forall p0. forall p1. forall p2. G ((i@p0 -> i@p1) & (o@p1 -> o@p2))"
         session = new_session(parse_formula(text))
         assert session.reflexive and not session.symmetric
         verdict = session.process_trace(Trace.of([{"i", "o"}], "t0"))
         assert not verdict.is_violation
         assert session.stats.instances_run == 0  # only the all-same triple arose
 
+    def test_symmetric_bodies_run_one_tuple_per_permutation_class(self, rng):
+        variables = ("p", "q", "r")
+        pairs = list(itertools.permutations(variables, 2))
+        long_streams = 0
+        for _ in range(25):
+            pair_body = random_body(rng, 3, variables=("x", "y"))
+            body = And(tuple(
+                rename_variables(pair_body, {"x": a, "y": b}) for a, b in pairs
+            ))
+            qf = QuantifiedFormula(tuple(("forall", v) for v in variables), body)
+            traces = [random_trace(rng, f"t{i}", 3) for i in range(6)]
+            by_name = {t.name: t for t in traces}
+            sequences = set()
+            for ta in (False, True):
+                for sa in (False, True):
+                    session = Session(qf, MonitorOptions(
+                        trace_analysis=ta, spec_analysis=sa,
+                        continue_after_violation=True,
+                    ))
+                    assert session.symmetric == sa, str(qf)
+                    verdicts = [session.process_trace(t) for t in traces]
+                    sequences.add(tuple(v.is_violation for v in verdicts))
+                    for v in verdicts:
+                        if v.is_violation:
+                            assignment = {
+                                var: by_name[name]
+                                for var, name in v.counterexample.assignment
+                            }
+                            assert not eval_body(assignment, body), (str(qf), ta, sa)
+            assert len(sequences) == 1, str(qf)
+            # a violation-free stream stores every trace: the k-th one runs
+            # C(k+2, 2) tuples, less the all-fresh one when reflexive
+            stream = []
+            for t in traces:
+                if eval_quantified(stream + [t], qf):
+                    stream.append(t)
+            session = Session(qf, MonitorOptions(trace_analysis=False))
+            assert feed(session, stream)[0] is None, str(qf)
+            skip = 1 if session.reflexive else 0
+            expected = sum(math.comb(k + 2, 2) - skip for k in range(len(stream)))
+            assert session.stats.instances_run == expected, str(qf)
+            long_streams += len(stream) >= 3
+        assert long_streams >= 5
 
-def _product_and_filter(pool, n, skip_self):
-    """The generic tuple generator as it was: every index tuple of the
-    product, kept when it holds the last index."""
+
+def _product_and_filter(pool, n, skip_self, ordered=False):
+    """Reference for ``tuples_with_last``: every index tuple of the product,
+    kept when it holds the last index (and, when ``ordered``, when its
+    indices never decrease)."""
     last = len(pool) - 1
     for combo in itertools.product(range(len(pool)), repeat=n):
         if last not in combo:
             continue
         if skip_self and len(set(combo)) == 1:
+            continue
+        if ordered and list(combo) != sorted(combo):
             continue
         yield tuple(pool[i] for i in combo)
 
@@ -323,10 +368,17 @@ def test_tuples_with_last_keeps_the_product_order(skip_self):
     for n in range(5):
         for k in range(7):
             pool = [f"t{i}" for i in range(k + 1)]
-            expected = list(_product_and_filter(pool, n, skip_self))
-            assert list(engine.tuples_with_last(pool, n, skip_self)) == expected, (n, k)
-            if n == 0:
-                assert expected == []
+            for ordered in (False, True):
+                expected = list(_product_and_filter(pool, n, skip_self, ordered))
+                got = list(engine.tuples_with_last(pool, n, skip_self, ordered))
+                assert got == expected, (n, k, ordered)
+                if n == 0:
+                    assert expected == []
+            # transitivity restricts the pool to the first stored trace
+            fresh = pool[-1]
+            restricted = pool[:-1][:1] + [fresh]
+            got = list(engine.tuples_with_last(restricted, 2, True, True))
+            assert got == ([(pool[0], fresh)] if k else [])
 
 
 def _reference_process(session, fresh):
