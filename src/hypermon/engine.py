@@ -8,6 +8,14 @@ any number of quantifiers), the all-same tuple (reflexivity) or all but one
 comparison partner (transitivity); trace analysis discards traces that a
 stored trace dominates.  ``tuples_with_last`` alone applies these reductions.
 
+It describes the tuples as families: fixed slots (the fresh trace or stored
+heads) plus at most one free slot that ranges over a run of stored traces.
+The session keeps a prefix tree of the stored traces' masks for each
+variable a stored trace takes (``prefix_tree``), and runs a family in one
+walk of the free slot's tree, one automaton step per node instead of one per
+tuple.  The counterexample is still the first violating tuple in expansion
+order.
+
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace;
 otherwise the tuple loop runs; only a trace that passes it goes to
@@ -22,8 +30,6 @@ verdicts are provisional: a later trace can change them.
 
 import itertools
 import logging
-import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -35,6 +41,7 @@ from .formula import (
     desugar,
     validate_quantified,
 )
+from .prefix_tree import PrefixTree
 from .semantics import Trace, eval_body, eval_quantified
 from .spec_analysis import analyze
 from .template import (
@@ -95,7 +102,9 @@ class MonitorStats:
     store of k traces; symmetry keeps one tuple per permutation class,
     C(k+n-1, n-1) of them (k+1 pairs for two quantifiers), reflexivity
     removes the all-fresh tuple, and transitivity drops all but the
-    representative comparison.
+    representative comparison.  ``instances_run`` counts the tuples decided,
+    including the ones a prefix-tree walk decides together in one subtree;
+    a violating trace counts its tuples up to the counterexample.
     """
 
     traces_seen: int = 0
@@ -116,33 +125,50 @@ class MonitorStats:
 
 def tuples_with_last(pool, n: int, skip_self: bool = False, ordered: bool = False):
     """The n-tuples over ``pool`` that hold its last element, less the
-    all-last tuple when ``skip_self``.
+    all-last tuple when ``skip_self``, as families.
 
-    Unordered, they come in ``itertools.product`` order; only the head is
-    enumerated: the final position is the last element unless the head
-    already holds it.  ``ordered`` keeps one tuple per permutation class:
-    the ones whose positions never decrease in pool order, so the last
-    element ends each tuple.  They come in ``combinations_with_replacement``
-    order, whose all-last tuple comes last.
+    A family ``(fixed, slot, start)`` stands for the tuples ``fixed`` with
+    position ``slot`` (None in ``fixed``) set to each of ``pool[start:-1]``
+    in turn; a ``slot`` of None means ``fixed`` is one tuple.  Expanded in
+    order, unordered families give the tuples in ``itertools.product``
+    order: the final position is the last element unless the rest already
+    holds it.  ``ordered`` keeps one tuple per permutation class: the ones
+    whose positions never decrease in pool order, so the last element ends
+    each tuple.  They come in ``combinations_with_replacement`` order, whose
+    all-last tuple comes last.  The free slot is one of the last two
+    positions, the second-to-last one when ``ordered``.
     """
     if n == 0:
         return
-    if ordered:
-        heads = itertools.combinations_with_replacement(pool, n - 1)
-        tuples = map(operator.add, heads, itertools.repeat((pool[-1],)))
-        if skip_self:
-            count = math.comb(len(pool) + n - 2, n - 1)
-            tuples = itertools.islice(tuples, count - 1)
-        yield from tuples
+    last, k = pool[-1], len(pool) - 1
+    if n == 1:
+        if not skip_self:
+            yield (last,), None, 0
         return
-    last = len(pool) - 1
-    indices = range(len(pool))
-    all_last = (last,) * n if skip_self else None
-    for head in itertools.product(indices, repeat=n - 1):
-        for i in indices if last in head else (last,):
-            combo = head + (i,)
-            if combo != all_last:
-                yield tuple(pool[j] for j in combo)
+    if ordered:
+        for head in itertools.combinations_with_replacement(range(k + 1), n - 2):
+            prefix = tuple(pool[i] for i in head)
+            start = head[-1] if head else 0
+            if start < k:
+                yield prefix + (None, last), n - 2, start
+            if not (skip_self and (not head or head[0] == k)):
+                yield prefix + (last, last), None, 0
+        return
+    for head in itertools.product(range(k + 1), repeat=n - 2):
+        prefix = tuple(pool[i] for i in head)
+        if k not in head:
+            if k:
+                yield prefix + (None, last), n - 2, 0
+                yield prefix + (last, None), n - 1, 0
+            if not (skip_self and not head):
+                yield prefix + (last, last), None, 0
+            continue
+        all_last = all(i == k for i in head)
+        for j, trace in enumerate(pool):
+            if k:
+                yield prefix + (trace, None), n - 1, 0
+            if not (skip_self and all_last and j == k):
+                yield prefix + (trace, last), None, 0
 
 
 class Session:
@@ -181,7 +207,15 @@ class Session:
                 log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
         self._warned_extra = frozenset()
-        self._masks = {}
+        # tries of the stored traces' masks, one per variable a stored trace
+        # takes in a tuple (all but the last one, which is the fresh trace's
+        # when tuples are ordered); serials number the stored traces in
+        # store order
+        held = self.variables[:-1] if self.symmetric else self.variables
+        tupled = self.universal and self.qclass.n >= 2
+        self._tries = {var: PrefixTree() for var in held} if tupled else {}
+        self._serials = {}  # stored trace name -> serial
+        self._serial_count = itertools.count()
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -231,6 +265,9 @@ class Session:
         )
 
     def process_trace(self, trace: Trace) -> Verdict:
+        if trace.name in self._seen_names:
+            raise ValueError(f"duplicate trace name {trace.name!r}")
+        self._seen_names.add(trace.name)
         if (
             self.universal
             and self._verdict.is_violation
@@ -238,9 +275,6 @@ class Session:
         ):
             return self._verdict
         begin = time.perf_counter()
-        if trace.name in self._seen_names:
-            raise ValueError(f"duplicate trace name {trace.name!r}")
-        self._seen_names.add(trace.name)
         trace = self._project(trace)
         self.stats.traces_seen += 1
         if self.universal:
@@ -259,60 +293,95 @@ class Session:
 
     # -- universal fragment (tuple loop) ------------------------------------
 
-    def _mask(self, trace: Trace, var: str):
-        key = (trace.name, var)
-        masks = self._masks.get(key)
-        if masks is None:
-            masks = trace_masks(self.template.automaton, var, trace)
-            self._masks[key] = masks
-        return masks
-
-    def _forget(self, traces) -> None:
-        # only stored traces appear in later tuples
-        for trace in traces:
-            for var in self.variables:
-                self._masks.pop((trace.name, var), None)
-
-    def _tuple_masks(self, tup):
-        return [self._mask(trace, var) for var, trace in zip(self.variables, tup)]
-
-    def _new_tuples(self, fresh: Trace):
-        """Tuples involving the fresh trace, in deterministic order.  A
-        transitive spec compares the fresh trace with the first stored one
-        only (transitivity implies symmetry and reflexivity)."""
-        stored = self.store.traces[:1] if self.transitive else self.store.traces
-        return tuples_with_last(
-            stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
-        )
-
     def _process_universal(self, fresh: Trace) -> Verdict:
         if self.store.drop_if_copy(fresh, self.checker):
             return CLEAN
         ran = self.stats.instances_run
-        violating = self._scan_tuples(fresh)
+        masks_of = self._mask_source(fresh)
+        violating = self._run_tuples(fresh, masks_of)
         if violating is not None:
             # a dominated trace cannot violate: no dominance pass needed
-            verdict = Verdict(self._build_counterexample(violating))
-            self._forget([fresh])
-            return verdict
+            return Verdict(self._build_counterexample(violating, masks_of))
         evicted = self.store.add(fresh, self.checker)
         if evicted is None:
             # count only the tuples of kept or violating traces
             self.stats.instances_run = ran
-            evicted = [fresh]
-        self._forget(evicted)
+            return CLEAN
+        self._index(fresh, masks_of, evicted)
         return CLEAN
 
-    def _scan_tuples(self, fresh: Trace):
+    def _mask_source(self, fresh: Trace):
+        """``masks_of(trace, var)``: the fresh trace's masks are projected
+        once, on first use; a stored trace's are read off its trie."""
+        auto, tries, serials = self.template.automaton, self._tries, self._serials
+        kept = {}
+
+        def masks_of(trace, var):
+            if trace is not fresh:
+                return tries[var].masks(serials[trace.name])
+            if var not in kept:
+                kept[var] = trace_masks(auto, var, fresh)
+            return kept[var]
+
+        return masks_of
+
+    def _index(self, fresh: Trace, masks_of, evicted) -> None:
+        """Keep the tries in step with the store: ``fresh`` in, ``evicted`` out."""
+        for old in evicted:
+            serial = self._serials.pop(old.name)
+            for tree in self._tries.values():
+                tree.remove(serial)
+        serial = self._serials[fresh.name] = next(self._serial_count)
+        for var, tree in self._tries.items():
+            tree.add(masks_of(fresh, var), serial)
+
+    def _run_tuples(self, fresh: Trace, masks_of):
+        """The first violating tuple the fresh trace forms with the store, or
+        None; ``masks_of`` comes from :meth:`_mask_source`.
+
+        A family runs its free slot over that variable's trie in one walk.
+        ``instances_run`` counts the tuples decided: all of a clean family,
+        and of a violating one the tuples up to the violator.
+        """
         auto = self.template.automaton
-        for tup in self._new_tuples(fresh):
-            self.stats.instances_run += 1
-            if not run_masks(auto, self._tuple_masks(tup)):
-                return tup
+        variables = self.variables
+        stored = self.store.traces[:1] if self.transitive else self.store.traces
+        serials = self._serials
+        families = tuples_with_last(
+            stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
+        )
+        for fixed, slot, start in families:
+            fixed_masks = [
+                masks_of(trace, var)
+                for var, trace in zip(variables, fixed)
+                if trace is not None
+            ]
+            if slot is None:
+                self.stats.instances_run += 1
+                if not run_masks(auto, fixed_masks):
+                    return fixed
+                continue
+            # a single fixed slot's masks are the word already
+            if len(fixed_masks) == 1:
+                word = fixed_masks[0]
+            else:
+                word = list(joint_word(fixed_masks))
+            lo, hi = serials[stored[start].name], serials[stored[-1].name]
+            serial = self._tries[variables[slot]].first_violator(auto, word, lo, hi)
+            if serial is None:
+                self.stats.instances_run += len(stored) - start
+                continue
+            at = start
+            while serials[stored[at].name] != serial:
+                at += 1
+            self.stats.instances_run += at - start + 1
+            return fixed[:slot] + (stored[at],) + fixed[slot + 1:]
         return None
 
-    def _build_counterexample(self, tup) -> CounterExample:
-        letters = list(joint_word(self._tuple_masks(tup)))
+    def _build_counterexample(self, tup, masks_of) -> CounterExample:
+        letters = list(joint_word(
+            masks_of(trace, var) for var, trace in zip(self.variables, tup)
+        ))
         position = rejecting_position(self.template.automaton, letters)
         assignment = tuple(
             (var, trace.name) for var, trace in zip(self.variables, tup)
@@ -322,7 +391,7 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        # no tuple loop here, so no masks to free
+        # no tuple loop here, so no tries to keep
         self.store.add(fresh, self.checker)
         if eval_quantified(self.store.traces, self.qf):
             return CLEAN

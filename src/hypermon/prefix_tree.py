@@ -1,0 +1,154 @@
+"""Prefix trees of the stored traces' projected masks, and the walk that runs
+a family of tuples over one of them at once.
+
+The design follows Finkbeiner, Hahn, Stenger & Tentrup, "Efficient monitoring
+of hyperproperties using prefix trees" (STTT 2020).  A session keeps one tree
+per variable a stored trace can take in a tuple.  A node is one step of mask
+values shared by the traces below it; the traces whose masks end at a node
+are listed there by their serial, an insertion counter whose order is store
+order.  Every node also knows the smallest and largest serial below it, and a
+trace's masks can be read back off the path to its leaf.
+
+:meth:`PrefixTree.first_violator` runs the joint word of the fixed slots
+against every trace of the tree in one depth-first walk: one automaton step
+per node, not one per tuple, and a subtree is settled as a whole once the
+state is decided (``true_sid`` or ``false_sid``).  The answer equals running
+each tuple on its own with ``template.run_masks``: a trace past its end
+contributes mask 0, and a trace that ends early runs the rest of the fixed
+letters and then asks ``accepting``.
+"""
+
+
+class Node:
+    """One step of mask values; ``ends`` lists, ascending, the serials of the
+    traces that end here, and ``first``/``last`` bound the serials below."""
+
+    __slots__ = ("mask", "parent", "children", "ends", "first", "last")
+
+    def __init__(self, mask, parent, serial):
+        self.mask = mask
+        self.parent = parent
+        self.children = ()
+        self.ends = ()
+        self.first = self.last = serial
+
+
+def _bound(node) -> None:
+    """Set a node's serial bounds from its children's and its own ends."""
+    firsts = [child.first for child in node.children]
+    lasts = [child.last for child in node.children]
+    if node.ends:
+        firsts.append(node.ends[0])
+        lasts.append(node.ends[-1])
+    node.first = min(firsts, default=None)
+    node.last = max(lasts, default=None)
+
+
+class PrefixTree:
+    """The masks of the stored traces for one variable, as a trie; ``leaves``
+    maps each serial to the node its trace ends at."""
+
+    def __init__(self):
+        self.root = Node(None, None, None)
+        self.leaves = {}
+
+    def add(self, masks, serial) -> None:
+        """Insert a trace's masks; ``serial`` exceeds every serial held."""
+        node = self.root
+        if node.first is None:
+            node.first = serial
+        node.last = serial
+        for mask in masks:
+            for child in node.children:
+                if child.mask == mask:
+                    break
+            else:
+                child = Node(mask, node, serial)
+                node.children += (child,)
+            child.last = serial
+            node = child
+        node.ends += (serial,)
+        self.leaves[serial] = node
+
+    def remove(self, serial) -> None:
+        """Take a trace's leaf out, prune the nodes left empty and update the
+        serial bounds along its path."""
+        node = self.leaves.pop(serial)
+        node.ends = tuple(s for s in node.ends if s != serial)
+        while node is not self.root:
+            parent = node.parent
+            if node.ends or node.children:
+                _bound(node)
+            else:
+                parent.children = tuple(c for c in parent.children if c is not node)
+            node = parent
+        _bound(node)
+
+    def masks(self, serial) -> list:
+        """The masks of the trace with this serial, read off its path."""
+        node, masks = self.leaves[serial], []
+        while node is not self.root:
+            masks.append(node.mask)
+            node = node.parent
+        masks.reverse()
+        return masks
+
+    def first_violator(self, auto, word, lo, hi):
+        """Smallest serial in [lo, hi] whose trace, in the free slot, makes
+        the tuple's joint word with ``word`` (the fixed slots' letters)
+        rejected by ``auto``; None when every such tuple is accepted.
+
+        A subtree whose serials cannot beat the best violator found so far,
+        or lie below ``lo``, is not entered.
+        """
+        step = auto.step
+        # both decided states absorb, so a walk that meets one before it is
+        # registered (still -1 here) only runs longer, to the same answer
+        true_sid, false_sid = auto.true_sid, auto.false_sid
+        size = len(word)
+        best = hi + 1
+        node, state, depth = self.root, auto.initial_state, 0
+        # one frame per node on the path: its children not yet tried, its
+        # state, the next letter of the fixed slots and the children's depth;
+        # children are tried oldest first and entered at once, so a young
+        # sibling is stepped only if it can still beat the best violator
+        frames = []
+        while True:
+            if node.ends and not _accepts_rest(auto, state, word, depth):
+                for serial in node.ends:
+                    if serial >= lo:
+                        best = min(best, serial)
+                        break
+            letter = word[depth] if depth < size else 0
+            frames.append((iter(node.children), state, letter, depth + 1))
+            while frames:
+                children, state, letter, depth = frames[-1]
+                for node in children:
+                    if node.first >= best or node.last < lo:
+                        continue
+                    succ = step(state, letter | node.mask)
+                    if succ == true_sid:
+                        continue
+                    if succ == false_sid and node.first >= lo:
+                        best = node.first
+                        continue
+                    state = succ
+                    break
+                else:
+                    frames.pop()
+                    continue
+                break
+            else:
+                return best if best <= hi else None
+
+
+def _accepts_rest(auto, state, word, depth) -> bool:
+    """Acceptance of the fixed letters from ``depth`` on, starting at ``state``
+    (the free slot's trace has ended)."""
+    for letter in word[depth:]:
+        state = auto.step(state, letter)
+        if state == auto.false_sid:
+            return False
+        if state == auto.true_sid:
+            return True
+    return auto.accepting(state)

@@ -90,3 +90,15 @@ def all_traces(max_len: int, props=PROPS):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def trie_serials(node, top=True):
+    """Serials of the leaves below a prefix-tree node; checks on the way that
+    every node's serial bounds are exact and that no node below the root is
+    empty."""
+    below = list(node.ends)
+    for child in node.children:
+        below.extend(trie_serials(child, top=False))
+    assert top or below, "empty node left in the trie"
+    assert (node.first, node.last) == (min(below, default=None), max(below, default=None))
+    return below

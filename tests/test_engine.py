@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import operator
 import random
 
 import pytest
@@ -12,10 +13,31 @@ from hypermon.formula import And, QuantifiedFormula, pretty_quantified, rename_v
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 
-from conftest import random_body, random_trace
+from conftest import random_body, random_trace, trie_serials
 
 EQ = "forall p. forall q. G (a@p <-> a@q)"
 OBSDET = "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)"
+
+
+def trie_leaves(session) -> dict:
+    """Per trie variable, the names of the traces whose leaves it holds, in
+    serial order."""
+    names = {serial: name for name, serial in session._serials.items()}
+    leaves = {}
+    for var, tree in session._tries.items():
+        serials = sorted(trie_serials(tree.root))
+        assert serials == sorted(tree.leaves)
+        leaves[var] = [names[s] for s in serials]
+    return leaves
+
+
+def tries_hold_the_store(session) -> bool:
+    """Each trie has exactly one leaf per stored trace, and the serials run
+    in store order."""
+    names = session.store.names()
+    order = [session._serials[name] for name in names]
+    return (len(session._serials) == len(names) and order == sorted(order)
+            and all(leaves == names for leaves in trie_leaves(session).values()))
 
 
 def cache_within_store(session) -> bool:
@@ -139,7 +161,8 @@ class TestUniversalSessions:
         assert session.process_trace(Trace.of([{"b"}], "b")).is_violation
         assert session.store.names() == ["a_b"]
         assert session.store.dropped == [("blank", "a_b"), ("copy", "a_b")]
-        assert {name for name, _ in session._masks} == {"a_b"}
+        assert set(session._tries) == {"p", "q"}  # not symmetric
+        assert trie_leaves(session) == {"p": ["a_b"], "q": ["a_b"]}
 
     def test_dominance_cache_bounded_by_store(self):
         session = Session(
@@ -159,6 +182,19 @@ class TestUniversalSessions:
         session.process_trace(Trace.of([{"a"}], "t"))
         with pytest.raises(ValueError):
             session.process_trace(Trace.of([{"a"}], "t"))
+
+    def test_duplicate_names_rejected_after_a_violation(self):
+        session = new_session(parse_formula(EQ))
+        session.process_trace(Trace.of([{"a"}], "t1"))
+        assert session.process_trace(Trace.of([set()], "t2")).is_violation
+        for name in ("t1", "t2"):
+            with pytest.raises(ValueError):
+                session.process_trace(Trace.of([{"a"}], name))
+        # a trace the sticky verdict skips is still recorded
+        assert session.process_trace(Trace.of([{"a"}], "t3")).is_violation
+        with pytest.raises(ValueError):
+            session.process_trace(Trace.of([{"a"}], "t3"))
+        assert session.stats.traces_seen == 2
 
     def test_duplicate_of_dropped_name_rejected(self):
         session = new_session(parse_formula(EQ))
@@ -348,6 +384,16 @@ class TestThreeQuantifiers:
         assert long_streams >= 5
 
 
+def expand_families(families, pool):
+    """The tuples of ``tuples_with_last`` families, in order."""
+    for fixed, slot, start in families:
+        if slot is None:
+            yield fixed
+            continue
+        for member in pool[start:-1]:
+            yield fixed[:slot] + (member,) + fixed[slot + 1:]
+
+
 def _product_and_filter(pool, n, skip_self, ordered=False):
     """Reference for ``tuples_with_last``: every index tuple of the product,
     kept when it holds the last index (and, when ``ordered``, when its
@@ -370,15 +416,204 @@ def test_tuples_with_last_keeps_the_product_order(skip_self):
             pool = [f"t{i}" for i in range(k + 1)]
             for ordered in (False, True):
                 expected = list(_product_and_filter(pool, n, skip_self, ordered))
-                got = list(engine.tuples_with_last(pool, n, skip_self, ordered))
+                families = engine.tuples_with_last(pool, n, skip_self, ordered)
+                got = list(expand_families(families, pool))
                 assert got == expected, (n, k, ordered)
                 if n == 0:
                     assert expected == []
             # transitivity restricts the pool to the first stored trace
             fresh = pool[-1]
             restricted = pool[:-1][:1] + [fresh]
-            got = list(engine.tuples_with_last(restricted, 2, True, True))
+            families = engine.tuples_with_last(restricted, 2, True, True)
+            got = list(expand_families(families, restricted))
             assert got == ([(pool[0], fresh)] if k else [])
+
+
+def _tuples_with_last_as_tuples(pool, n, skip_self=False, ordered=False):
+    """``tuples_with_last`` as it was when it yielded tuples, kept verbatim."""
+    if n == 0:
+        return
+    if ordered:
+        heads = itertools.combinations_with_replacement(pool, n - 1)
+        tuples = map(operator.add, heads, itertools.repeat((pool[-1],)))
+        if skip_self:
+            count = math.comb(len(pool) + n - 2, n - 1)
+            tuples = itertools.islice(tuples, count - 1)
+        yield from tuples
+        return
+    last = len(pool) - 1
+    indices = range(len(pool))
+    all_last = (last,) * n if skip_self else None
+    for head in itertools.product(indices, repeat=n - 1):
+        for i in indices if last in head else (last,):
+            combo = head + (i,)
+            if combo != all_last:
+                yield tuple(pool[j] for j in combo)
+
+
+@pytest.mark.parametrize("ordered", (False, True))
+@pytest.mark.parametrize("skip_self", (False, True))
+def test_families_expand_to_the_tuple_list(skip_self, ordered):
+    for n in range(5):
+        for size in range(1, 6):
+            pool = [f"t{i}" for i in range(size)]
+            families = list(engine.tuples_with_last(pool, n, skip_self, ordered))
+            expected = list(_tuples_with_last_as_tuples(pool, n, skip_self, ordered))
+            assert list(expand_families(families, pool)) == expected, (n, size)
+            for fixed, slot, start in families:
+                assert len(fixed) == n
+                if slot is None:
+                    assert None not in fixed
+                    continue
+                # one free slot over a non-empty run of stored traces
+                assert fixed.count(None) == 1 and fixed[slot] is None
+                assert slot == n - 2 or (slot == n - 1 and not ordered)
+                assert 0 <= start < size - 1
+
+
+def _eval_body_tuples(session, fresh):
+    """Reference tuple loop: expand the families and judge each tuple with
+    ``semantics.eval_body``."""
+    stored = session.store.traces[:1] if session.transitive else session.store.traces
+    pool = stored + [fresh]
+    families = engine.tuples_with_last(
+        pool, session.qclass.n, session.reflexive, session.symmetric
+    )
+    for tup in expand_families(families, pool):
+        session.stats.instances_run += 1
+        if not eval_body(dict(zip(session.variables, tup)), session.qf.body):
+            return tup
+    return None
+
+
+def _per_trace_outputs(qf, traces, ta, sa, reference):
+    """Per-trace counterexamples and ``instances_run``, the final store and
+    dropped log, and how many stored traces were evicted."""
+    session = Session(qf, MonitorOptions(
+        trace_analysis=ta, spec_analysis=sa, continue_after_violation=True,
+    ))
+    if reference:
+        session._run_tuples = lambda fresh, masks_of: _eval_body_tuples(session, fresh)
+    per_trace, evicted = [], 0
+    for t in traces:
+        before = set(session.store.names())
+        ce = session.process_trace(t).counterexample
+        per_trace.append((ce, session.stats.instances_run))
+        evicted += len(before - set(session.store.names()))
+        assert tries_hold_the_store(session)
+    return session, (per_trace, session.store.names(), session.store.dropped), evicted
+
+
+def _eviction_stream(qf, traces):
+    """The traces that form no violating tuple with the ones before them,
+    reordered so that each comes after every trace it dominates: trace
+    analysis then evicts stored traces mid-stream."""
+    clean = Session(qf, MonitorOptions(
+        trace_analysis=False, spec_analysis=False, continue_after_violation=True,
+    ))
+    for t in traces:
+        clean.process_trace(t)
+    kept = clean.store.traces
+    checker = Session(qf).checker
+    beaten = {t.name: sum(checker.dominates(t, u) for u in kept) for t in kept}
+    return sorted(kept, key=lambda t: beaten[t.name])
+
+
+TRANSITIVE_BODIES = (
+    "forall p. forall q. G (a@p <-> a@q)",
+    "forall p. forall q. G ((a@p <-> a@q) & (b@p <-> b@q))",
+    "forall p. forall q. (a@p <-> a@q) & X (b@p <-> b@q)",
+)
+# bodies under which some clean traces strictly dominate others
+EVICTING_BODIES = (
+    "forall p. forall q. a@p -> !b@q",
+    "forall p. forall q. G (a@p -> !b@q)",
+    "forall p. forall q. G (a@p -> F b@q)",
+    "forall p. forall q. F a@p -> F b@q",
+)
+
+
+class TestPrefixTreeRunner:
+    """The trie runner against per-tuple ``eval_body`` over the same
+    families, on traces of different lengths, empty ones included."""
+
+    @staticmethod
+    def _streams(rng):
+        """(spec, traces) pairs; every other random body is made symmetric,
+        and two streams in four are eviction streams, so both kinds of body
+        get some."""
+        specs = [parse_formula(text) for text in TRANSITIVE_BODIES + EVICTING_BODIES]
+        for variables, count in ((("p",), 12), (("p", "q"), 24), (("p", "q", "r"), 16)):
+            prefix = tuple(("forall", v) for v in variables)
+            for i in range(count):
+                body = random_body(rng, 3, variables=variables)
+                if i % 2 and len(variables) > 1:
+                    # conjoined over every order of the variables: symmetric
+                    body = And(tuple(
+                        rename_variables(body, dict(zip(variables, order)))
+                        for order in itertools.permutations(variables)
+                    ))
+                specs.append(QuantifiedFormula(prefix, body))
+        for i, qf in enumerate(specs):
+            traces = [random_trace(rng, f"t{j}", 4) for j in range(9)]
+            yield qf, _eviction_stream(qf, traces) if i % 4 >= 2 else traces
+
+    def test_same_outputs_as_eval_body_per_tuple(self, rng):
+        seen = {"symmetric": 0, "asymmetric": 0, "transitive": 0, "three": 0,
+                "evicted": 0, "violations": 0}
+        for qf, traces in self._streams(rng):
+            by_name = {t.name: t for t in traces}
+            for ta in (False, True):
+                for sa in (False, True):
+                    session, got, evicted = _per_trace_outputs(qf, traces, ta, sa, False)
+                    _, expected, _ = _per_trace_outputs(qf, traces, ta, sa, True)
+                    assert got == expected, (str(qf), ta, sa)
+                    for ce, _ in got[0]:
+                        if ce is not None:
+                            seen["violations"] += 1
+                            assignment = {var: by_name[name] for var, name in ce.assignment}
+                            assert not eval_body(assignment, qf.body), (str(qf), ta, sa)
+                    seen["evicted"] += evicted
+                    if session.qclass.n >= 2:
+                        seen["symmetric" if session.symmetric else "asymmetric"] += 1
+                        seen["transitive"] += session.transitive
+                        seen["three"] += session.qclass.n == 3 and session.symmetric
+        assert all(seen.values()), seen
+
+    def test_transitive_spec_walks_the_first_stored_trace_only(self):
+        session = Session(parse_formula(EQ), MonitorOptions(trace_analysis=False))
+        assert session.transitive and set(session._tries) == {"p"}
+        auto = session.template.automaton
+        letters, step = [], auto.step
+        auto.step = lambda state, letter: letters.append(letter) or step(state, letter)
+        for i in range(12):
+            # equivalent traces under EQ, each on its own path in the trie
+            before = len(letters)
+            fresh = Trace.of([{"a"}] + [set()] * i, f"t{i}")
+            assert not session.process_trace(fresh).is_violation
+            assert len(letters) - before <= i + 1  # the letters of one tuple
+        assert session.stats.instances_run == 11
+
+    @pytest.mark.parametrize("text, n", [
+        (pretty_quantified(independence_property("counter3", ("incr",), ("overflow",))), 150),
+        ("forall p. forall q. forall r. ((overflow@p <-> overflow@q) | "
+         "(overflow@p <-> overflow@r)) W (!(decr@p <-> decr@q) | !(decr@p <-> decr@r))", 16),
+    ], ids=("forall-forall", "three-quantifiers"))
+    def test_cut_length_counter3_stream(self, text, n):
+        qf = parse_formula(text)
+        rng = random.Random(7)
+        corpus = random_traces("counter3", n, 10, 7, bias={"incr": 0.85, "decr": 0.05})
+        traces = [
+            Trace(c.to_trace(f"t{i}").steps[:rng.randint(0, 10)], f"t{i}")
+            for i, c in enumerate(corpus)
+        ]
+        for ta in (False, True):
+            for sa in (False, True):
+                _, got, _ = _per_trace_outputs(qf, traces, ta, sa, False)
+                _, expected, _ = _per_trace_outputs(qf, traces, ta, sa, True)
+                assert got == expected, (ta, sa)
+                assert any(ce is not None for ce, _ in got[0])
+                assert got[2] or not ta  # trace analysis dropped traces
 
 
 def _reference_process(session, fresh):
@@ -390,15 +625,14 @@ def _reference_process(session, fresh):
         if checker.dominates(old, fresh):
             store.dropped.append((fresh.name, old.name))
             return engine.CLEAN
-    violating = session._scan_tuples(fresh)
+    masks_of = session._mask_source(fresh)
+    violating = session._run_tuples(fresh, masks_of)
     if violating is not None:
-        verdict = engine.Verdict(session._build_counterexample(violating))
-        session._forget([fresh])
-        return verdict
+        return engine.Verdict(session._build_counterexample(violating, masks_of))
     evicted = [old for old in store.traces if checker.dominates(fresh, old)]
     store.dropped.extend((old.name, fresh.name) for old in evicted)
     store.traces = [old for old in store.traces if old not in evicted] + [fresh]
-    session._forget(evicted)
+    session._index(fresh, masks_of, evicted)
     return engine.CLEAN
 
 
@@ -417,8 +651,8 @@ def _order_run(qf, traces, reference):
             violators_unchecked = False
     outputs = (verdicts, session.store.names(), session.store.dropped,
                session.stats.instances_run)
-    # masks are kept for stored traces only
-    assert {name for name, _ in session._masks} <= set(session.store.names())
+    # the tries hold the stored traces only
+    assert tries_hold_the_store(session)
     return outputs, violators_unchecked
 
 
@@ -463,14 +697,16 @@ class TestTuplesBeforeDominance:
             session.process_trace(t)
         ran = session.stats.instances_run
         scanned = []
-        scan = session._scan_tuples
-        session._scan_tuples = lambda fresh: scanned.append(fresh.name) or scan(fresh)
+        run = session._run_tuples
+        session._run_tuples = (
+            lambda fresh, masks_of: scanned.append(fresh.name) or run(fresh, masks_of)
+        )
         assert not session.process_trace(traces[2]).is_violation
         assert scanned == ["again"]  # the tuples ran before the dominance pass
         assert session.checker.copy_hits == 0
         assert session.store.dropped == [("blank", "a_b"), ("again", "a_b")]
         assert session.stats.instances_run == ran == expected[3]
-        assert {name for name, _ in session._masks} == {"a_b"}
+        assert trie_leaves(session) == {"p": ["a_b"], "q": ["a_b"]}
         assert cache_within_store(session)
 
 
