@@ -24,8 +24,13 @@ violate, so a violator skips the dominance pass without changing any output,
 and a dropped trace's tuples are taken back out of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
-Other prefixes are evaluated directly against the stored trace set and their
-verdicts are provisional: a later trace can change them.
+Other prefixes are evaluated directly (``semantics.eval_quantified``) and
+their verdicts are provisional: a later trace can change them.  A
+two-variable prefix (∀∃, ∃∀, ∃∃) keeps one flag per stored trace (one flag
+in all under ∃∃), and a fresh trace decides only its own pairs and the rows
+still open (``Session._decide_pairs``), not every pair of the store.  Other
+prefixes evaluate the whole stored set for every trace.  A trace that trace
+analysis drops leaves the stored set, and so the verdict, as it was.
 """
 
 import itertools
@@ -216,6 +221,8 @@ class Session:
         self._tries = {var: PrefixTree() for var in held} if tupled else {}
         self._serials = {}  # stored trace name -> serial
         self._serial_count = itertools.count()
+        self._open = {}  # see _decide_pairs
+        self._satisfied = False
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -392,21 +399,60 @@ class Session:
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
         # no tuple loop here, so no tries to keep
-        self.store.add(fresh, self.checker)
-        if eval_quantified(self.store.traces, self.qf):
+        evicted = self.store.add(fresh, self.checker)
+        if evicted is None:
+            # the stored set is unchanged, and so is the verdict
+            return self._verdict
+        if self.qclass.n == 2:
+            holds = self._decide_pairs(fresh, evicted)
+        else:
+            holds = eval_quantified(self.store.traces, self.qf)
+        if holds:
             return CLEAN
-        return Verdict(self._provisional_counterexample())
-
-    def _provisional_counterexample(self) -> CounterExample:
         if self.qclass.kind == "forall_exists":
-            univ, exis = self.variables
-            for t in self.store.traces:
-                if not any(
-                    eval_body({univ: t, exis: s}, self.qf.body)
-                    for s in self.store.traces
-                ):
-                    return CounterExample(((univ, t.name),), None)
-        return CounterExample((), None)
+            # the first stored trace with no witness
+            univ = self.variables[0]
+            return Verdict(CounterExample(((univ, next(iter(self._open))),), None))
+        return Verdict(CounterExample((), None))
+
+    def _decide_pairs(self, fresh: Trace, evicted) -> bool:
+        """Whether a two-variable prefix holds on the store, deciding only
+        the pairs that hold ``fresh`` and the stored rows still open.
+
+        ``_open`` holds, in store order, the stored traces whose row is not
+        settled: under ∀∃ the ones with no witness yet, under ∃∀ the ones
+        every partner so far satisfies (the candidates).  A stored trace is
+        evicted only by a fresh trace that dominates it, which then covers
+        each pair the evicted trace satisfied (∃∀ has no dominance rule), so
+        evicted rows are just removed.  Under ∃∃ one flag, ``_satisfied``,
+        sticks once a satisfying pair exists.
+        """
+        outer, inner = self.variables
+        prefix, body = self.qf.prefix, self.qf.body
+        row = QuantifiedFormula(prefix[1:], body)
+        if self.qclass.kind == "exists_n":
+            if not self._satisfied:
+                # the fresh trace's row, then its column
+                pool = self.store.traces
+                column = QuantifiedFormula(prefix[:1], body)
+                self._satisfied = (
+                    eval_quantified(pool, row, {outer: fresh})
+                    or eval_quantified(pool, column, {inner: fresh})
+                )
+            return self._satisfied
+        # a ∀∃ row settles on its first witness (the row turns true), an ∃∀
+        # row on its first falsifying partner (the row turns false)
+        settles_on = self.qclass.kind == "forall_exists"
+        for old in evicted:
+            self._open.pop(old.name, None)
+        for name, old in list(self._open.items()):
+            # only the fresh trace can settle a row that is still open
+            if eval_quantified((fresh,), row, {outer: old}) == settles_on:
+                del self._open[name]
+        if eval_quantified(self.store.traces, row, {outer: fresh}) != settles_on:
+            self._open[fresh.name] = fresh
+        # ∀∃ holds when no row lacks a witness, ∃∀ when a candidate is left
+        return not self._open if settles_on else bool(self._open)
 
     def verdict(self) -> Verdict:
         return self._verdict

@@ -192,9 +192,11 @@ def eps_eval(f: Formula) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def eval_quantified(traces, qf: QuantifiedFormula) -> bool:
-    """Evaluate a closed quantified formula, quantifiers ranging over ``traces``.
+def eval_quantified(traces, qf: QuantifiedFormula, assignment: dict = None) -> bool:
+    """Evaluate a quantified formula, quantifiers ranging over ``traces``.
 
+    ``assignment`` binds the body's variables that the prefix does not
+    quantify (an outer quantifier's trace); the formula is closed without it.
     Cost is |traces| ** len(prefix) body evaluations; meant for small inputs.
     """
     pool = list(traces)
@@ -209,4 +211,4 @@ def eval_quantified(traces, qf: QuantifiedFormula) -> bool:
             return any(go(k + 1, {**assignment, var: t}) for t in pool)
         return all(go(k + 1, {**assignment, var: t}) for t in pool)
 
-    return go(0, {})
+    return go(0, assignment or {})

@@ -181,6 +181,7 @@ class TemplateAutomaton:
         self.trees = []
         self.true_sid = -1
         self.false_sid = -1
+        self._prop_bits = {}  # variable -> {proposition: bit}, see prop_bits
         # deep-simplify once so every residual literal is already canonical
         self.initial_state = self._register(canonical_state(simplify(body)))
 
@@ -206,6 +207,17 @@ class TemplateAutomaton:
             self.false_sid = sid
         self.index[f] = sid
         return sid
+
+    def prop_bits(self, var: str) -> dict:
+        """Proposition -> bit of ``var``'s atoms, built once per variable."""
+        out = self._prop_bits.get(var)
+        if out is None:
+            out = self._prop_bits[var] = {
+                ref.proposition: self.bits[ref]
+                for ref in self.support
+                if ref.variable == var
+            }
+        return out
 
     def step(self, state: int, letter: int) -> int:
         key = (state, letter & self.rel[state])
@@ -262,6 +274,7 @@ class InstantiatedAutomaton:
 
     def __init__(self, base, var: str, trace: Trace):
         self.base = base
+        self.var = var
         self.bits = base.bits
         self.support = tuple(r for r in base.support if r.variable != var)
         mask = 0
@@ -272,6 +285,10 @@ class InstantiatedAutomaton:
         self.nsteps = len(self.tmasks)
         self.initial_state = (base.initial_state, 0)
         self._acc_memo = {}
+
+    def prop_bits(self, var: str) -> dict:
+        # the base's map, except that the bound variable's atoms are not here
+        return {} if var == self.var else self.base.prop_bits(var)
 
     def step(self, state, letter: int):
         s, j = state
@@ -308,15 +325,6 @@ class InstantiatedAutomaton:
 
     def is_universal(self, state) -> bool:
         return self.base.is_universal(state[0])
-
-
-def _project(step, prop_bits: dict) -> int:
-    mask = 0
-    for prop in step:
-        bit = prop_bits.get(prop)
-        if bit is not None:
-            mask |= 1 << bit
-    return mask
 
 
 def _submasks_ascending(mask: int):
@@ -412,12 +420,16 @@ def run_masks(auto, mask_lists) -> bool:
 
 def trace_masks(auto, var: str, trace: Trace):
     """Project a trace onto the automaton's atoms for one variable."""
-    prop_bits = {
-        ref.proposition: auto.bits[ref]
-        for ref in auto.support
-        if ref.variable == var
-    }
-    return [_project(step, prop_bits) for step in trace.steps]
+    prop_bits = auto.prop_bits(var)
+    masks = []
+    for step in trace.steps:
+        mask = 0
+        for prop in step:
+            bit = prop_bits.get(prop)
+            if bit is not None:
+                mask |= 1 << bit
+        masks.append(mask)
+    return masks
 
 
 class MonitorTemplate:

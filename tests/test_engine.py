@@ -6,10 +6,18 @@ import random
 
 import pytest
 
-from hypermon import engine
+from hypermon import engine, semantics
 from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
-from hypermon.formula import And, QuantifiedFormula, pretty_quantified, rename_variables
+from hypermon.formula import (
+    And,
+    Iff,
+    Implies,
+    Or,
+    QuantifiedFormula,
+    pretty_quantified,
+    rename_variables,
+)
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 
@@ -245,6 +253,14 @@ class TestProvisionalSessions:
         second = session.process_trace(Trace.of([{"a"}], "t2"))
         assert not second.is_violation  # the pair (t2, t2) works now
 
+    def test_exists_exists_finds_a_pair_in_either_order(self):
+        qf = parse_formula("exists p. exists q. a@p & b@q")
+        for first, second in (({"a"}, {"b"}), ({"b"}, {"a"})):
+            session = new_session(qf, MonitorOptions(trace_analysis=False))
+            assert session.process_trace(Trace.of([first], "t1")).is_violation
+            # the fresh trace completes the pair at q, or at p
+            assert not session.process_trace(Trace.of([second], "t2")).is_violation
+
     def test_forall_exists_counterexample_names_universal_trace(self):
         qf = parse_formula("forall p. exists q. F (a@p & a@q) | !(F a@p)")
         session = new_session(qf, MonitorOptions(trace_analysis=False))
@@ -268,6 +284,111 @@ class TestProvisionalSessions:
         assert verdict.counterexample.assignment == (("p", "t1"),)
         # adding a b-trace repairs it
         assert not session.process_trace(Trace.of([{"b"}], "t2")).is_violation
+
+
+def _whole_store_rule(session, fresh):
+    """The provisional step over the whole store: store the trace (or drop
+    it), take the verdict of ``eval_quantified`` on the stored set and,
+    under ∀∃, name the first stored trace with no witness."""
+    session.store.add(fresh, session.checker)
+    traces, qf = session.store.traces, session.qf
+    if eval_quantified(traces, qf):
+        return engine.CLEAN
+    if session.qclass.kind == "forall_exists":
+        univ, exis = session.variables
+        for t in traces:
+            if not any(eval_body({univ: t, exis: s}, qf.body) for s in traces):
+                return engine.Verdict(engine.CounterExample(((univ, t.name),), None))
+    return engine.Verdict(engine.CounterExample((), None))
+
+
+def _short_trace(rng, name):
+    """A trace of 1..5 steps: traces of different lengths let dominance evict."""
+    steps = [{p for p in ("a", "b") if rng.random() < 0.5} for _ in range(rng.randint(1, 5))]
+    return Trace.of(steps, name)
+
+
+class TestIncrementalProvisional:
+    """Two-variable provisional prefixes decide each fresh trace's pairs on
+    their own; outputs must equal the whole-store rule after every trace."""
+
+    @staticmethod
+    def _specs(rng):
+        for i in range(150):
+            shape = ("AE", "EA", "EE")[i % 3]
+            prefix = tuple(
+                ("forall" if quant == "A" else "exists", var)
+                for quant, var in zip(shape, ("p", "q"))
+            )
+            if i % 2:
+                body = random_body(rng, 3)
+            else:
+                # a condition on p joined to one on q: which trace takes which
+                # variable matters, so a pair missed in one order shows
+                first = random_body(rng, 1, variables=("p",))
+                second = random_body(rng, 1, variables=("q",))
+                body = rng.choice((
+                    And((first, second)), Or((first, second)),
+                    Implies(first, second), Iff(first, second),
+                ))
+            yield QuantifiedFormula(prefix, body), 12
+        # one-variable and three-variable prefixes take the whole-store path
+        for prefix, variables in (
+            ((("exists", "p"),), ("p",)),
+            ((("forall", "p"), ("exists", "q"), ("forall", "r")), ("p", "q", "r")),
+            ((("exists", "p"), ("exists", "q"), ("exists", "r")), ("p", "q", "r")),
+        ):
+            for _ in range(10):
+                yield QuantifiedFormula(prefix, random_body(rng, 3, variables=variables)), 6
+
+    def test_same_outputs_as_the_whole_store_rule(self, rng):
+        seen = {"violations": 0, "clean": 0, "flips": 0, "dropped": 0,
+                "evicted": 0, "one": 0, "three": 0}
+        for qf, count in self._specs(rng):
+            traces = [_short_trace(rng, f"t{j}") for j in range(count)]
+            for ta in (False, True):
+                session = Session(qf, MonitorOptions(trace_analysis=ta))
+                reference = Session(qf, MonitorOptions(trace_analysis=ta))
+                reference._process_provisional = (
+                    lambda fresh, ref=reference: _whole_store_rule(ref, fresh)
+                )
+                previous = None
+                for t in traces:
+                    before = set(session.store.names())
+                    got = session.process_trace(t)
+                    assert got == reference.process_trace(t), (str(qf), ta, t.name)
+                    assert got.is_violation != eval_quantified(session.store.traces, qf)
+                    assert session.store.names() == reference.store.names()
+                    assert session.store.dropped == reference.store.dropped
+                    seen["violations" if got.is_violation else "clean"] += 1
+                    seen["flips"] += previous is not None and previous != got.is_violation
+                    seen["evicted"] += len(before - set(session.store.names()))
+                    previous = got.is_violation
+                seen["dropped"] += len(session.store.dropped)
+                seen["one"] += session.qclass.n == 1
+                seen["three"] += session.qclass.n == 3
+        assert all(seen.values()), seen
+
+    def test_forall_exists_work_per_trace_is_flat(self, monkeypatch):
+        qf = parse_formula("forall p. exists q. a@p | !a@p | a@q")
+        session = Session(qf, MonitorOptions(trace_analysis=False))
+        evaluations = []
+        eval_body_ = semantics.eval_body
+
+        def counted(assignment, body):
+            evaluations.append(body)
+            return eval_body_(assignment, body)
+
+        monkeypatch.setattr(semantics, "eval_body", counted)
+        rng = random.Random(5)
+        work = []
+        for i in range(100):
+            before = len(evaluations)
+            # a body that holds on every pair: any partner is a witness
+            assert not session.process_trace(random_trace(rng, f"t{i}", 4)).is_violation
+            work.append(len(evaluations) - before)
+        assert len(session.store) == 100
+        assert 0 < work[99] <= work[1], work
 
 
 class TestOptimizationTransparencyMini:

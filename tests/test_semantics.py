@@ -1,6 +1,8 @@
 """Ground-truth semantics, pinned to the end-of-trace rule: the empty trace
 carries no propositions, so atoms on it are false."""
 
+import itertools
+
 import pytest
 
 from hypermon.errors import UncoveredVariableError
@@ -168,3 +170,49 @@ class TestEvalQuantified:
             assert eval_quantified(traces, forall) == (
                 not eval_quantified(traces, exists_neg)
             )
+
+    @staticmethod
+    def _streams(rng, count):
+        """(two-variable formula, pool) pairs over every prefix shape."""
+        shapes = list(itertools.product(("forall", "exists"), repeat=2))
+        for i in range(count):
+            (q1, q2) = shapes[i % 4]
+            qf = QuantifiedFormula(((q1, "p"), (q2, "q")), random_body(rng, 3))
+            yield qf, [random_trace(rng, f"t{j}", 3) for j in range(rng.randrange(4))]
+
+    def test_no_assignment_is_the_closed_evaluation(self, rng):
+        for qf, pool in self._streams(rng, 120):
+            (q1, v1), (q2, v2) = qf.prefix
+            first = any if q1 == "exists" else all
+            second = any if q2 == "exists" else all
+            expected = first(
+                second(eval_body({v1: s, v2: t}, qf.body) for t in pool) for s in pool
+            )
+            assert eval_quantified(pool, qf) == expected
+            assert eval_quantified(pool, qf, None) == expected
+            assert eval_quantified(pool, qf, {}) == expected
+
+    def test_bound_outer_variable_agrees_with_eval_body(self, rng):
+        for qf, pool in self._streams(rng, 120):
+            (q1, outer), (q2, inner) = qf.prefix
+            row = QuantifiedFormula(qf.prefix[1:], qf.body)
+            column = QuantifiedFormula(qf.prefix[:1], qf.body)
+            over_row = any if q2 == "exists" else all
+            over_column = any if q1 == "exists" else all
+            # a bound trace need not be in the pool
+            for t in pool + [random_trace(rng, "x", 3)]:
+                assert eval_quantified(pool, row, {outer: t}) == over_row(
+                    eval_body({outer: t, inner: s}, qf.body) for s in pool
+                )
+                # binding the inner variable works the same way
+                assert eval_quantified(pool, column, {inner: t}) == over_column(
+                    eval_body({outer: s, inner: t}, qf.body) for s in pool
+                )
+
+    def test_unbound_variable_still_raises(self):
+        qf = QuantifiedFormula((("exists", "q"),), body("forall p. exists q. a@p | a@q"))
+        pool = [Trace.of([{"a"}], "t")]
+        for assignment in (None, {}, {"r": pool[0]}):
+            with pytest.raises(UncoveredVariableError):
+                eval_quantified(pool, qf, assignment)
+        assert eval_quantified(pool, qf, {"p": pool[0]}) is True

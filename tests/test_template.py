@@ -178,6 +178,35 @@ class TestInstantiate:
             assert language_included(d1, d2)[0] and language_included(d2, d1)[0]
 
 
+class TestTraceMasks:
+    def test_cached_bit_maps_give_the_same_masks(self, rng):
+        """Masks from the cached proposition -> bit maps equal a projection
+        built from the support on every call, on instances too, where the
+        bound variable has no atoms left."""
+
+        def projected(auto, var, trace):
+            prop_bits = {
+                ref.proposition: auto.bits[ref]
+                for ref in auto.support
+                if ref.variable == var
+            }
+            return [
+                sum(1 << bit for prop, bit in prop_bits.items() if prop in step)
+                for step in trace.steps
+            ]
+
+        for _ in range(100):
+            tpl = build_template(desugar(random_body(rng, 3)), ("p", "q"))
+            inst = tpl.instantiate(random_trace(rng, "t", 4), "p")
+            for auto in (tpl.automaton, inst.automaton):
+                for var in ("p", "q"):
+                    for _ in range(2):  # the second call reads the cached map
+                        trace = random_trace(rng, "u", 4, props=("a", "b", "zz"))
+                        masks = template.trace_masks(auto, var, trace)
+                        assert masks == projected(auto, var, trace)
+            assert inst.automaton.prop_bits("q") is tpl.automaton.prop_bits("q")
+
+
 class TestInstanceFold:
     """An instance pairs a decided base state with the end of the bound trace."""
 
