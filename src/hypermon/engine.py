@@ -7,6 +7,8 @@ analysis removes tuple orders (symmetry: one tuple per permutation class, at
 any number of quantifiers), the all-same tuple (reflexivity) or all but one
 comparison partner (transitivity); trace analysis discards traces that a
 stored trace dominates.  ``tuples_with_last`` alone applies these reductions.
+All of them shrink the tuple loop, so they run only where it pairs traces:
+on all-universal prefixes of two or more quantifiers.
 
 It describes the tuples as families: fixed slots (the fresh trace or stored
 heads) plus at most one free slot that ranges over a run of stored traces.
@@ -25,12 +27,11 @@ and a dropped trace's tuples are taken back out of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly (``semantics.eval_quantified``) and
-their verdicts are provisional: a later trace can change them.  A
-two-variable prefix (∀∃, ∃∀, ∃∃) keeps one flag per stored trace (one flag
-in all under ∃∃), and a fresh trace decides only its own pairs and the rows
-still open (``Session._decide_pairs``), not every pair of the store.  Other
-prefixes evaluate the whole stored set for every trace.  A trace that trace
-analysis drops leaves the stored set, and so the verdict, as it was.
+their verdicts are provisional: a later trace can change them.  Every
+trace is stored.  A two-variable prefix (∀∃, ∃∀, ∃∃) keeps the stored rows
+still open (one flag in all under ∃∃), and a fresh trace decides only its
+own pairs and those rows (``Session._decide_pairs``), not every pair of the
+store.  Other prefixes evaluate the whole stored set for every trace.
 """
 
 import itertools
@@ -38,7 +39,7 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .errors import FragmentError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formula import (
     QuantifiedFormula,
     classify_prefix,
@@ -195,20 +196,22 @@ class Session:
             self.alphabet,
             state_limit=self.options.state_limit,
         )
-        self.universal = self.qclass.kind == "forall_n"
+        self.universal = self.qclass.is_universal
         self.provisional = not self.universal
+        # both analyses shrink the tuple loop, which pairs traces only here
+        tupled = self.universal and self.qclass.n >= 2
         self.analysis = None
-        if self.options.spec_analysis and self.universal and self.qclass.n >= 2:
+        if self.options.spec_analysis and tupled:
             self.analysis = analyze(qf, self.options.state_limit)
         self.store = TraceStore()
         self.stats = MonitorStats()
         self.checker = None
-        if self.options.trace_analysis:
+        if self.options.trace_analysis and tupled:
             try:
                 self.checker = DominanceChecker(self.template, self.qclass)
-            except (FragmentError, ResourceLimitError) as exc:
-                # no dominance rule for this prefix, or instance alphabets
-                # too wide to enumerate: the tuple loop alone decides
+            except ResourceLimitError as exc:
+                # instance alphabets too wide to enumerate: the tuple loop
+                # alone decides
                 log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
         self._warned_extra = frozenset()
@@ -217,11 +220,10 @@ class Session:
         # when tuples are ordered); serials number the stored traces in
         # store order
         held = self.variables[:-1] if self.symmetric else self.variables
-        tupled = self.universal and self.qclass.n >= 2
         self._tries = {var: PrefixTree() for var in held} if tupled else {}
         self._serials = {}  # stored trace name -> serial
         self._serial_count = itertools.count()
-        self._open = {}  # see _decide_pairs
+        self._open = []  # see _decide_pairs
         self._satisfied = False
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
@@ -398,13 +400,10 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        # no tuple loop here, so no tries to keep
-        evicted = self.store.add(fresh, self.checker)
-        if evicted is None:
-            # the stored set is unchanged, and so is the verdict
-            return self._verdict
+        # no tuple loop here, so no tries to keep and no trace analysis
+        self.store.add(fresh)
         if self.qclass.n == 2:
-            holds = self._decide_pairs(fresh, evicted)
+            holds = self._decide_pairs(fresh)
         else:
             holds = eval_quantified(self.store.traces, self.qf)
         if holds:
@@ -412,20 +411,17 @@ class Session:
         if self.qclass.kind == "forall_exists":
             # the first stored trace with no witness
             univ = self.variables[0]
-            return Verdict(CounterExample(((univ, next(iter(self._open))),), None))
+            return Verdict(CounterExample(((univ, self._open[0].name),), None))
         return Verdict(CounterExample((), None))
 
-    def _decide_pairs(self, fresh: Trace, evicted) -> bool:
+    def _decide_pairs(self, fresh: Trace) -> bool:
         """Whether a two-variable prefix holds on the store, deciding only
         the pairs that hold ``fresh`` and the stored rows still open.
 
-        ``_open`` holds, in store order, the stored traces whose row is not
+        ``_open`` lists, in store order, the stored traces whose row is not
         settled: under ∀∃ the ones with no witness yet, under ∃∀ the ones
-        every partner so far satisfies (the candidates).  A stored trace is
-        evicted only by a fresh trace that dominates it, which then covers
-        each pair the evicted trace satisfied (∃∀ has no dominance rule), so
-        evicted rows are just removed.  Under ∃∃ one flag, ``_satisfied``,
-        sticks once a satisfying pair exists.
+        every partner so far satisfies (the candidates).  Under ∃∃ one flag,
+        ``_satisfied``, sticks once a satisfying pair exists.
         """
         outer, inner = self.variables
         prefix, body = self.qf.prefix, self.qf.body
@@ -443,14 +439,13 @@ class Session:
         # a ∀∃ row settles on its first witness (the row turns true), an ∃∀
         # row on its first falsifying partner (the row turns false)
         settles_on = self.qclass.kind == "forall_exists"
-        for old in evicted:
-            self._open.pop(old.name, None)
-        for name, old in list(self._open.items()):
-            # only the fresh trace can settle a row that is still open
-            if eval_quantified((fresh,), row, {outer: old}) == settles_on:
-                del self._open[name]
+        # only the fresh trace can settle a row that is still open
+        self._open = [
+            old for old in self._open
+            if eval_quantified((fresh,), row, {outer: old}) != settles_on
+        ]
         if eval_quantified(self.store.traces, row, {outer: fresh}) != settles_on:
-            self._open[fresh.name] = fresh
+            self._open.append(fresh)
         # ∀∃ holds when no row lacks a witness, ∃∀ when a candidate is left
         return not self._open if settles_on else bool(self._open)
 

@@ -15,8 +15,10 @@ per node, not one per tuple, and a subtree is settled as a whole once the
 state is decided (``true_sid`` or ``false_sid``).  The answer equals running
 each tuple on its own with ``template.run_masks``: a trace past its end
 contributes mask 0, and a trace that ends early runs the rest of the fixed
-letters and then asks ``accepting``.
+letters with ``template.accepts_from``.
 """
+
+from .template import accepts_from
 
 
 class Node:
@@ -114,7 +116,8 @@ class PrefixTree:
         # sibling is stepped only if it can still beat the best violator
         frames = []
         while True:
-            if node.ends and not _accepts_rest(auto, state, word, depth):
+            # the free slot's trace ends here: the fixed letters run on
+            if node.ends and not accepts_from(auto, state, word[depth:]):
                 for serial in node.ends:
                     if serial >= lo:
                         best = min(best, serial)
@@ -140,15 +143,3 @@ class PrefixTree:
                 break
             else:
                 return best if best <= hi else None
-
-
-def _accepts_rest(auto, state, word, depth) -> bool:
-    """Acceptance of the fixed letters from ``depth`` on, starting at ``state``
-    (the free slot's trace has ended)."""
-    for letter in word[depth:]:
-        state = auto.step(state, letter)
-        if state == auto.false_sid:
-            return False
-        if state == auto.true_sid:
-            return True
-    return auto.accepting(state)

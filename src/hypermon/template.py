@@ -329,13 +329,13 @@ class InstantiatedAutomaton:
 
 def _submasks_ascending(mask: int):
     """All submasks of ``mask`` in increasing numeric order."""
-    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    for i in range(1 << len(positions)):
-        sub = 0
-        for b, pos in enumerate(positions):
-            if i >> b & 1:
-                sub |= 1 << pos
+    sub = 0
+    while True:
         yield sub
+        if sub == mask:
+            return
+        # the next submask: carry through the bits outside ``mask``
+        sub = (sub - mask) & mask
 
 
 def lazy_is_empty(auto, start=None):
@@ -408,8 +408,13 @@ def joint_word(mask_lists):
 
 def run_masks(auto, mask_lists) -> bool:
     """Run the joint word of per-variable mask sequences; True iff accepted."""
-    state = auto.initial_state
-    for letter in joint_word(mask_lists):
+    return accepts_from(auto, auto.initial_state, joint_word(mask_lists))
+
+
+def accepts_from(auto, state, letters) -> bool:
+    """Acceptance of ``letters`` read from ``state``; stops at a decided
+    state."""
+    for letter in letters:
         state = auto.step(state, letter)
         if auto.is_dead(state):
             return False

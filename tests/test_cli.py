@@ -1,9 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from hypermon.cli import SessionReport, main
+from hypermon.semantics import Trace
+from hypermon.traceio import load_trace, save_trace
 
 
 def write(path, text):
@@ -263,20 +266,60 @@ class TestMonitor:
         assert on["verdict"] == off["verdict"] == "clean"
         assert on["counterexample"] == off["counterexample"]
 
+    @pytest.mark.parametrize("prefix", ("forall p. exists q.", "exists p. exists q."))
+    def test_provisional_report_is_the_trace_analysis_off_report(
+            self, tmp_path, capsys, prefix):
+        # a cut-length corpus, on which dominance would drop most traces
+        spec = spec_file(
+            tmp_path,
+            f"{prefix} (overflow@p <-> overflow@q) W !(decr@p <-> decr@q)\n",
+        )
+        corpus = tmp_path / "corpus"
+        main(["gen", "--kind", "counter3", "--n", "300", "--length", "12",
+              "--seed", "1", "--bias", "incr=0.85", "--bias", "decr=0.05",
+              "--out", str(corpus)])
+        rng = random.Random(1)
+        for path in sorted(corpus.glob("*.trace")):
+            trace = load_trace(path)
+            save_trace(Trace(trace.steps[:rng.randint(0, 12)], trace.name), path)
+        capsys.readouterr()
+        reports = []
+        for flags in ([], ["--no-trace-analysis"]):
+            assert main(["monitor", spec, str(corpus), "--stats-format", "json",
+                         *flags]) in (0, 1)
+            report = json.loads(capsys.readouterr().out)
+            del report["stats"]["wall_time"]
+            reports.append(report)
+        on, off = reports
+        assert on == off
+        assert on["optimizations"]["trace_analysis"] is False
+        assert on["stats"]["traces_stored"] == 300 and not on["dropped_traces"]
+
     @pytest.mark.parametrize("text, traces, ran", [
         (EQ, ["a\n", "a\n"], True),
         (XOR4_THREE_QUANTIFIERS, ["lhs0\nout0\n", "rhs1\n"], False),
         ("exists p. forall q. G (a@p <-> a@q)\n", ["a\n", "{}\n"], False),
-    ], ids=("both-ran", "wide-instance-alphabet", "no-dominance-rule"))
-    def test_optimizations_report_what_ran(self, tmp_path, capsys, text, traces, ran):
-        # default options ask for both analyses; the report says which ran
+        ("forall p. exists q. G (a@p <-> a@q)\n", ["a\n", "{}\n"], False),
+        ("exists p. exists q. G (a@p <-> a@q)\n", ["a\n", "{}\n"], False),
+        ("forall p. G (a@p -> X a@p)\n", ["a\na\n", "{}\n"], False),
+    ], ids=("both-ran", "wide-instance-alphabet", "no-dominance-rule",
+            "forall-exists", "exists-exists", "one-variable"))
+    def test_optimizations_report_what_ran(self, tmp_path, capsys, caplog,
+                                           text, traces, ran):
+        # default options ask for both analyses; the report says which ran.
+        # Both shrink the tuple loop, which pairs traces only on
+        # all-universal prefixes of two or more quantifiers.
         spec = spec_file(tmp_path, text)
         paths = [write(tmp_path / f"t{i}.trace", t) for i, t in enumerate(traces)]
         assert main(["monitor", spec, *paths, "--stats-format", "json"]) in (0, 1)
         report = json.loads(capsys.readouterr().out)
-        universal = text.startswith("forall")
+        tupled = text.startswith("forall p. forall q.")
         assert report["optimizations"]["trace_analysis"] is ran
-        assert report["optimizations"]["spec_analysis"] is universal
+        assert report["optimizations"]["spec_analysis"] is tupled
+        # only a tupled spec whose instance alphabets are too wide says so
+        warned = any(r.getMessage().startswith("trace analysis off:")
+                     for r in caplog.records)
+        assert warned is (tupled and not ran)
 
     @pytest.mark.parametrize("command", ("monitor", "template"))
     @pytest.mark.parametrize("limit", ("0", "-5", "many"))

@@ -20,6 +20,7 @@ from hypermon.formula import (
 )
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
+from hypermon.trace_analysis import DominanceChecker
 
 from conftest import random_body, random_trace, trie_serials
 
@@ -268,12 +269,15 @@ class TestProvisionalSessions:
         assert not verdict.is_violation  # (lone, lone) pairs with itself
 
     def test_dominance_cache_bounded_by_store(self, rng):
+        # no tuple loop pairs traces here, so no dominance cache is built
+        # and every trace is stored
         for _ in range(20):
             qf = QuantifiedFormula((("forall", "p"), ("exists", "q")), random_body(rng, 3))
             session = Session(qf)
+            assert session.checker is None
             for i in range(12):
                 session.process_trace(random_trace(rng, f"t{i}", 4))
-            assert cache_within_store(session)
+            assert len(session.store) == 12 and not session.store.dropped
 
     def test_forall_exists_violation(self):
         # a@p must be followed somewhere by b on the partner trace
@@ -287,10 +291,10 @@ class TestProvisionalSessions:
 
 
 def _whole_store_rule(session, fresh):
-    """The provisional step over the whole store: store the trace (or drop
-    it), take the verdict of ``eval_quantified`` on the stored set and,
-    under ∀∃, name the first stored trace with no witness."""
-    session.store.add(fresh, session.checker)
+    """The provisional step over the whole store: store the trace, take the
+    verdict of ``eval_quantified`` on the stored set and, under ∀∃, name the
+    first stored trace with no witness."""
+    session.store.add(fresh)
     traces, qf = session.store.traces, session.qf
     if eval_quantified(traces, qf):
         return engine.CLEAN
@@ -303,7 +307,7 @@ def _whole_store_rule(session, fresh):
 
 
 def _short_trace(rng, name):
-    """A trace of 1..5 steps: traces of different lengths let dominance evict."""
+    """A trace of 1..5 steps, so that traces differ in length."""
     steps = [{p for p in ("a", "b") if rng.random() < 0.5} for _ in range(rng.randint(1, 5))]
     return Trace.of(steps, name)
 
@@ -342,8 +346,7 @@ class TestIncrementalProvisional:
                 yield QuantifiedFormula(prefix, random_body(rng, 3, variables=variables)), 6
 
     def test_same_outputs_as_the_whole_store_rule(self, rng):
-        seen = {"violations": 0, "clean": 0, "flips": 0, "dropped": 0,
-                "evicted": 0, "one": 0, "three": 0}
+        seen = {"violations": 0, "clean": 0, "flips": 0, "one": 0, "three": 0}
         for qf, count in self._specs(rng):
             traces = [_short_trace(rng, f"t{j}") for j in range(count)]
             for ta in (False, True):
@@ -354,7 +357,6 @@ class TestIncrementalProvisional:
                 )
                 previous = None
                 for t in traces:
-                    before = set(session.store.names())
                     got = session.process_trace(t)
                     assert got == reference.process_trace(t), (str(qf), ta, t.name)
                     assert got.is_violation != eval_quantified(session.store.traces, qf)
@@ -362,9 +364,7 @@ class TestIncrementalProvisional:
                     assert session.store.dropped == reference.store.dropped
                     seen["violations" if got.is_violation else "clean"] += 1
                     seen["flips"] += previous is not None and previous != got.is_violation
-                    seen["evicted"] += len(before - set(session.store.names()))
                     previous = got.is_violation
-                seen["dropped"] += len(session.store.dropped)
                 seen["one"] += session.qclass.n == 1
                 seen["three"] += session.qclass.n == 3
         assert all(seen.values()), seen
@@ -635,7 +635,7 @@ def _eviction_stream(qf, traces):
     for t in traces:
         clean.process_trace(t)
     kept = clean.store.traces
-    checker = Session(qf).checker
+    checker = DominanceChecker(clean.template, clean.qclass)
     beaten = {t.name: sum(checker.dominates(t, u) for u in kept) for t in kept}
     return sorted(kept, key=lambda t: beaten[t.name])
 

@@ -178,6 +178,14 @@ class TestInstantiate:
             assert language_included(d1, d2)[0] and language_included(d2, d1)[0]
 
 
+class TestSubmasks:
+    def test_ascending_submasks_match_brute_force(self, rng):
+        masks = [0, 1, 0b1011, 0xFF] + [rng.getrandbits(12) for _ in range(40)]
+        for mask in masks:
+            expected = [sub for sub in range(mask + 1) if sub & ~mask == 0]
+            assert list(template._submasks_ascending(mask)) == expected, mask
+
+
 class TestTraceMasks:
     def test_cached_bit_maps_give_the_same_masks(self, rng):
         """Masks from the cached proposition -> bit maps equal a projection
