@@ -21,17 +21,23 @@ order.
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace;
 otherwise the tuple loop runs; only a trace that passes it goes to
-``TraceStore.add``, which drops it or stores it.  A dominated trace cannot
-violate, so a violator skips the dominance pass without changing any output,
-and a dropped trace's tuples are taken back out of ``instances_run``.
+``TraceStore.add``, which drops it or appends it; the store never evicts.
+A dominated trace cannot violate, so a violator skips the dominance pass
+without changing any output, and a dropped trace's tuples are taken back out
+of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly (``semantics.eval_quantified``) and
-their verdicts are provisional: a later trace can change them.  Every
-trace is stored.  A two-variable prefix (∀∃, ∃∀, ∃∃) keeps the stored rows
-still open (one flag in all under ∃∃), and a fresh trace decides only its
-own pairs and those rows (``Session._decide_pairs``), not every pair of the
-store.  Other prefixes evaluate the whole stored set for every trace.
+their verdicts are provisional: a later trace can change them.  An
+all-existential prefix keeps one flag, and a ∀∃ or ∃∀ prefix the stored rows
+still open; a fresh trace decides only the tuples that hold it and those
+rows (``Session._decide_pairs``), not every tuple of the store.  Other
+prefixes of three or more variables evaluate the whole stored set for every
+trace.
+
+Provisional prefixes of two or more variables store every trace.  A prefix
+of fewer than two variables pairs no two traces, so it stores none, on
+either path.
 """
 
 import itertools
@@ -217,12 +223,11 @@ class Session:
         self._warned_extra = frozenset()
         # tries of the stored traces' masks, one per variable a stored trace
         # takes in a tuple (all but the last one, which is the fresh trace's
-        # when tuples are ordered); serials number the stored traces in
-        # store order
+        # when tuples are ordered); a stored trace's serial is its position
+        # in the store, which only grows
         held = self.variables[:-1] if self.symmetric else self.variables
         self._tries = {var: PrefixTree() for var in held} if tupled else {}
         self._serials = {}  # stored trace name -> serial
-        self._serial_count = itertools.count()
         self._open = []  # see _decide_pairs
         self._satisfied = False
         self._verdict = CLEAN
@@ -311,12 +316,13 @@ class Session:
         if violating is not None:
             # a dominated trace cannot violate: no dominance pass needed
             return Verdict(self._build_counterexample(violating, masks_of))
-        evicted = self.store.add(fresh, self.checker)
-        if evicted is None:
+        if self.qclass.n < 2:
+            return CLEAN
+        if not self.store.add(fresh, self.checker):
             # count only the tuples of kept or violating traces
             self.stats.instances_run = ran
             return CLEAN
-        self._index(fresh, masks_of, evicted)
+        self._index(fresh, masks_of)
         return CLEAN
 
     def _mask_source(self, fresh: Trace):
@@ -334,13 +340,9 @@ class Session:
 
         return masks_of
 
-    def _index(self, fresh: Trace, masks_of, evicted) -> None:
-        """Keep the tries in step with the store: ``fresh`` in, ``evicted`` out."""
-        for old in evicted:
-            serial = self._serials.pop(old.name)
-            for tree in self._tries.values():
-                tree.remove(serial)
-        serial = self._serials[fresh.name] = next(self._serial_count)
+    def _index(self, fresh: Trace, masks_of) -> None:
+        """Add ``fresh``, the store's last trace, to the tries."""
+        serial = self._serials[fresh.name] = len(self.store) - 1
         for var, tree in self._tries.items():
             tree.add(masks_of(fresh, var), serial)
 
@@ -355,7 +357,6 @@ class Session:
         auto = self.template.automaton
         variables = self.variables
         stored = self.store.traces[:1] if self.transitive else self.store.traces
-        serials = self._serials
         families = tuples_with_last(
             stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
         )
@@ -375,14 +376,13 @@ class Session:
                 word = fixed_masks[0]
             else:
                 word = list(joint_word(fixed_masks))
-            lo, hi = serials[stored[start].name], serials[stored[-1].name]
-            serial = self._tries[variables[slot]].first_violator(auto, word, lo, hi)
-            if serial is None:
+            # serials are store positions
+            at = self._tries[variables[slot]].first_violator(
+                auto, word, start, len(stored) - 1
+            )
+            if at is None:
                 self.stats.instances_run += len(stored) - start
                 continue
-            at = start
-            while serials[stored[at].name] != serial:
-                at += 1
             self.stats.instances_run += at - start + 1
             return fixed[:slot] + (stored[at],) + fixed[slot + 1:]
         return None
@@ -401,8 +401,9 @@ class Session:
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
         # no tuple loop here, so no tries to keep and no trace analysis
-        self.store.add(fresh)
-        if self.qclass.n == 2:
+        if self.qclass.n >= 2:
+            self.store.add(fresh)
+        if self.qclass.n == 2 or self.qclass.kind == "exists_n":
             holds = self._decide_pairs(fresh)
         else:
             holds = eval_quantified(self.store.traces, self.qf)
@@ -415,27 +416,32 @@ class Session:
         return Verdict(CounterExample((), None))
 
     def _decide_pairs(self, fresh: Trace) -> bool:
-        """Whether a two-variable prefix holds on the store, deciding only
-        the pairs that hold ``fresh`` and the stored rows still open.
+        """Whether an existential or two-variable prefix holds on the store,
+        deciding only the tuples that hold ``fresh`` and the stored rows
+        still open.
 
-        ``_open`` lists, in store order, the stored traces whose row is not
-        settled: under ∀∃ the ones with no witness yet, under ∃∀ the ones
-        every partner so far satisfies (the candidates).  Under ∃∃ one flag,
-        ``_satisfied``, sticks once a satisfying pair exists.
+        Under ∃ⁿ one flag, ``_satisfied``, sticks once a satisfying tuple
+        exists.  ``_open`` lists, in store order, the stored traces whose row
+        is not settled: under ∀∃ the ones with no witness yet, under ∃∀ the
+        ones every partner so far satisfies (the candidates).
         """
-        outer, inner = self.variables
         prefix, body = self.qf.prefix, self.qf.body
-        row = QuantifiedFormula(prefix[1:], body)
         if self.qclass.kind == "exists_n":
             if not self._satisfied:
-                # the fresh trace's row, then its column
+                # the tuples that hold the fresh trace, by the position it
+                # takes: under ∃∃ its row, then its column
                 pool = self.store.traces
-                column = QuantifiedFormula(prefix[:1], body)
-                self._satisfied = (
-                    eval_quantified(pool, row, {outer: fresh})
-                    or eval_quantified(pool, column, {inner: fresh})
+                self._satisfied = any(
+                    eval_quantified(
+                        pool,
+                        QuantifiedFormula(prefix[:i] + prefix[i + 1:], body),
+                        {var: fresh},
+                    )
+                    for i, var in enumerate(self.variables)
                 )
             return self._satisfied
+        outer = self.variables[0]
+        row = QuantifiedFormula(prefix[1:], body)
         # a ∀∃ row settles on its first witness (the row turns true), an ∃∀
         # row on its first falsifying partner (the row turns false)
         settles_on = self.qclass.kind == "forall_exists"

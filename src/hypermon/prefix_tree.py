@@ -5,9 +5,10 @@ The design follows Finkbeiner, Hahn, Stenger & Tentrup, "Efficient monitoring
 of hyperproperties using prefix trees" (STTT 2020).  A session keeps one tree
 per variable a stored trace can take in a tuple.  A node is one step of mask
 values shared by the traces below it; the traces whose masks end at a node
-are listed there by their serial, an insertion counter whose order is store
-order.  Every node also knows the smallest and largest serial below it, and a
-trace's masks can be read back off the path to its leaf.
+are listed there by their serial, the trace's position in the store.  The
+store is append-only, so the trees only grow: a node's smallest serial is
+the one of the trace that created it, its largest is the last one inserted
+below it, and a trace's masks can be read back off the path to its leaf.
 
 :meth:`PrefixTree.first_violator` runs the joint word of the fixed slots
 against every trace of the tree in one depth-first walk: one automaton step
@@ -23,7 +24,8 @@ from .template import accepts_from
 
 class Node:
     """One step of mask values; ``ends`` lists, ascending, the serials of the
-    traces that end here, and ``first``/``last`` bound the serials below."""
+    traces that end here, and ``first``/``last`` bound the serials below:
+    ``first`` is fixed when the node is created."""
 
     __slots__ = ("mask", "parent", "children", "ends", "first", "last")
 
@@ -33,17 +35,6 @@ class Node:
         self.children = ()
         self.ends = ()
         self.first = self.last = serial
-
-
-def _bound(node) -> None:
-    """Set a node's serial bounds from its children's and its own ends."""
-    firsts = [child.first for child in node.children]
-    lasts = [child.last for child in node.children]
-    if node.ends:
-        firsts.append(node.ends[0])
-        lasts.append(node.ends[-1])
-    node.first = min(firsts, default=None)
-    node.last = max(lasts, default=None)
 
 
 class PrefixTree:
@@ -71,20 +62,6 @@ class PrefixTree:
             node = child
         node.ends += (serial,)
         self.leaves[serial] = node
-
-    def remove(self, serial) -> None:
-        """Take a trace's leaf out, prune the nodes left empty and update the
-        serial bounds along its path."""
-        node = self.leaves.pop(serial)
-        node.ends = tuple(s for s in node.ends if s != serial)
-        while node is not self.root:
-            parent = node.parent
-            if node.ends or node.children:
-                _bound(node)
-            else:
-                parent.children = tuple(c for c in parent.children if c is not node)
-            node = parent
-        _bound(node)
 
     def masks(self, serial) -> list:
         """The masks of the trace with this serial, read off its path."""

@@ -24,11 +24,16 @@ cheaper paths sit in front of it, and neither can change an answer:
   by one automaton and not the other refutes the inclusion without a search.
 
 :meth:`TraceStore.add` is the one insertion routine: copy index, then the
-scan for a dominator, then eviction, and it frees the cached automata of
-every trace that leaves.  On universal prefixes the session asks the copy
-index alone first, with :meth:`TraceStore.drop_if_copy`, and calls ``add``
-only for a trace whose tuples pass (see ``engine.Session``): a dominated
-trace cannot violate, so a violator needs no inclusion check.
+scan for a dominator, and it frees the cached automata of a trace it drops.
+The store is append-only: a fresh trace that dominates stored ones does not
+evict them.  Dominance is transitive and a dominating trace violates
+wherever the dominated one does, so each trace's verdict and every drop
+decision are the same as with eviction; only the stored set may keep a
+dominated trace, which a counterexample or a dropped entry may then name.
+On universal prefixes the session asks the copy index alone first, with
+:meth:`TraceStore.drop_if_copy`, and calls ``add`` only for a trace whose
+tuples pass (see ``engine.Session``): a dominated trace cannot violate, so
+a violator needs no inclusion check.
 """
 
 from dataclasses import dataclass, field
@@ -104,41 +109,29 @@ class TraceStore:
         self.dropped.append((fresh.name, copy.name))
         return True
 
-    def add(self, fresh: Trace, checker: "DominanceChecker" = None):
+    def add(self, fresh: Trace, checker: "DominanceChecker" = None) -> bool:
         """Store ``fresh`` unless a stored trace dominates it.
 
         The copy index is asked first; then stored traces are tried in
         insertion order, and the first dominator is logged as the covering
-        trace.  Otherwise every stored trace ``fresh`` dominates is evicted,
-        and ``fresh`` is appended and indexed.  The checker's automata of a
-        trace that leaves (``fresh`` or an evicted trace) are freed.
+        trace and the checker's automata of ``fresh`` are freed.  Otherwise
+        ``fresh`` is appended and indexed; no stored trace is removed.
 
-        Returns the evicted traces, or None when ``fresh`` was dropped.
+        Returns whether ``fresh`` was stored.
         """
         if checker is None:
             self.traces.append(fresh)
-            return []
+            return True
         if self.drop_if_copy(fresh, checker):
-            return None
+            return False
         for old in self.traces:
             if checker.dominates(old, fresh):
                 self.dropped.append((fresh.name, old.name))
                 checker.forget(fresh)
-                return None
-        kept, evicted = [], []
-        for old in self.traces:
-            if checker.dominates(fresh, old):
-                self.dropped.append((old.name, fresh.name))
-                evicted.append(old)
-                checker.forget(old)
-                if self._copies.get(old.steps) is old:
-                    del self._copies[old.steps]
-            else:
-                kept.append(old)
-        kept.append(fresh)
-        self.traces = kept
+                return False
+        self.traces.append(fresh)
         self._copies[fresh.steps] = fresh
-        return evicted
+        return True
 
     def copy(self) -> "TraceStore":
         return TraceStore(list(self.traces), list(self.dropped))
@@ -150,9 +143,8 @@ class TraceStore:
 class DominanceChecker:
     """Caches per-(trace, variable) instantiated automata across queries.
 
-    :meth:`TraceStore.add` frees the entries of a trace that leaves the
-    store, or never enters it, with :meth:`forget`; the cache is then
-    bounded by the store.
+    :meth:`TraceStore.add` frees the entries of a trace it drops with
+    :meth:`forget`; the cache is then bounded by the store.
     Raises FragmentError for a prefix with no dominance rule, and
     ResourceLimitError when an instance alphabet (the support minus one
     variable's atoms) is wider than :data:`~hypermon.template.ATOM_LIMIT`.
@@ -223,12 +215,13 @@ def dominates(template: MonitorTemplate, qclass: QuantifierClass,
 
 def minimize_store(template, qclass, store: TraceStore, fresh: Trace,
                    checker: DominanceChecker = None) -> TraceStore:
-    """Insert a fresh trace, keeping the store redundancy-free.
+    """Insert a fresh trace unless a stored trace dominates it.
 
     Returns a new store; the one passed in is left unchanged.  If any stored
-    trace dominates the fresh one, the fresh trace is only logged as dropped.
-    Otherwise every stored trace the fresh one dominates is removed, and the
-    fresh trace appended.  Stored traces are visited in insertion order.
+    trace dominates the fresh one, the fresh trace is only logged as dropped
+    against the first such trace in insertion order; otherwise it is
+    appended.  No stored trace is removed, so the result may hold a trace
+    that a later one dominates.
     """
     if checker is None:
         checker = DominanceChecker(template, qclass)

@@ -165,13 +165,13 @@ class TestUniversalSessions:
             MonitorOptions(continue_after_violation=True),
         )
         session.process_trace(Trace.of([set()], "blank"))
-        session.process_trace(Trace.of([{"a"}, {"b"}], "a_b"))  # evicts blank
+        session.process_trace(Trace.of([{"a"}, {"b"}], "a_b"))  # dominates blank
         session.process_trace(Trace.of([set()], "copy"))  # dropped
         assert session.process_trace(Trace.of([{"b"}], "b")).is_violation
-        assert session.store.names() == ["a_b"]
-        assert session.store.dropped == [("blank", "a_b"), ("copy", "a_b")]
+        assert session.store.names() == ["blank", "a_b"]
+        assert session.store.dropped == [("copy", "blank")]
         assert set(session._tries) == {"p", "q"}  # not symmetric
-        assert trie_leaves(session) == {"p": ["a_b"], "q": ["a_b"]}
+        assert trie_leaves(session) == {"p": ["blank", "a_b"], "q": ["blank", "a_b"]}
 
     def test_dominance_cache_bounded_by_store(self):
         session = Session(
@@ -313,8 +313,9 @@ def _short_trace(rng, name):
 
 
 class TestIncrementalProvisional:
-    """Two-variable provisional prefixes decide each fresh trace's pairs on
-    their own; outputs must equal the whole-store rule after every trace."""
+    """Existential and two-variable provisional prefixes decide each fresh
+    trace's tuples on their own; outputs must equal the whole-store rule
+    after every trace."""
 
     @staticmethod
     def _specs(rng):
@@ -336,7 +337,7 @@ class TestIncrementalProvisional:
                     Implies(first, second), Iff(first, second),
                 ))
             yield QuantifiedFormula(prefix, body), 12
-        # one-variable and three-variable prefixes take the whole-store path
+        # ∃ and ∃∃∃ decide incrementally too; ∀∃∀ takes the whole-store path
         for prefix, variables in (
             ((("exists", "p"),), ("p",)),
             ((("forall", "p"), ("exists", "q"), ("forall", "r")), ("p", "q", "r")),
@@ -356,11 +357,13 @@ class TestIncrementalProvisional:
                     lambda fresh, ref=reference: _whole_store_rule(ref, fresh)
                 )
                 previous = None
-                for t in traces:
+                for j, t in enumerate(traces):
                     got = session.process_trace(t)
                     assert got == reference.process_trace(t), (str(qf), ta, t.name)
-                    assert got.is_violation != eval_quantified(session.store.traces, qf)
-                    assert session.store.names() == reference.store.names()
+                    assert got.is_violation != eval_quantified(traces[:j + 1], qf)
+                    # a one-variable prefix keeps no store
+                    stored = reference.store.names() if qf.prefix[1:] else []
+                    assert session.store.names() == stored
                     assert session.store.dropped == reference.store.dropped
                     seen["violations" if got.is_violation else "clean"] += 1
                     seen["flips"] += previous is not None and previous != got.is_violation
@@ -389,6 +392,64 @@ class TestIncrementalProvisional:
             work.append(len(evaluations) - before)
         assert len(session.store) == 100
         assert 0 < work[99] <= work[1], work
+
+
+    def test_exists_work_per_trace_is_flat(self, monkeypatch):
+        qf = parse_formula("exists p. a@p & X a@p")
+        session = Session(qf)
+        evaluations = []
+        eval_body_ = semantics.eval_body
+
+        def counted(assignment, body):
+            evaluations.append(body)
+            return eval_body_(assignment, body)
+
+        monkeypatch.setattr(semantics, "eval_body", counted)
+        rng = random.Random(5)
+        work = []
+        for i in range(100):
+            before = len(evaluations)
+            # no trace of a single step can satisfy the body
+            steps = [{"a"}] if i % 2 else []
+            assert session.process_trace(Trace.of(steps, f"t{i}")).is_violation
+            work.append(len(evaluations) - before)
+        assert work == [1] * 100 and len(session.store) == 0
+        assert not session.process_trace(Trace.of([{"a"}, {"a"}], "hit")).is_violation
+        before = len(evaluations)
+        for i in range(10):
+            assert not session.process_trace(random_trace(rng, f"u{i}", 4)).is_violation
+        assert len(evaluations) == before  # a satisfied ∃ prefix stays satisfied
+
+    @pytest.mark.parametrize("text, calls, evaluations, first_clean", [
+        ("exists p. exists q. F (overflow@p & X overflow@q)", 31, 242, 15),
+        ("exists p. exists q. F overflow@p & F overflow@q & "
+         "!(overflow@p <-> overflow@q)", 400, 40200, None),
+    ], ids=("satisfied-late", "never-satisfied"))
+    def test_exists_exists_work_on_a_seeded_stream(
+            self, monkeypatch, text, calls, evaluations, first_clean):
+        # the fresh trace's row, then its column, until a pair is found; with
+        # k earlier traces and no pair found, that is 2 (k + 1) evaluations
+        counted = {"calls": 0, "evaluations": 0}
+        eval_quantified_, eval_body_ = engine.eval_quantified, semantics.eval_body
+
+        def quantified(*args):
+            counted["calls"] += 1
+            return eval_quantified_(*args)
+
+        def body(*args):
+            counted["evaluations"] += 1
+            return eval_body_(*args)
+
+        monkeypatch.setattr(engine, "eval_quantified", quantified)
+        monkeypatch.setattr(semantics, "eval_body", body)
+        session = Session(parse_formula(text))
+        corpus = random_traces("counter3", 200, 12, 5, bias={"incr": 0.7, "decr": 0.2})
+        clean = [
+            i for i, c in enumerate(corpus)
+            if not session.process_trace(c.to_trace(f"t{i}")).is_violation
+        ]
+        assert counted == {"calls": calls, "evaluations": evaluations}
+        assert (clean[0] if clean else None) == first_clean
 
 
 class TestOptimizationTransparencyMini:
@@ -608,27 +669,25 @@ def _eval_body_tuples(session, fresh):
 
 
 def _per_trace_outputs(qf, traces, ta, sa, reference):
-    """Per-trace counterexamples and ``instances_run``, the final store and
-    dropped log, and how many stored traces were evicted."""
+    """Per-trace counterexamples and ``instances_run``, and the final store
+    and dropped log."""
     session = Session(qf, MonitorOptions(
         trace_analysis=ta, spec_analysis=sa, continue_after_violation=True,
     ))
     if reference:
         session._run_tuples = lambda fresh, masks_of: _eval_body_tuples(session, fresh)
-    per_trace, evicted = [], 0
+    per_trace = []
     for t in traces:
-        before = set(session.store.names())
         ce = session.process_trace(t).counterexample
         per_trace.append((ce, session.stats.instances_run))
-        evicted += len(before - set(session.store.names()))
         assert tries_hold_the_store(session)
-    return session, (per_trace, session.store.names(), session.store.dropped), evicted
+    return session, (per_trace, session.store.names(), session.store.dropped)
 
 
 def _eviction_stream(qf, traces):
     """The traces that form no violating tuple with the ones before them,
-    reordered so that each comes after every trace it dominates: trace
-    analysis then evicts stored traces mid-stream."""
+    reordered so that each comes after every trace it dominates: a fresh
+    trace then dominates stored traces mid-stream, which the store keeps."""
     clean = Session(qf, MonitorOptions(
         trace_analysis=False, spec_analysis=False, continue_after_violation=True,
     ))
@@ -661,8 +720,8 @@ class TestPrefixTreeRunner:
     @staticmethod
     def _streams(rng):
         """(spec, traces) pairs; every other random body is made symmetric,
-        and two streams in four are eviction streams, so both kinds of body
-        get some."""
+        and two streams in four are eviction streams (see
+        ``_eviction_stream``), so both kinds of body get some."""
         specs = [parse_formula(text) for text in TRANSITIVE_BODIES + EVICTING_BODIES]
         for variables, count in ((("p",), 12), (("p", "q"), 24), (("p", "q", "r"), 16)):
             prefix = tuple(("forall", v) for v in variables)
@@ -681,20 +740,19 @@ class TestPrefixTreeRunner:
 
     def test_same_outputs_as_eval_body_per_tuple(self, rng):
         seen = {"symmetric": 0, "asymmetric": 0, "transitive": 0, "three": 0,
-                "evicted": 0, "violations": 0}
+                "violations": 0}
         for qf, traces in self._streams(rng):
             by_name = {t.name: t for t in traces}
             for ta in (False, True):
                 for sa in (False, True):
-                    session, got, evicted = _per_trace_outputs(qf, traces, ta, sa, False)
-                    _, expected, _ = _per_trace_outputs(qf, traces, ta, sa, True)
+                    session, got = _per_trace_outputs(qf, traces, ta, sa, False)
+                    _, expected = _per_trace_outputs(qf, traces, ta, sa, True)
                     assert got == expected, (str(qf), ta, sa)
                     for ce, _ in got[0]:
                         if ce is not None:
                             seen["violations"] += 1
                             assignment = {var: by_name[name] for var, name in ce.assignment}
                             assert not eval_body(assignment, qf.body), (str(qf), ta, sa)
-                    seen["evicted"] += evicted
                     if session.qclass.n >= 2:
                         seen["symmetric" if session.symmetric else "asymmetric"] += 1
                         seen["transitive"] += session.transitive
@@ -730,8 +788,8 @@ class TestPrefixTreeRunner:
         ]
         for ta in (False, True):
             for sa in (False, True):
-                _, got, _ = _per_trace_outputs(qf, traces, ta, sa, False)
-                _, expected, _ = _per_trace_outputs(qf, traces, ta, sa, True)
+                _, got = _per_trace_outputs(qf, traces, ta, sa, False)
+                _, expected = _per_trace_outputs(qf, traces, ta, sa, True)
                 assert got == expected, (ta, sa)
                 assert any(ce is not None for ce, _ in got[0])
                 assert got[2] or not ta  # trace analysis dropped traces
@@ -740,7 +798,7 @@ class TestPrefixTreeRunner:
 def _reference_process(session, fresh):
     """The dominance-first order, written out without the store's routines:
     the first stored dominator in insertion order drops ``fresh``; otherwise
-    its tuples run, and a passing trace evicts every trace it dominates."""
+    its tuples run, and a passing trace is appended."""
     store, checker = session.store, session.checker
     for old in store.traces:
         if checker.dominates(old, fresh):
@@ -750,10 +808,8 @@ def _reference_process(session, fresh):
     violating = session._run_tuples(fresh, masks_of)
     if violating is not None:
         return engine.Verdict(session._build_counterexample(violating, masks_of))
-    evicted = [old for old in store.traces if checker.dominates(fresh, old)]
-    store.dropped.extend((old.name, fresh.name) for old in evicted)
-    store.traces = [old for old in store.traces if old not in evicted] + [fresh]
-    session._index(fresh, masks_of, evicted)
+    store.traces.append(fresh)
+    session._index(fresh, masks_of)
     return engine.CLEAN
 
 
@@ -808,27 +864,52 @@ class TestTuplesBeforeDominance:
     def test_dominated_non_copy_takes_back_its_tuples(self):
         qf = parse_formula("forall p. forall q. a@p -> !b@q")
         traces = [
-            Trace.of([set()], "blank"),
-            Trace.of([{"a"}, {"b"}], "a_b"),  # evicts blank
-            Trace.of([set()], "again"),  # copies evicted blank: no copy hit
+            Trace.of([{"a"}, {"b"}], "a_b"),
+            Trace.of([set()], "blank"),  # dominated by a_b, but no copy of it
         ]
         expected, _ = _order_run(qf, traces, reference=True)
         session = Session(qf, MonitorOptions(continue_after_violation=True))
-        for t in traces[:2]:
-            session.process_trace(t)
+        session.process_trace(traces[0])
         ran = session.stats.instances_run
         scanned = []
         run = session._run_tuples
         session._run_tuples = (
             lambda fresh, masks_of: scanned.append(fresh.name) or run(fresh, masks_of)
         )
-        assert not session.process_trace(traces[2]).is_violation
-        assert scanned == ["again"]  # the tuples ran before the dominance pass
+        assert not session.process_trace(traces[1]).is_violation
+        assert scanned == ["blank"]  # the tuples ran before the dominance pass
         assert session.checker.copy_hits == 0
-        assert session.store.dropped == [("blank", "a_b"), ("again", "a_b")]
+        assert session.store.dropped == [("blank", "a_b")]
         assert session.stats.instances_run == ran == expected[3]
         assert trie_leaves(session) == {"p": ["a_b"], "q": ["a_b"]}
         assert cache_within_store(session)
+
+    @pytest.mark.parametrize("text", EVICTING_BODIES)
+    def test_verdicts_on_streams_where_later_traces_dominate(self, rng, text):
+        # the store keeps a trace that a later one dominates; each trace's
+        # verdict is still the one without trace analysis
+        qf = parse_formula(text)
+        kept = violations = 0
+        for _ in range(15):
+            clean = _eviction_stream(qf, [random_trace(rng, f"t{j}", 4) for j in range(9)])
+            # violators interleaved with traces that dominate earlier ones
+            stream = [t for pair in itertools.zip_longest(
+                clean, [random_trace(rng, f"v{j}", 4) for j in range(5)]
+            ) for t in pair if t is not None]
+            sequences = []
+            for ta in (False, True):
+                session = Session(qf, MonitorOptions(
+                    trace_analysis=ta, continue_after_violation=True,
+                ))
+                sequences.append([session.process_trace(t).is_violation for t in stream])
+            assert sequences[0] == sequences[1], text
+            violations += sum(sequences[1])
+            checker = session.checker
+            kept += any(
+                checker.dominates(y, x)
+                for x, y in itertools.combinations(session.store.traces, 2)
+            )
+        assert kept and violations, (kept, violations)
 
 
 WIDE_TWO_VARIABLES = "forall p. forall q. (x0@p <-> x0@q) W ({})".format(

@@ -1,5 +1,5 @@
-"""Prefix trees against brute force: leaves and serial bounds under inserts
-and removals, and the walk against running each tuple on its own."""
+"""Prefix trees against brute force: leaves and serial bounds under inserts,
+and the walk against running each tuple on its own."""
 
 import random
 
@@ -20,17 +20,11 @@ def _leaf(tree, masks):
 def test_leaves_and_bounds_follow_inserts_and_removals():
     rng = random.Random(5)
     for _ in range(40):
-        tree, held, serial = PrefixTree(), {}, 0
-        for _ in range(60):
-            if held and rng.random() < 0.4:
-                gone = rng.choice(sorted(held))
-                tree.remove(gone)
-                del held[gone]
-            else:
-                masks = [rng.randrange(4) for _ in range(rng.randint(0, 4))]
-                tree.add(masks, serial)
-                held[serial] = masks
-                serial += 1
+        tree, held = PrefixTree(), {}
+        for serial in range(40):
+            masks = [rng.randrange(4) for _ in range(rng.randint(0, 4))]
+            tree.add(masks, serial)
+            held[serial] = masks
             assert sorted(trie_serials(tree.root)) == sorted(held)
             assert sorted(tree.leaves) == sorted(held)
             for s, masks in held.items():
@@ -49,9 +43,6 @@ def test_first_violator_is_the_first_rejected_tuple_in_range():
         for s in range(8):
             held[s] = trace_masks(auto, "p", random_trace(rng, f"t{s}", 4))
             tree.add(held[s], s)
-        for gone in rng.sample(range(8), 3):
-            tree.remove(gone)
-            del held[gone]
         fixed = trace_masks(auto, "q", random_trace(rng, "fixed", 4))
         for lo in range(8):
             for hi in range(lo, 8):
@@ -61,5 +52,5 @@ def test_first_violator_is_the_first_rejected_tuple_in_range():
                     None,
                 )
                 assert tree.first_violator(auto, fixed, lo, hi) == expected
-                ranged += expected is not None and expected > min(held)
-    assert ranged  # some violators sit above the smallest serial held
+                ranged += expected is not None and expected > lo
+    assert ranged  # some violators sit above the range's first serial
