@@ -34,6 +34,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+NO_TUPLE = "none (no single tuple refutes this prefix)"
+
+
 @dataclass
 class SessionReport:
     """Machine- and human-readable summary of one monitoring run."""
@@ -62,8 +65,9 @@ class SessionReport:
             verdict += " (current trace set; may change)"
         lines.append(f"verdict: {verdict}")
         if self.counterexample is not None:
+            # a provisional violation of ∃∀, ∀∀∃ and the like has no tuple
             pairs = ", ".join(f"{v} -> {n}" for v, n in self.counterexample.items())
-            lines.append(f"counterexample: {pairs}")
+            lines.append(f"counterexample: {pairs or NO_TUPLE}")
             if self.rejecting_position is not None:
                 lines.append(f"rejecting prefix length: {self.rejecting_position}")
         active = [k for k, v in self.optimizations.items() if v]

@@ -28,12 +28,9 @@ of ``instances_run``.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly (``semantics.eval_quantified``) and
-their verdicts are provisional: a later trace can change them.  An
-all-existential prefix keeps one flag, and a ∀∃ or ∃∀ prefix the stored rows
-still open; a fresh trace decides only the tuples that hold it and those
-rows (``Session._decide_pairs``), not every tuple of the store.  Other
-prefixes of three or more variables evaluate the whole stored set for every
-trace.
+their verdicts are provisional: a later trace can change them.  ``_Rows``
+decides them per fresh trace from the tuples that hold it and the rows that
+are still open, never from every tuple of the store.
 
 Provisional prefixes of two or more variables store every trace.  A prefix
 of fewer than two variables pairs no two traces, so it stores none, on
@@ -183,6 +180,68 @@ def tuples_with_last(pool, n: int, skip_self: bool = False, ordered: bool = Fals
                 yield prefix + (trace, last), None, 0
 
 
+def _level(prefix, body):
+    """``(exists, var, whole, below)``, built once per session: the first
+    quantifier; for a prefix of one kind, the prefix and, per variable,
+    (variable, the prefix without it); for any other, None and the rest's."""
+    quant, var = prefix[0]
+    if all(q == quant for q, _ in prefix):
+        below = [(v, QuantifiedFormula(prefix[:i] + prefix[i + 1:], body))
+                 for i, (_, v) in enumerate(prefix)]
+        return quant == "exists", var, QuantifiedFormula(prefix, body), below
+    return quant == "exists", var, None, _level(prefix[1:], body)
+
+
+class _Rows:
+    """A quantifier prefix over a growing store, outer variables ``bound``.
+
+    A prefix of one kind keeps a flag, ``settled``, that a deciding tuple
+    sets for good (∃: a satisfying one, ∀: a falsifying one); each trace it
+    has not read adds the tuples that put it at each position.  Any other
+    prefix keeps one row per stored trace, the rest of the prefix with that
+    trace bound, made and read in store order up to the first that decides
+    (later rows catch up when read).  A settled row is dropped, or settles
+    the prefix when it decides the first quantifier.
+    """
+
+    __slots__ = ("level", "bound", "read", "rows", "settled")
+
+    def __init__(self, level, bound, pool):
+        self.level, self.bound = level, bound
+        self.read, self.rows, self.settled = 0, [], False
+        exists, _, whole, _ = level
+        if whole is not None and pool:  # reads the store so far in one call
+            self.read = len(pool)
+            self.settled = eval_quantified(pool, whole, bound) == exists
+
+    def holds(self, pool) -> bool:
+        """The prefix's value over ``pool``, the store so far."""
+        (exists, var, whole, below), bound = self.level, self.bound
+        if self.settled:
+            return exists
+        if whole is not None:
+            self.settled = any(
+                eval_quantified(pool[:j + 1], rest, {**bound, v: pool[j]}) == exists
+                for j in range(self.read, len(pool)) for v, rest in below
+            )
+            self.read = len(pool)
+            return self.settled == exists
+        i = 0
+        while i < len(self.rows) or self.read < len(pool):
+            if i == len(self.rows):
+                self.rows.append(_Rows(below, {**bound, var: pool[self.read]}, pool))
+                self.read += 1
+            row = self.rows[i]
+            if row.holds(pool) == exists:
+                self.settled = row.settled  # a settled row settles the prefix
+                return exists
+            if row.settled:
+                del self.rows[i]
+            else:
+                i += 1
+        return not exists
+
+
 class Session:
     """Monitoring state for one specification."""
 
@@ -228,8 +287,8 @@ class Session:
         held = self.variables[:-1] if self.symmetric else self.variables
         self._tries = {var: PrefixTree() for var in held} if tupled else {}
         self._serials = {}  # stored trace name -> serial
-        self._open = []  # see _decide_pairs
-        self._satisfied = False
+        if self.provisional:
+            self._root = _Rows(_level(qf.prefix, qf.body), {}, ())
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -403,57 +462,17 @@ class Session:
         # no tuple loop here, so no tries to keep and no trace analysis
         if self.qclass.n >= 2:
             self.store.add(fresh)
-        if self.qclass.n == 2 or self.qclass.kind == "exists_n":
-            holds = self._decide_pairs(fresh)
+            pool = self.store.traces
         else:
-            holds = eval_quantified(self.store.traces, self.qf)
-        if holds:
+            # one variable stores nothing: the root reads the fresh trace alone
+            pool, self._root.read = [fresh], 0
+        if self._root.holds(pool):
             return CLEAN
         if self.qclass.kind == "forall_exists":
-            # the first stored trace with no witness
-            univ = self.variables[0]
-            return Verdict(CounterExample(((univ, self._open[0].name),), None))
+            # the first stored trace with no witness: every open ∃ row is false
+            [(univ, trace)] = self._root.rows[0].bound.items()
+            return Verdict(CounterExample(((univ, trace.name),), None))
         return Verdict(CounterExample((), None))
-
-    def _decide_pairs(self, fresh: Trace) -> bool:
-        """Whether an existential or two-variable prefix holds on the store,
-        deciding only the tuples that hold ``fresh`` and the stored rows
-        still open.
-
-        Under ∃ⁿ one flag, ``_satisfied``, sticks once a satisfying tuple
-        exists.  ``_open`` lists, in store order, the stored traces whose row
-        is not settled: under ∀∃ the ones with no witness yet, under ∃∀ the
-        ones every partner so far satisfies (the candidates).
-        """
-        prefix, body = self.qf.prefix, self.qf.body
-        if self.qclass.kind == "exists_n":
-            if not self._satisfied:
-                # the tuples that hold the fresh trace, by the position it
-                # takes: under ∃∃ its row, then its column
-                pool = self.store.traces
-                self._satisfied = any(
-                    eval_quantified(
-                        pool,
-                        QuantifiedFormula(prefix[:i] + prefix[i + 1:], body),
-                        {var: fresh},
-                    )
-                    for i, var in enumerate(self.variables)
-                )
-            return self._satisfied
-        outer = self.variables[0]
-        row = QuantifiedFormula(prefix[1:], body)
-        # a ∀∃ row settles on its first witness (the row turns true), an ∃∀
-        # row on its first falsifying partner (the row turns false)
-        settles_on = self.qclass.kind == "forall_exists"
-        # only the fresh trace can settle a row that is still open
-        self._open = [
-            old for old in self._open
-            if eval_quantified((fresh,), row, {outer: old}) != settles_on
-        ]
-        if eval_quantified(self.store.traces, row, {outer: fresh}) != settles_on:
-            self._open.append(fresh)
-        # ∀∃ holds when no row lacks a witness, ∃∀ when a candidate is left
-        return not self._open if settles_on else bool(self._open)
 
     def verdict(self) -> Verdict:
         return self._verdict

@@ -295,6 +295,23 @@ class TestMonitor:
         assert on["optimizations"]["trace_analysis"] is False
         assert on["stats"]["traces_stored"] == 300 and not on["dropped_traces"]
 
+    @pytest.mark.parametrize("text, shown, assignment", [
+        ("forall p. exists q. a@p -> b@q\n", "p -> t1", {"p": "t1"}),
+        ("exists p. forall q. a@p -> b@q\n",
+         "none (no single tuple refutes this prefix)", {}),
+        ("forall p. forall q. exists r. a@p -> b@r\n",
+         "none (no single tuple refutes this prefix)", {}),
+    ], ids=("forall-exists", "exists-forall", "forall-forall-exists"))
+    def test_provisional_counterexample_line(self, tmp_path, capsys, text, shown,
+                                             assignment):
+        spec = spec_file(tmp_path, text)
+        t1 = write(tmp_path / "t1.trace", "a\n")
+        assert main(["monitor", spec, t1]) == 1
+        assert f"\ncounterexample: {shown}\n" in capsys.readouterr().out
+        # the JSON report keeps the assignment as it is, {} when empty
+        assert main(["monitor", spec, t1, "--stats-format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["counterexample"] == assignment
+
     @pytest.mark.parametrize("text, traces, ran", [
         (EQ, ["a\n", "a\n"], True),
         (XOR4_THREE_QUANTIFIERS, ["lhs0\nout0\n", "rhs1\n"], False),

@@ -306,16 +306,19 @@ def _whole_store_rule(session, fresh):
     return engine.Verdict(engine.CounterExample((), None))
 
 
-def _short_trace(rng, name):
-    """A trace of 1..5 steps, so that traces differ in length."""
-    steps = [{p for p in ("a", "b") if rng.random() < 0.5} for _ in range(rng.randint(1, 5))]
-    return Trace.of(steps, name)
+def _short_traces(rng, count):
+    """``count`` traces of 1..5 steps each, so that traces differ in length."""
+    return [
+        Trace.of([{p for p in ("a", "b") if rng.random() < 0.5}
+                  for _ in range(rng.randint(1, 5))], f"t{j}")
+        for j in range(count)
+    ]
 
 
 class TestIncrementalProvisional:
-    """Existential and two-variable provisional prefixes decide each fresh
-    trace's tuples on their own; outputs must equal the whole-store rule
-    after every trace."""
+    """Provisional prefixes decide each fresh trace's tuples and the rows
+    still open on their own; outputs must equal the whole-store rule after
+    every trace."""
 
     @staticmethod
     def _specs(rng):
@@ -336,20 +339,28 @@ class TestIncrementalProvisional:
                     And((first, second)), Or((first, second)),
                     Implies(first, second), Iff(first, second),
                 ))
-            yield QuantifiedFormula(prefix, body), 12
-        # ∃ and ∃∃∃ decide incrementally too; ∀∃∀ takes the whole-store path
-        for prefix, variables in (
-            ((("exists", "p"),), ("p",)),
-            ((("forall", "p"), ("exists", "q"), ("forall", "r")), ("p", "q", "r")),
-            ((("exists", "p"), ("exists", "q"), ("exists", "r")), ("p", "q", "r")),
-        ):
+            yield QuantifiedFormula(prefix, body), _short_traces(rng, 12)
+        # ∃, every mixed shape of three quantifiers, ∃∃∃, and one of four
+        for shape in ("E", "AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE", "AEAE"):
+            variables = ("p", "q", "r", "s")[:len(shape)]
+            prefix = tuple(
+                ("forall" if quant == "A" else "exists", var)
+                for quant, var in zip(shape, variables)
+            )
             for _ in range(10):
-                yield QuantifiedFormula(prefix, random_body(rng, 3, variables=variables)), 6
+                body = random_body(rng, 3, variables=variables)
+                count = 5 if len(shape) == 4 else 6
+                yield QuantifiedFormula(prefix, body), _short_traces(rng, count)
+        # rows catch up on several traces at once: at t2 the root stops at
+        # p = t0, and t2 refutes the row of p = t1 that t3 reads next
+        qf = parse_formula("forall p. exists q. forall r. (a@p <-> a@q) & (z@r -> w@q)")
+        steps = ({"a"}, set(), {"z", "a"}, {"a", "w"})
+        yield qf, [Trace.of([step], f"t{j}") for j, step in enumerate(steps)]
 
     def test_same_outputs_as_the_whole_store_rule(self, rng):
-        seen = {"violations": 0, "clean": 0, "flips": 0, "one": 0, "three": 0}
-        for qf, count in self._specs(rng):
-            traces = [_short_trace(rng, f"t{j}") for j in range(count)]
+        seen = {"violations": 0, "clean": 0, "flips": 0, "one": 0, "three": 0, "four": 0}
+        flipped = set()
+        for qf, traces in self._specs(rng):
             for ta in (False, True):
                 session = Session(qf, MonitorOptions(trace_analysis=ta))
                 reference = Session(qf, MonitorOptions(trace_analysis=ta))
@@ -366,11 +377,16 @@ class TestIncrementalProvisional:
                     assert session.store.names() == stored
                     assert session.store.dropped == reference.store.dropped
                     seen["violations" if got.is_violation else "clean"] += 1
-                    seen["flips"] += previous is not None and previous != got.is_violation
+                    if previous is not None and previous != got.is_violation:
+                        seen["flips"] += 1
+                        flipped.add(session.qclass.shape)
                     previous = got.is_violation
                 seen["one"] += session.qclass.n == 1
                 seen["three"] += session.qclass.n == 3
+                seen["four"] += session.qclass.n == 4
         assert all(seen.values()), seen
+        # every shape of three or more quantifiers flips on some stream
+        assert {"AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE", "AEAE"} <= flipped, flipped
 
     def test_forall_exists_work_per_trace_is_flat(self, monkeypatch):
         qf = parse_formula("forall p. exists q. a@p | !a@p | a@q")
@@ -419,6 +435,34 @@ class TestIncrementalProvisional:
         for i in range(10):
             assert not session.process_trace(random_trace(rng, f"u{i}", 4)).is_violation
         assert len(evaluations) == before  # a satisfied ∃ prefix stays satisfied
+
+    @pytest.mark.parametrize("bias", (None, {"incr": 0.85, "decr": 0.05}),
+                             ids=("unbiased", "biased"))
+    @pytest.mark.parametrize("shape", ("AAE", "EAA", "AEA"))
+    def test_mixed_three_quantifier_work_per_trace(self, monkeypatch, shape, bias):
+        # the counter3 body over (p, q) and (q, r): a fresh trace decides the
+        # tuples that hold it and the rows still open, not all k³ of them
+        pair = independence_property("counter3", ("incr",), ("overflow",)).body
+        body = And((pair, rename_variables(pair, {"p": "q", "q": "r"})))
+        prefix = tuple(
+            ("forall" if quant == "A" else "exists", var)
+            for quant, var in zip(shape, ("p", "q", "r"))
+        )
+        session = Session(QuantifiedFormula(prefix, body))
+        evaluations = []
+        eval_body_ = semantics.eval_body
+
+        def counted(assignment, body):
+            evaluations.append(body)
+            return eval_body_(assignment, body)
+
+        monkeypatch.setattr(semantics, "eval_body", counted)
+        corpus = random_traces("counter3", 30, 8, 1, bias=bias)
+        for i, c in enumerate(corpus):
+            before = len(evaluations)
+            session.process_trace(c.to_trace(f"t{i}"))
+        assert len(session.store) == 30
+        assert 0 < len(evaluations) - before <= 3 * 30, len(evaluations) - before
 
     @pytest.mark.parametrize("text, calls, evaluations, first_clean", [
         ("exists p. exists q. F (overflow@p & X overflow@q)", 31, 242, 15),
