@@ -35,8 +35,13 @@ are still open, never from every tuple of the store.
 Provisional prefixes of two or more variables store every trace.  A prefix
 of fewer than two variables pairs no two traces, so it stores none, on
 either path.
+
+Intake projects each distinct step once per session: bounded tables map a
+raw step to its projection, one shared object, and that to each variable's
+mask; the copy index compares shared steps by identity.
 """
 
+import functools
 import itertools
 import logging
 import time
@@ -59,11 +64,31 @@ from .template import (
     joint_word,
     rejecting_position,
     run_masks,
-    trace_masks,
+    step_mask,
 )
 from .trace_analysis import DominanceChecker, TraceStore
 
 log = logging.getLogger(__name__)
+
+TABLE_SIZE = 4096  # distinct steps a session table keeps before it is cleared
+
+
+class _Table(dict):
+    """``table[key]`` is ``make(key)``, made on the first lookup and kept
+    until the table holds ``TABLE_SIZE`` keys; then it is cleared."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) >= TABLE_SIZE:
+            self.clear()
+        self[key] = value
+        return value
 
 
 @dataclass
@@ -280,6 +305,14 @@ class Session:
                 log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
         self._warned_extra = frozenset()
+        # raw step -> (projected step, propositions dropped), and per variable
+        # projected step -> mask; equal steps map to one shared object
+        self._projection = _Table(self._project_step)
+        auto = self.template.automaton
+        self._mask_tables = {
+            var: _Table(functools.partial(step_mask, auto.prop_bits(var)))
+            for var in self.variables
+        }
         # tries of the stored traces' masks, one per variable a stored trace
         # takes in a tuple (all but the last one, which is the fresh trace's
         # when tuples are ordered); a stored trace's serial is its position
@@ -317,10 +350,17 @@ class Session:
 
     # -- trace intake ------------------------------------------------------
 
+    def _project_step(self, step):
+        """``step`` within the spec's propositions, and the ones it drops;
+        equal projections are one object, the table's."""
+        dropped = step - self.propositions
+        if not dropped:
+            return step, dropped
+        return self._projection[step - dropped][0], dropped
+
     def _project(self, trace: Trace) -> Trace:
-        extra = set()
-        for step in trace.steps:
-            extra |= step - self.propositions
+        rows = list(map(self._projection.__getitem__, trace.steps))
+        extra = set().union(*[dropped for _, dropped in rows])
         if not extra:
             return trace
         unseen = frozenset(extra) - self._warned_extra
@@ -332,10 +372,7 @@ class Session:
                 trace.name,
                 sorted(unseen),
             )
-        return Trace(
-            tuple(frozenset(step & self.propositions) for step in trace.steps),
-            trace.name,
-        )
+        return Trace(tuple([step for step, _ in rows]), trace.name)
 
     def process_trace(self, trace: Trace) -> Verdict:
         if trace.name in self._seen_names:
@@ -385,16 +422,17 @@ class Session:
         return CLEAN
 
     def _mask_source(self, fresh: Trace):
-        """``masks_of(trace, var)``: the fresh trace's masks are projected
-        once, on first use; a stored trace's are read off its trie."""
-        auto, tries, serials = self.template.automaton, self._tries, self._serials
+        """``masks_of(trace, var)``: the fresh trace's masks are read off the
+        variable's mask table once, on first use; a stored trace's are read
+        off its trie."""
+        tables, tries, serials = self._mask_tables, self._tries, self._serials
         kept = {}
 
         def masks_of(trace, var):
             if trace is not fresh:
                 return tries[var].masks(serials[trace.name])
             if var not in kept:
-                kept[var] = trace_masks(auto, var, fresh)
+                kept[var] = list(map(tables[var].__getitem__, fresh.steps))
             return kept[var]
 
         return masks_of

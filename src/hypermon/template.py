@@ -423,18 +423,20 @@ def accepts_from(auto, state, letters) -> bool:
     return auto.accepting(state)
 
 
+def step_mask(prop_bits: dict, step) -> int:
+    """A step's letter bits, with ``prop_bits`` from ``auto.prop_bits(var)``."""
+    mask = 0
+    for prop in step:
+        bit = prop_bits.get(prop)
+        if bit is not None:
+            mask |= 1 << bit
+    return mask
+
+
 def trace_masks(auto, var: str, trace: Trace):
     """Project a trace onto the automaton's atoms for one variable."""
     prop_bits = auto.prop_bits(var)
-    masks = []
-    for step in trace.steps:
-        mask = 0
-        for prop in step:
-            bit = prop_bits.get(prop)
-            if bit is not None:
-                mask |= 1 << bit
-        masks.append(mask)
-    return masks
+    return [step_mask(prop_bits, step) for step in trace.steps]
 
 
 class MonitorTemplate:

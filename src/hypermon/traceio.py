@@ -7,8 +7,13 @@ empty trace.  One trace per file; the trace is named after the file stem.
 
 The canonical rendering sorts propositions within a step and ends every line
 with a newline; parse-then-print is byte-identical on canonical files.
+
+Each distinct line text is parsed once per process, through a cache bounded
+by ``PARSE_CACHE_SIZE``: equal lines in any file share one ``frozenset``.
+Errors are not cached; each occurrence gets its own line number and path.
 """
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -17,24 +22,33 @@ from .errors import TraceFormatError
 from .semantics import Trace
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+PARSE_CACHE_SIZE = 4096  # distinct line texts kept by _parse_line
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_line(raw: str):
+    """The step a line states, or None for a blank or comment line."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if line == "{}":
+        return frozenset()
+    props = [tok.strip() for tok in line.split(",")]
+    for tok in props:
+        if not _IDENT.match(tok):
+            raise TraceFormatError(f"invalid proposition {tok!r}")
+    return frozenset(props)
 
 
 def parse_trace(text: str, name: str = "t") -> Trace:
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "{}":
-            steps.append(frozenset())
-            continue
-        props = [tok.strip() for tok in line.split(",")]
-        for tok in props:
-            if not _IDENT.match(tok):
-                raise TraceFormatError(
-                    f"line {lineno}: invalid proposition {tok!r}"
-                )
-        steps.append(frozenset(props))
+        try:
+            step = _parse_line(raw)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        if step is not None:
+            steps.append(step)
     return Trace(tuple(steps), name)
 
 
@@ -46,9 +60,11 @@ def print_trace(trace: Trace) -> str:
 
 
 def load_trace(path) -> Trace:
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # splitlines() ends lines at \r\n and \r as read_text() would
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     try:
@@ -70,7 +86,8 @@ def collect_trace_paths(paths):
     for p in paths:
         p = Path(p)
         if p.is_dir():
-            out.extend(sorted(p.glob("*.trace")))
+            # one parent, so the name orders them as the paths do
+            out.extend(sorted(p.glob("*.trace"), key=lambda path: path.name))
         else:
             out.append(p)
     first = {}

@@ -21,6 +21,7 @@ from hypermon.formula import (
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 from hypermon.trace_analysis import DominanceChecker
+from hypermon.traceio import load_trace, parse_trace, save_trace
 
 from conftest import random_body, random_trace, trie_serials
 
@@ -213,11 +214,32 @@ class TestUniversalSessions:
         with pytest.raises(ValueError):
             session.process_trace(Trace.of([set()], "t2"))
 
-    def test_extra_propositions_projected_with_warning(self, caplog):
-        session = new_session(parse_formula(EQ))
-        with caplog.at_level(logging.WARNING, logger="hypermon.engine"):
-            session.process_trace(Trace.of([{"a", "zz"}], "t1"))
-        assert any("zz" in rec.getMessage() for rec in caplog.records)
+    def test_extra_propositions_projected_with_warning(self, caplog, monkeypatch):
+        text = ("trace {} carries propositions {} not in the specification; "
+                "ignoring them here and in later traces")
+        stream = [
+            ("t1", "a,zz\n", ["zz"]),
+            ("t2", "a,zz\na\n", []),  # the table already holds both steps
+            ("t3", "zz\nxx,a,yy\na,zz\n", ["xx", "yy"]),
+            ("t4", "a,yy\nzz\n", []),  # a new step, no new proposition
+            ("t5", "{}\nww,zz\n", ["ww"]),
+        ]
+        for size in (engine.TABLE_SIZE, 1):  # 1: cleared before every miss
+            monkeypatch.setattr(engine, "TABLE_SIZE", size)
+            # a fresh session warns again on the same shared steps
+            session = new_session(parse_formula(EQ), MonitorOptions(
+                continue_after_violation=True))
+            for name, lines, unseen in stream:
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="hypermon.engine"):
+                    session.process_trace(parse_trace(lines, name))
+                got = [rec.getMessage() for rec in caplog.records]
+                assert got == ([text.format(name, unseen)] if unseen else []), name
+                assert len(session._projection) <= size
+            assert all(step <= {"a"} for t in session.store.traces for step in t.steps)
+            if size > 1:  # every projection of {a} is one object
+                table = session._projection
+                assert table[frozenset({"a", "zz"})][0] is table[frozenset({"a"})][0]
 
     def test_replay_reports_same_index(self, rng):
         traces = [random_trace(rng, f"t{i}") for i in range(8)]
@@ -1007,6 +1029,92 @@ class TestWideInstanceAlphabet:
                 runs.append((verdicts, session.stats.instances_run))
             assert runs[0] == runs[1], seed
             assert any(ce is not None for ce in runs[0][0])
+
+
+COUNTER3 = independence_property("counter3", ("incr",), ("overflow",))
+STREAM_BIAS = {"incr": 0.85, "decr": 0.05}
+
+
+def _intake_corpus(name):
+    """(formula, options, traces) of one shared-step differential corpus."""
+    stream = MonitorOptions(continue_after_violation=True)
+    if name == "counter3-stream":
+        corpus = random_traces("counter3", 1000, 20, 7, bias=STREAM_BIAS)
+        return COUNTER3, stream, [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    if name == "counter3-cut":
+        rng = random.Random(8)
+        corpus = random_traces("counter3", 300, 20, 8, bias=STREAM_BIAS)
+        return COUNTER3, stream, [
+            Trace(c.to_trace(f"t{i}").steps[:rng.randint(0, 20)], f"t{i}")
+            for i, c in enumerate(corpus)
+        ]
+    if name.startswith("xor4"):
+        quants = ("forall", "exists" if name == "xor4-forall-exists" else "forall")
+        corpus = random_traces("xor4", 200, 5, 1)
+        qf = QuantifiedFormula(tuple(zip(quants, ("p", "q"))), XOR4_BODY)
+        return qf, MonitorOptions(), [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    pair = COUNTER3.body  # forall-forall-exists over (p, q) and (q, r)
+    body = And((pair, rename_variables(pair, {"p": "q", "q": "r"})))
+    prefix = (("forall", "p"), ("forall", "q"), ("exists", "r"))
+    corpus = random_traces("counter3", 40, 8, 1, bias=STREAM_BIAS)
+    return (QuantifiedFormula(prefix, body), stream,
+            [c.to_trace(f"t{i}") for i, c in enumerate(corpus)])
+
+
+def _session_outputs(qf, options, traces):
+    """Per-trace verdicts and ``instances_run``, the store and the dropped
+    log, and the session."""
+    session = Session(qf, options)
+    per_trace = []
+    for t in traces:
+        per_trace.append((session.process_trace(t), session.stats.instances_run))
+    return (per_trace, session.store.names(), session.store.dropped,
+            session.stats.traces_stored), session
+
+
+class TestSharedStepIntake:
+    """Traces loaded from files share one object per distinct step; outputs
+    must equal those on traces whose every step is its own object."""
+
+    @pytest.mark.parametrize("name", (
+        "counter3-stream", "counter3-cut", "xor4-default", "xor4-forall-exists",
+        "counter3-forall-forall-exists",
+    ))
+    def test_shared_steps_change_no_output(self, tmp_path, name):
+        qf, options, traces = _intake_corpus(name)
+        for t in traces:
+            save_trace(t, tmp_path / f"{t.name}.trace")
+        shared = [load_trace(tmp_path / f"{t.name}.trace") for t in traces]
+        steps = [step for t in shared for step in t.steps]
+        assert len({id(step) for step in steps}) == len(set(steps))
+        copies = [Trace.of([set(step) for step in t.steps], t.name) for t in shared]
+        assert copies == traces
+        got, session = _session_outputs(qf, options, shared)
+        expected, _ = _session_outputs(qf, options, copies)
+        assert got == expected
+        violated = any(v.is_violation for v, _ in got[0])
+        assert violated == name.startswith("counter3"), name
+
+    def test_tables_stay_bounded(self, monkeypatch):
+        qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), XOR4_BODY)
+        corpus = random_traces("xor4", 120, 5, 3)
+        traces = [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+        # a planted violator: t10 with the output the body compares flipped
+        traces[60] = Trace(
+            (traces[10].steps[0] ^ {"out0"},) + traces[10].steps[1:], "t60")
+        options = MonitorOptions(continue_after_violation=True)
+        expected, _ = _session_outputs(qf, options, traces)
+        monkeypatch.setattr(engine, "TABLE_SIZE", 16)
+        session = Session(qf, options)
+        per_trace = []
+        for t in traces:
+            per_trace.append((session.process_trace(t), session.stats.instances_run))
+            tables = [session._projection, *session._mask_tables.values()]
+            assert all(len(table) <= 16 for table in tables)
+        assert len({step for t in traces for step in t.steps}) > 16
+        assert (per_trace, session.store.names(), session.store.dropped,
+                session.stats.traces_stored) == expected
+        assert any(v.is_violation for v, _ in per_trace)
 
 
 def test_stats_snapshot_fields():

@@ -1,8 +1,14 @@
+import random
+import re
+
 import pytest
 
+from hypermon import traceio
+from hypermon.cli import main
 from hypermon.errors import TraceFormatError
 from hypermon.semantics import Trace
 from hypermon.traceio import (
+    PARSE_CACHE_SIZE,
     collect_trace_paths,
     load_trace,
     parse_trace,
@@ -11,6 +17,50 @@ from hypermon.traceio import (
     save_trace,
     write_manifest,
 )
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def reference_parse(text: str, name: str = "t") -> Trace:
+    """The trace format parsed line by line, with no cache."""
+    steps = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "{}":
+            steps.append(frozenset())
+            continue
+        props = [tok.strip() for tok in line.split(",")]
+        for tok in props:
+            if not _IDENT.match(tok):
+                raise TraceFormatError(
+                    f"line {lineno}: invalid proposition {tok!r}"
+                )
+        steps.append(frozenset(props))
+    return Trace(tuple(steps), name)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, "x")
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def _random_line(rng) -> str:
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(["", "   ", "# a comment", "  # indented, with a", "\t"])
+    if kind < 0.2:
+        return rng.choice(["{}", " {} ", "{} # nothing holds"])
+    toks = [rng.choice(["a", "b", "c", "_d", "x1"]) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.05:
+        toks.insert(rng.randrange(len(toks) + 1),
+                    rng.choice(["", "1a", "@", "a-b", "{}", "a b"]))
+    pad = lambda: " " * rng.randint(0, 2)
+    line = ",".join(pad() + tok + pad() for tok in toks)
+    return line + rng.choice(["", "", " # tail", "#"])
 
 
 def test_parse_basic():
@@ -58,12 +108,74 @@ def test_file_roundtrip(tmp_path):
     assert back == t  # name taken from the file stem
 
 
+def test_cached_parse_equals_reference(tmp_path):
+    rng = random.Random(2019)
+    failures = 0
+    for _ in range(400):
+        lines = [_random_line(rng) for _ in range(rng.randint(0, 12))]
+        text = "\n".join(lines) + rng.choice(["", "\n"])
+        expected = _outcome(reference_parse, text)
+        assert _outcome(parse_trace, text) == expected
+        assert _outcome(parse_trace, text) == expected  # now from the cache
+        failures += isinstance(expected, str)
+    assert 0 < failures < 400
+
+
+def test_same_bad_line_reports_each_files_line(tmp_path, capsys):
+    spec = tmp_path / "spec.hm"
+    spec.write_text("forall p. forall q. G (a@p <-> a@q)\n")
+    first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+    first.write_text("a\na,@x\n")
+    second.write_text("a\n# note\n\na,@x\n")
+    for path, lineno in ((first, 2), (second, 4), (first, 2)):
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: line {lineno}: invalid proposition '@x'"
+        assert main(["monitor", str(spec), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line {lineno}: invalid proposition '@x'\n"
+
+
+def test_crlf_and_cr_line_ends(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"a,b\r\n{}\r\rb\r\n")
+    assert load_trace(path).steps == (frozenset({"a", "b"}), frozenset(), frozenset({"b"}))
+    path.write_bytes(b"a\r\n\r\nb\ra,,b\n")
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(str(path))
+    assert str(info.value) == f"{path}: line 4: invalid proposition ''"
+
+
+def test_parse_cache_stays_bounded():
+    lines = [f"p{i},q" for i in range(PARSE_CACHE_SIZE + 100)]
+    trace = parse_trace("\n".join(lines))
+    assert len(trace) == len(lines)
+    assert traceio._parse_line.cache_info().currsize <= PARSE_CACHE_SIZE
+    assert parse_trace(lines[0]).steps == (frozenset({"p0", "q"}),)
+
+
+def test_equal_lines_share_one_step():
+    one = parse_trace("b,a\n{}\n", "one")
+    two = parse_trace("# other\nb,a\n{}\nb,a\n", "two")
+    assert two.steps[0] is one.steps[0] and two.steps[2] is one.steps[0]
+    assert two.steps[1] is one.steps[1]
+
+
 def test_collect_paths_expands_directories(tmp_path):
     (tmp_path / "b.trace").write_text("a\n")
     (tmp_path / "a.trace").write_text("a\n")
     (tmp_path / "manifest.json").write_text("{}")
     got = collect_trace_paths([tmp_path])
     assert [p.name for p in got] == ["a.trace", "b.trace"]
+
+
+def test_collect_paths_sorted_as_paths(tmp_path):
+    names = ["b", "B", "a_1", "a1", "A_", "_x", "t10", "t9", "t_2", "T2", "a", "Z_"]
+    for name in names:
+        (tmp_path / f"{name}.trace").write_text("a\n")
+    got = collect_trace_paths([tmp_path])
+    assert got == sorted(tmp_path.glob("*.trace"))
+    assert len(got) == len(names)
 
 
 def test_collect_paths_rejects_duplicate_stems_unread(tmp_path):
