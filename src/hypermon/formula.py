@@ -7,7 +7,7 @@ and constant elimination) that the automaton construction uses as its state
 space.
 
 Body nodes are frozen, slotted dataclasses.  Each node computes its hash once,
-on first use, and keeps it, so the dicts and sets the evaluator and the
+when it is built, and keeps it, so the dicts and sets the evaluator and the
 automaton construction key on nodes cost one lookup rather than a walk over
 the whole subtree.  Equality stays structural.
 """
@@ -36,10 +36,11 @@ class Formula:
     """Base class for body nodes.
 
     Subclasses are ``@dataclass(frozen=True, slots=True)`` classes: immutable,
-    without a ``__dict__``, and compared field by field.  They all share the
-    ``__hash__`` below, which hashes the node's class name and fields on first
-    use and keeps the result in the ``_h`` slot.  A child's hash is then one
-    slot read, so hashing a node costs O(number of children), not O(subtree).
+    without a ``__dict__``, and compared field by field.  Each node hashes its
+    class name and fields when it is built and keeps the result in the ``_h``
+    slot, which ``__hash__`` returns.  A child's hash is then one slot read,
+    so a node costs O(number of children) to hash, once, not O(subtree) per
+    call.
     """
 
     __slots__ = ("_h",)
@@ -50,17 +51,14 @@ class Formula:
         # generating its own, which would rehash the whole subtree per call
         cls.__hash__ = Formula.__hash__
 
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            pass
+    def __post_init__(self):
         # the class name rather than the class, whose hash is its address,
         # keeps hashes reproducible under a fixed PYTHONHASHSEED
-        fields = (getattr(self, name) for name in self.__slots__)
-        h = hash((type(self).__name__, *fields))
-        object.__setattr__(self, "_h", h)
-        return h
+        fields = [getattr(self, name) for name in self.__slots__]
+        object.__setattr__(self, "_h", hash((type(self).__name__, *fields)))
+
+    def __hash__(self) -> int:
+        return self._h
 
     def __str__(self) -> str:
         return pretty(self)

@@ -12,13 +12,15 @@ than the full alphabet; the per-state subset count is guarded by
 :data:`ATOM_LIMIT`.  :func:`materialize` converts a lazy automaton into an
 explicit :class:`~hypermon.automata.Dfa` for the algebra operations.
 
-Transitions come from a lazily grown tree of atom reads per state.
-Progression stops at the first child that decides an or, an and or an until,
-so the atoms one letter makes it read are a path of decisions, and every
-letter that agrees with it on those atoms has the same successor.  A letter
-the tree does not cover yet runs progression once and grafts its reads below
-the point where the walk fell off; so progression runs once per leaf (a
-letter class), not once per distinct letter.
+Transitions come from a decision diagram per state, grown lazily and shared
+the way reduced ordered BDDs share subgraphs (Bryant 1986).  A node holds a
+pending formula: the state's residual with the atoms read so far fixed and
+constants folded, an until unrolled to ``rhs | lhs & X until`` when one of
+its atoms is first fixed.  It reads the lowest bit still present, and nodes
+are hash-consed on (state, pending formula), so paths that leave the same
+formula meet.  A node with no current-step atom left is a leaf; the first
+letter to reach it runs progression once, so progression runs once per
+distinct pending residual, not once per letter or per read path.
 """
 
 from itertools import zip_longest
@@ -50,8 +52,6 @@ DEFAULT_STATE_LIMIT = 100_000
 # widest explicit alphabet, in atoms, that letter enumeration may cover
 ATOM_LIMIT = 14
 _DNF_TERM_CAP = 4096
-
-_STATE_TYPES = (Atom, TrueF, FalseF, Not, Or, And, Next, Until)
 
 
 def _dnf(f: Formula, neg: bool):
@@ -112,49 +112,35 @@ def canonical_state(f: Formula) -> Formula:
     )
 
 
-def prog(f: Formula, letter: int, bits: dict, reads=None) -> Formula:
+def prog(f: Formula, letter: int, bits: dict) -> Formula:
     """Residual of f after reading one letter (bitmask over ``bits``).
 
     Or stops at its first true child, And at its first false one, and Until
     when its right-hand side progresses to true: exactly where ``mk_or`` and
     ``mk_and`` would return the absorbing constant, so skipping the rest
-    changes no result.  When ``reads`` is a list, the bit of every atom read
-    is appended to it in order.  Which atom is read next then depends only on
-    the values of the atoms read before it.
+    changes no result.
     """
-    if isinstance(f, Atom):
-        bit = bits[f.ref]
-        if reads is not None:
-            reads.append(bit)
-        return TRUE if letter >> bit & 1 else FALSE
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return mk_not(prog(f.sub, letter, bits, reads))
-    if isinstance(f, Or):
+    kind = type(f)
+    if kind is Atom:
+        return TRUE if letter >> bits[f.ref] & 1 else FALSE
+    if kind is Not:
+        return mk_not(prog(f.sub, letter, bits))
+    if kind is Or or kind is And:
+        stop = TrueF if kind is Or else FalseF
         args = []
         for a in f.args:
-            r = prog(a, letter, bits, reads)
-            if isinstance(r, TrueF):
-                return r
-            args.append(r)
-        return mk_or(args)
-    if isinstance(f, And):
-        args = []
-        for a in f.args:
-            r = prog(a, letter, bits, reads)
-            if isinstance(r, FalseF):
-                return r
-            args.append(r)
-        return mk_and(args)
-    if isinstance(f, Next):
-        return f.sub
-    if isinstance(f, Until):
-        rhs = prog(f.rhs, letter, bits, reads)
-        if isinstance(rhs, TrueF):
+            a = prog(a, letter, bits)
+            if type(a) is stop:
+                return a
+            args.append(a)
+        return mk_or(args) if kind is Or else mk_and(args)
+    if kind is Until:
+        rhs = prog(f.rhs, letter, bits)
+        if type(rhs) is TrueF:
             return rhs
-        return mk_or((rhs, mk_and((prog(f.lhs, letter, bits, reads), f))))
-    raise MonitorError(f"automaton states must be desugared bodies, got {type(f).__name__}")
+        return mk_or((rhs, mk_and((prog(f.lhs, letter, bits), f))))
+    # a next drops, a constant stays; any other node fails in canonical_state
+    return f.sub if kind is Next else f
 
 
 class TemplateAutomaton:
@@ -162,23 +148,26 @@ class TemplateAutomaton:
 
     States are ints indexing a table of residual formulas.  ``bits`` maps each
     support atom to its bit position; letters are ints in that bit space.
-    ``delta`` caches the successor of each (state, relevant letter).
-    ``trees[state]`` is that state's tree of atom reads: None where nothing
-    is known yet, a successor sid at a leaf, and ``[bit, lo, hi]`` at a node
-    that reads ``bit`` and goes to ``lo`` when it is 0, ``hi`` when it is 1.
+    ``delta`` caches the successor of each (state, relevant letter); a miss
+    walks the state's transition diagram from ``roots[state]``.  ``nodes``
+    maps (state, pending formula) to ``[bit, lo, hi, pending]``: a node that
+    reads ``bit`` and goes to ``lo`` when it is 0, ``hi`` when it is 1 (None
+    until a walk needs it).  A leaf has no atom left to read: its bit is -1
+    and ``lo`` holds the successor, None until a letter first reaches it.
     """
 
     def __init__(self, body, support, state_limit=DEFAULT_STATE_LIMIT):
         self.support = tuple(support)
         self.bits = {ref: i for i, ref in enumerate(self.support)}
-        self.support_mask = (1 << len(self.support)) - 1
         self.state_limit = state_limit
         self.formulas = []
         self.index = {}
         self.acc = []
         self.rel = []
         self.delta = {}
-        self.trees = []
+        self.nodes = {}
+        self.roots = []
+        self._now = {}  # formula -> bits of the atoms it reads this step
         self.true_sid = -1
         self.false_sid = -1
         self._prop_bits = {}  # variable -> {proposition: bit}, see prop_bits
@@ -200,7 +189,7 @@ class TemplateAutomaton:
         for ref in atom_refs(f):
             mask |= 1 << self.bits[ref]
         self.rel.append(mask)
-        self.trees.append(None)
+        self.roots.append(self._node(sid, f))
         if isinstance(f, TrueF):
             self.true_sid = sid
         elif isinstance(f, FalseF):
@@ -220,35 +209,67 @@ class TemplateAutomaton:
         return out
 
     def step(self, state: int, letter: int) -> int:
-        key = (state, letter & self.rel[state])
-        sid = self.delta.get(key)
+        letter &= self.rel[state]
+        sid = self.delta.get((state, letter))
         if sid is None:
-            sid = self._successor(state, key[1])
-            self.delta[key] = sid
+            # walk the state's diagram, building the nodes the walk reaches
+            node = self.roots[state]
+            while node[0] >= 0:
+                side = 2 if letter >> node[0] & 1 else 1
+                if node[side] is None:
+                    node[side] = self._node(state, self._fix(node[3], node[0], side - 1))
+                node = node[side]
+            if node[1] is None:
+                # the first letter to reach a leaf progresses the state; stored
+                # only now, so a tripped resource guard leaves the leaf open
+                node[1] = self._register(
+                    canonical_state(prog(self.formulas[state], letter, self.bits))
+                )
+            sid = self.delta[state, letter] = node[1]
         return sid
 
-    def _successor(self, state: int, letter: int) -> int:
-        """Walk the state's tree of atom reads; on falling off, progress once
-        and graft the reads the walk had not covered."""
-        parent, side, node = self.trees, state, self.trees[state]
-        depth = 0
-        while type(node) is list:
-            parent = node
-            side = 2 if letter >> node[0] & 1 else 1
-            node = node[side]
-            depth += 1
-        if node is not None:
-            return node
-        reads = []
-        sid = self._register(
-            canonical_state(prog(self.formulas[state], letter, self.bits, reads))
-        )
-        # grafted only now, so a tripped resource guard leaves the tree intact
-        node = sid
-        for bit in reversed(list(dict.fromkeys(reads))[depth:]):
-            node = [bit, None, node] if letter >> bit & 1 else [bit, node, None]
-        parent[side] = node
-        return sid
+    def _node(self, state: int, pending: Formula) -> list:
+        node = self.nodes.get((state, pending))
+        if node is None:
+            now = self._reads(pending)
+            bit = (now & -now).bit_length() - 1  # the lowest; -1 when none is left
+            node = self.nodes[state, pending] = [bit, None, None, pending]
+        return node
+
+    def _reads(self, f: Formula) -> int:
+        """Bits of the atoms ``f`` reads in the current step (none below a next)."""
+        mask = self._now.get(f)
+        if mask is None:
+            mask = 1 << self.bits[f.ref] if type(f) is Atom else 0
+            for sub in () if type(f) is Next else _operands(f):
+                mask |= self._reads(sub)
+            self._now[f] = mask
+        return mask
+
+    def _fix(self, f: Formula, bit: int, value: int) -> Formula:
+        """``f``, which reads ``bit``, with that atom fixed to ``value`` and
+        constants folded; an until that reads it is unrolled to
+        ``rhs | lhs & X until``."""
+        kind = type(f)
+        if kind is Atom:
+            return TRUE if value else FALSE
+        if kind is Not:
+            return mk_not(self._fix(f.sub, bit, value))
+        if kind is Until:
+            f, kind = Or((f.rhs, And((f.lhs, Next(f))))), Or
+        stop = TrueF if kind is Or else FalseF
+        args = []
+        for a in f.args:
+            if self._reads(a) >> bit & 1:
+                a = self._fix(a, bit, value)
+                if type(a) is stop:
+                    return a
+                if isinstance(a, (TrueF, FalseF)):
+                    continue
+            args.append(a)
+        if len(args) > 1:
+            return kind(tuple(args))
+        return args[0] if args else (FALSE if kind is Or else TRUE)
 
     def accepting(self, state: int) -> bool:
         return self.acc[state]
@@ -508,21 +529,25 @@ def build_template(body: Formula, variables, support=None,
     return MonitorTemplate(auto, variables)
 
 
+def _operands(f: Formula) -> tuple:
+    """The direct subformulas of a state formula; raises on any other node."""
+    if isinstance(f, (Or, And)):
+        return f.args
+    if isinstance(f, (Not, Next)):
+        return (f.sub,)
+    if isinstance(f, Until):
+        return (f.lhs, f.rhs)
+    if isinstance(f, (Atom, TrueF, FalseF)):
+        return ()
+    raise MonitorError(
+        f"body must be desugared before compilation, got {type(f).__name__}"
+    )
+
+
 def _check_state_types(f: Formula) -> None:
     stack = [f]
     while stack:
-        node = stack.pop()
-        if not isinstance(node, _STATE_TYPES):
-            raise MonitorError(
-                f"body must be desugared before compilation, got {type(node).__name__}"
-            )
-        if isinstance(node, (Not, Next)):
-            stack.append(node.sub)
-        elif isinstance(node, (Or, And)):
-            stack.extend(node.args)
-        elif isinstance(node, Until):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
+        stack.extend(_operands(stack.pop()))
 
 
 def rejecting_position(auto, letters) -> int:

@@ -54,23 +54,37 @@ PROBE_WORDS = 512
 def probe(dfa) -> int:
     """Acceptance bits of every short word, one bit per word.
 
-    Automata over the same support number their words the same way, so
+    Words run by length, then in letter order, the empty word in the highest
+    bit.  Automata over the same support number their words the same way, so
     ``probe(a) & ~probe(b)`` is non-zero only when some word is in L(a) and
     not in L(b).
     """
     letters = dfa.num_letters
-    words = level = 1
-    while words + level * letters <= PROBE_WORDS:
-        level *= letters
-        words += level
     rows, accepting = dfa.transitions, dfa.accepting
-    bits = []
-    states = [dfa.initial]
-    while True:
-        bits.extend("1" if s in accepting else "0" for s in states)
-        if len(bits) == words:
-            return int("".join(bits), 2)
-        states = [succ for s in states for succ in rows[s]]
+    memo = {}  # (state, length) -> bits; few states recur at each length
+
+    def level(state, length):
+        # the bits of the words of this length read from state, in order
+        key = (state, length)
+        out = memo.get(key)
+        if out is None:
+            out = 0
+            if length == 1:
+                for succ in rows[state]:
+                    out = out << 1 | (succ in accepting)
+            else:
+                width = letters ** (length - 1)
+                for succ in rows[state]:
+                    out = out << width | level(succ, length - 1)
+            memo[key] = out
+        return out
+
+    out, words, length = int(dfa.initial in accepting), 1, 0
+    while words + letters ** (length + 1) <= PROBE_WORDS:
+        length += 1
+        words += letters ** length
+        out = out << letters ** length | level(dfa.initial, length)
+    return out
 
 
 @dataclass

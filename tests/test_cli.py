@@ -30,6 +30,15 @@ XOR4_THREE_QUANTIFIERS = (
     f"({XOR4_BODY.replace('@q', '@r').replace('@p', '@q')})\n"
 )
 
+COUNTER3_BODY = "(overflow@p <-> overflow@q) W !(decr@p <-> decr@q)"
+COUNTER3 = f"forall p. forall q. {COUNTER3_BODY}\n"
+COUNTER3_THREE_QUANTIFIERS = (
+    f"forall p. forall q. forall r. ({COUNTER3_BODY}) & "
+    f"({COUNTER3_BODY.replace('@q', '@r').replace('@p', '@q')}) & "
+    f"({COUNTER3_BODY.replace('@q', '@r')})\n"
+)
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def assert_write_error(capsys, path):
     err = capsys.readouterr().err
@@ -369,6 +378,18 @@ class TestAnalyze:
         assert payload["reflexive"] is True
         assert payload["witnesses"]["transitive"]
 
+    @pytest.mark.parametrize("text, golden", [
+        (COUNTER3, "counter3_analyze.json"),
+        (f"forall p. forall q. {XOR4_BODY}\n", "xor4_analyze.json"),
+    ], ids=("counter3", "xor4"))
+    def test_json_matches_golden(self, tmp_path, capsys, text, golden):
+        spec = spec_file(tmp_path, text)
+        assert main(["analyze", spec, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload.pop("check_seconds")) == {"symmetric", "transitive", "reflexive"}
+        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert rendered == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.hm"
         spec.write_bytes(b"\xff\xfe\n")
@@ -482,6 +503,16 @@ class TestTemplate:
         assert main(["template", spec, "--dot", str(out)]) == 0
         golden = Path(__file__).parent / "golden" / "eq_template.dot"
         assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("text, golden", [
+        (COUNTER3, "counter3_template.dot"),
+        (COUNTER3_THREE_QUANTIFIERS, "counter3_three_template.dot"),
+    ], ids=("two-quantifiers", "three-quantifiers"))
+    def test_counter3_dot_matches_golden(self, tmp_path, text, golden):
+        spec = spec_file(tmp_path, text)
+        out = tmp_path / "counter3.dot"
+        assert main(["template", spec, "--dot", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("target", ["missing/eq.dot", "."])
     def test_unwritable_dot_exit_2(self, tmp_path, capsys, target):

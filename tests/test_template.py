@@ -15,14 +15,17 @@ from hypermon.formula import (
     Or,
     TrueF,
     Until,
+    atom_refs,
     desugar,
     mk_and,
     mk_not,
     mk_or,
+    rename_variables,
 )
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body
 from hypermon.template import (
+    _operands,
     build_template,
     canonical_state,
     lazy_is_empty,
@@ -319,29 +322,66 @@ def count_progressions(monkeypatch):
     return calls
 
 
+def nests_until_and_next(f, above=frozenset()):
+    """Whether some until has a next below it, or some next an until."""
+    kind = type(f)
+    if kind in (Until, Next):
+        if {Until, Next} - {kind} <= above:
+            return True
+        above = above | {kind}
+    return any(nests_until_and_next(sub, above) for sub in _operands(f))
+
+
+def check_against_oracle(auto, rng, max_states=12):
+    """Step every letter, in shuffled order, from up to ``max_states``
+    states and compare each successor with the oracle's; returns the count."""
+    letters = list(range(1 << len(auto.support)))
+    order = [auto.initial_state]
+    checked = 0
+    for state in order:  # grows while stepping; capped below
+        rng.shuffle(letters)
+        for letter in letters:
+            succ = auto.step(state, letter)
+            expected = canonical_state(
+                oracle_prog(auto.formulas[state], letter, auto.bits)
+            )
+            assert auto.formulas[succ] == expected
+            checked += 1
+            if succ not in order and len(order) < max_states:
+                order.append(succ)
+    return checked
+
+
 class TestTransitionTree:
     def test_matches_full_progression(self, rng):
         """Every (state, letter) successor equals the oracle's, letters in
-        shuffled order so the trees grow in many shapes."""
+        shuffled order so the diagrams grow in many shapes."""
         props = ("a", "b", "c", "d")  # with p and q: at most 8 atoms
         checked = 0
         for _ in range(60):
             body = desugar(random_body(rng, 4, props=props))
             auto = build_template(body, ("p", "q")).automaton
-            letters = list(range(1 << len(auto.support)))
-            order = [auto.initial_state]
-            for state in order:  # grows while stepping; capped below
-                rng.shuffle(letters)
-                for letter in letters:
-                    succ = auto.step(state, letter)
-                    expected = canonical_state(
-                        oracle_prog(auto.formulas[state], letter, auto.bits)
-                    )
-                    assert auto.formulas[succ] == expected
-                    checked += 1
-                    if succ not in order and len(order) < 12:
-                        order.append(succ)
+            checked += check_against_oracle(auto, rng)
         assert checked > 5_000
+
+    def test_three_variable_chains_match_full_progression(self, rng):
+        """The chain check_transitivity builds, body(p,q) & body(q,r) &
+        !body(p,r), on bodies over all four atoms that nest untils and
+        nexts: 64 letters per state."""
+        checked = bodies = 0
+        while bodies < 10:
+            body = desugar(random_body(rng, 3))
+            if len(atom_refs(body)) < 4 or not nests_until_and_next(body):
+                continue
+            bodies += 1
+            chain = And((
+                body,
+                rename_variables(body, {"p": "q", "q": "r"}),
+                Not(rename_variables(body, {"q": "r"})),
+            ))
+            auto = build_template(chain, ("p", "q", "r")).automaton
+            checked += check_against_oracle(auto, rng, max_states=5)
+        assert checked > 2_000
 
     def test_one_progression_per_letter_class(self, monkeypatch):
         qf = independence_property("xor4", ("lhs1",), ("out0",))
@@ -352,6 +392,8 @@ class TestTransitionTree:
         auto = session.template.automaton
         assert len(auto.delta) > 1000
         assert 0 < len(calls) < len(auto.delta) / 10
+        # one progression per distinct pending residual: a handful in all
+        assert len(calls) <= 10
 
     def test_state_limit_trips_on_the_same_step(self, rng):
         qf = parse_formula("forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)")
@@ -392,10 +434,15 @@ class TestTransitionTree:
         with pytest.raises(ResourceLimitError):
             auto.step(start, bit["c"])  # a second state is over the limit
         calls = count_progressions(monkeypatch)
-        # new letters on the grafted path: answered by the tree alone
+        # new letters that reach the leaf of the first letter: answered by
+        # the diagram alone
         assert auto.step(start, bit["a"] | bit["b"]) == start
         assert auto.step(start, bit["a"] | bit["d"]) == start
         assert calls == []
+        # the tripped leaf stays open: it progresses, and trips, again
+        with pytest.raises(ResourceLimitError):
+            auto.step(start, bit["c"] | bit["d"])
+        assert len(calls) == 1
         with pytest.raises(ResourceLimitError):
             auto.step(start, bit["c"] | bit["a"])
         assert len(auto.formulas) == 1

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hypermon.automata import _uncovered_word
+from hypermon.automata import Dfa, _uncovered_word
 from hypermon.errors import FragmentError
 from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
 from hypermon.parser import parse_formula
@@ -14,6 +14,7 @@ from hypermon.trace_analysis import (
     TraceStore,
     dominates,
     minimize_store,
+    probe,
 )
 
 from conftest import random_body, random_trace
@@ -214,7 +215,39 @@ def short_words(letters: int, depth: int):
         level = [w + (l,) for w in level for l in range(letters)]
 
 
+def string_probe(dfa):
+    """The probe built as a '0'/'1' string, breadth first, and parsed."""
+    letters = dfa.num_letters
+    words = level = 1
+    while words + level * letters <= PROBE_WORDS:
+        level *= letters
+        words += level
+    bits = []
+    states = [dfa.initial]
+    while True:
+        bits.extend("1" if s in dfa.accepting else "0" for s in states)
+        if len(bits) == words:
+            return int("".join(bits), 2)
+        states = [succ for s in states for succ in dfa.transitions[s]]
+
+
 class TestProbe:
+    def test_bits_match_the_string_construction(self, rng):
+        for atoms in range(9):  # 1 to 256 letters: probe depths 8 down to 1
+            support = tuple(AtomRef(f"a{i}", "p") for i in range(atoms))
+            for _ in range(25):
+                n = rng.randrange(1, 12)
+                dfa = Dfa(
+                    support,
+                    rng.randrange(n),
+                    frozenset(s for s in range(n) if rng.random() < 0.5),
+                    tuple(
+                        tuple(rng.randrange(n) for _ in range(1 << atoms))
+                        for _ in range(n)
+                    ),
+                )
+                assert probe(dfa) == string_probe(dfa)
+
     @pytest.mark.parametrize("props, cases", [
         (("a", "b"), 300),  # 4 letters per instance, as on counter3
         (tuple("abcdefgh"), 40),  # 256 letters per instance, as on xor4
