@@ -521,6 +521,7 @@ class Session:
         return {
             "copy_hits": checker.copy_hits if checker else 0,
             "probe_refutations": checker.probe_refutations if checker else 0,
+            "witness_refutations": checker.witness_refutations if checker else 0,
         }
 
 

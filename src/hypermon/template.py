@@ -170,6 +170,9 @@ class TemplateAutomaton:
         self._now = {}  # formula -> bits of the atoms it reads this step
         self.true_sid = -1
         self.false_sid = -1
+        # state -> whether its language is empty; a state's language never
+        # changes, so every rejecting_position call shares the answers
+        self.empties = {}
         self._prop_bits = {}  # variable -> {proposition: bit}, see prop_bits
         # deep-simplify once so every residual literal is already canonical
         self.initial_state = self._register(canonical_state(simplify(body)))
@@ -185,10 +188,8 @@ class TemplateAutomaton:
         sid = len(self.formulas)
         self.formulas.append(f)
         self.acc.append(eps_eval(f))
-        mask = 0
-        for ref in atom_refs(f):
-            mask |= 1 << self.bits[ref]
-        self.rel.append(mask)
+        # only current-step atoms pick a successor; none below a next does
+        self.rel.append(self._reads(f))
         self.roots.append(self._node(sid, f))
         if isinstance(f, TrueF):
             self.true_sid = sid
@@ -555,18 +556,20 @@ def rejecting_position(auto, letters) -> int:
 
     Falls back to ``len(letters)`` when no such prefix exists (the rejection
     then hinges on the traces ending where they do) or when an emptiness
-    check trips a resource guard.
+    check trips a resource guard.  Each state's emptiness is decided once and
+    kept in ``auto.empties`` for later calls; a state whose check tripped a
+    guard counts as non-empty for this call only and is retried on the next.
     """
     state = auto.initial_state
-    empties = {}
+    empties = auto.empties
+    tripped = set()
     for consumed in range(len(letters) + 1):
         known = empties.get(state)
-        if known is None:
+        if known is None and state not in tripped:
             try:
-                known, _ = lazy_is_empty(auto, start=state)
+                known = empties[state] = lazy_is_empty(auto, start=state)[0]
             except ResourceLimitError:
-                known = False
-            empties[state] = known
+                tripped.add(state)
         if known:
             return consumed
         if consumed < len(letters):

@@ -13,15 +13,19 @@ present or future verdict.  Coverage is fragment-specific:
 
 Inclusion is decided exactly, by a shortest-word search on explicit instance
 automata; these are not minimised, but their decided states do not depend on
-the position in the bound trace, which keeps them close to minimal.  Two
-cheaper paths sit in front of it, and neither can change an answer:
+the position in the bound trace, which keeps them close to minimal.  Three
+cheaper paths sit in front of it, and none can change an answer:
 
 * **copy index**: dominance is reflexive, so a fresh trace whose projected
   steps equal those of a trace the store admitted is dropped at once, logged
   against that trace, with no inclusion check;
 * **probe vector**: each cached automaton keeps the acceptance bits of every
   word up to a small depth (:data:`PROBE_WORDS`), so a short word accepted
-  by one automaton and not the other refutes the inclusion without a search.
+  by one automaton and not the other refutes the inclusion without a search;
+* **last refuting word**: the checker keeps, per variable, the last word a
+  search found in one language and not the other, and runs it on the next
+  pair first.  During one scan the fresh trace's automaton sits on the same
+  side of every check, so that word often refutes the next check too.
 
 :meth:`TraceStore.add` is the one insertion routine: copy index, then the
 scan for a dominator, and it frees the cached automata of a trace it drops.
@@ -185,7 +189,11 @@ class DominanceChecker:
         self.inclusion_checks = 0
         self.copy_hits = 0  # drops found in the store's copy index
         self.probe_refutations = 0  # inclusion checks refuted by the probes
+        self.witness_refutations = 0  # refuted by the last refuting word
         self._cache = {}  # (steps, variable) -> (instance DFA, probe)
+        # variable -> the last word a search found in L(a) \ L(b); one per
+        # variable, since instance alphabets of two variables may differ
+        self._witness = {}
 
     def _instance(self, trace: Trace, var: str):
         key = (trace.steps, var)
@@ -202,7 +210,15 @@ class DominanceChecker:
         if probe_a & ~probe_b:
             self.probe_refutations += 1
             return False
-        return _uncovered_word(a, b) is None
+        word = self._witness.get(var)
+        if word is not None and a.accepts(word) and not b.accepts(word):
+            self.witness_refutations += 1
+            return False
+        word = _uncovered_word(a, b)
+        if word is None:
+            return True
+        self._witness[var] = word
+        return False
 
     def forget(self, trace: Trace) -> None:
         """Free the cached automata of ``trace``'s steps."""

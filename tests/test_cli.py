@@ -103,13 +103,15 @@ class TestMonitor:
             "rejecting_position", "stats", "optimizations", "trace_analysis",
             "dropped_traces",
         }
-        assert report["trace_analysis"] == {"copy_hits": 1, "probe_refutations": 1}
+        assert report["trace_analysis"] == {
+            "copy_hits": 1, "probe_refutations": 1, "witness_refutations": 0,
+        }
         assert report["stats"]["inclusion_checks"] == 1
         assert report["dropped_traces"] == [["t2", "t1"]]
         assert report["counterexample"] == {"p": "t1", "q": "t4"}
         assert main(args) == 1
         text = capsys.readouterr().out
-        for line in ("copy_hits: 1", "probe_refutations: 1"):
+        for line in ("copy_hits: 1", "probe_refutations: 1", "witness_refutations: 0"):
             assert line + "\n" in text
         assert "memo_hits" not in text
         assert main([*args, "--no-trace-analysis", "--stats-format", "json"]) == 1

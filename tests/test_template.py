@@ -284,6 +284,54 @@ class TestRejectingPosition:
         tpl, _ = template_for("forall p. G a@p")
         assert rejecting_position(tpl.automaton, [1, 1]) == 0
 
+    def test_memo_matches_a_fresh_automaton(self, monkeypatch):
+        qf = independence_property("counter3", ("incr",), ("overflow",))
+        session = Session(qf, MonitorOptions(continue_after_violation=True))
+        checks = []
+        original = template.lazy_is_empty
+
+        def counted(auto, start=None):
+            checks.append(start)
+            return original(auto, start)
+
+        monkeypatch.setattr(template, "lazy_is_empty", counted)
+        corpus = random_traces("counter3", 120, 12, 5, {"incr": 0.85, "decr": 0.05})
+        traces = {}
+        violations = []
+        for i, circuit in enumerate(corpus):
+            trace = traces[f"t{i}"] = circuit.to_trace(f"t{i}")
+            ce = session.process_trace(trace).counterexample
+            if ce is not None:
+                violations.append(ce)
+        assert len(violations) >= 20
+        # every state's emptiness was decided once, however often it recurred
+        auto = session.template.automaton
+        assert sorted(checks) == sorted(auto.empties)
+        for ce in violations:
+            fresh = build_template(desugar(qf.body), qf.variables).automaton
+            letters = list(template.joint_word(
+                template.trace_masks(fresh, var, traces[name]) for var, name in ce.assignment
+            ))
+            assert ce.rejecting_position == rejecting_position(fresh, letters)
+            assert rejecting_position(auto, letters) == ce.rejecting_position
+
+    def test_tripped_atom_limit_is_retried(self, monkeypatch):
+        auto = template_for("forall p. G a@p")[0].automaton
+        monkeypatch.setattr(template, "ATOM_LIMIT", 0)
+        assert rejecting_position(auto, [1, 1]) == 2  # the fallback
+        assert auto.initial_state not in auto.empties
+        monkeypatch.undo()
+        assert rejecting_position(auto, [1, 1]) == 0
+        assert auto.empties[auto.initial_state] is True
+
+    def test_tripped_state_limit_is_retried(self):
+        qf = parse_formula("forall p. G a@p")
+        auto = build_template(desugar(qf.body), qf.variables, state_limit=1).automaton
+        assert rejecting_position(auto, [1, 1]) == 2  # the fallback
+        assert auto.empties == {}
+        auto.state_limit = 2
+        assert rejecting_position(auto, [1, 1]) == 0
+
 
 def oracle_prog(f, letter, bits):
     """Progression as it was before short-circuiting: every child is read."""
@@ -382,6 +430,18 @@ class TestTransitionTree:
             auto = build_template(chain, ("p", "q", "r")).automaton
             checked += check_against_oracle(auto, rng, max_states=5)
         assert checked > 2_000
+
+    @pytest.mark.parametrize("text, transitions", [
+        ("forall p. forall q. G (a@p -> X (b@q | c@q))", 11),
+        ("forall p. forall q. (a@p <-> a@q) U X (b@p & c@q & d@p)", 46),
+    ])
+    def test_atoms_below_a_next_split_no_letters(self, text, transitions):
+        tpl, _ = template_for(text)
+        auto = tpl.automaton
+        materialize(auto)
+        for state, f in enumerate(auto.formulas):
+            assert auto.rel[state] == auto._reads(f)
+        assert len(auto.delta) == transitions
 
     def test_one_progression_per_letter_class(self, monkeypatch):
         qf = independence_property("xor4", ("lhs1",), ("out0",))

@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from hypermon.automata import Dfa, _uncovered_word
+from hypermon.automata import Dfa, _uncovered_word, language_included
+from hypermon.circuits import random_traces
 from hypermon.errors import FragmentError
 from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_quantified
-from hypermon.template import build_template
+from hypermon.template import build_template, materialize
 from hypermon.trace_analysis import (
     PROBE_WORDS,
     DominanceChecker,
@@ -371,3 +373,92 @@ class TestCopyIndex:
         assert store.drop_if_copy(a_b.renamed("twin"), checker)
         assert store.dropped == [("twin", "a_b")] and checker.copy_hits == 1
         assert checker.inclusion_checks == 0
+
+
+def counter3_corpora():
+    """Small counter3 corpora: biased as on the stream workload, the same
+    cut to seeded lengths (empty traces included), and unbiased."""
+    def corpus(tag, length, seed, bias=None):
+        runs = random_traces("counter3", 40, length, seed, bias)
+        return [c.to_trace(f"{tag}{i:02d}") for i, c in enumerate(runs)]
+
+    biased = {"incr": 0.85, "decr": 0.05}
+    cut_rng = random.Random(1)
+    return {
+        "biased": corpus("b", 12, 7, biased),
+        "cut": [
+            Trace(t.steps[:cut_rng.randint(0, 12)], t.name)
+            for t in corpus("c", 12, 8, biased)
+        ],
+        "unbiased": corpus("u", 8, 9),
+    }
+
+
+class TestLastRefutingWord:
+    """The last refuting word changes no dominance answer and no store outcome."""
+
+    # body, and the atoms an instance alphabet has per bound variable
+    BODIES = (
+        ("(overflow@p <-> overflow@q) W !(decr@p <-> decr@q)", {"p": 2, "q": 2}),
+        ("G (overflow@p -> (incr@q & decr@q))", {"p": 2, "q": 1}),
+    )
+
+    @staticmethod
+    def reference(tpl, qc):
+        """Dominance decided by language_included on materialized instances."""
+        instances = {}
+
+        def included(t1, t2, var):
+            dfas = []
+            for t in (t1, t2):
+                key = (t.steps, var)
+                if key not in instances:
+                    instances[key] = materialize(tpl.instantiate(t, var).automaton)
+                dfas.append(instances[key])
+            return language_included(*dfas)[0]
+
+        def dominates(t1, t2):
+            variables = tpl.free_variables
+            if qc.kind == "forall_n":
+                return all(included(t1, t2, v) for v in variables)
+            if qc.kind == "exists_n":
+                return all(included(t2, t1, v) for v in variables)
+            univ, exis = variables
+            return included(t1, t2, univ) and included(t2, t1, exis)
+
+        return dominates
+
+    @pytest.mark.parametrize("body, widths", BODIES, ids=("stream-spec", "unequal-widths"))
+    @pytest.mark.parametrize("shape", PREFIXES, ids=("AA", "EE", "AE"))
+    def test_answers_match_language_inclusion(self, body, widths, shape):
+        qf = QuantifiedFormula(shape, parse_formula(f"forall p. forall q. {body}").body)
+        tpl = build_template(desugar(qf.body), ("p", "q"))
+        qc = classify_prefix(qf)
+        empty = Trace.of([], "empty")
+        assert {v: len(tpl.instantiate(empty, v).support) for v in widths} == widths
+        refuted = 0
+        for corpus in counter3_corpora().values():
+            reference = self.reference(tpl, qc)
+            checker = DominanceChecker(tpl, qc)
+            answers = []
+            dominates = checker.dominates
+
+            def recorded(t1, t2):
+                answers.append((t1, t2, dominates(t1, t2)))
+                return answers[-1][2]
+
+            checker.dominates = recorded
+            store = TraceStore()
+            for fresh in corpus:
+                expected = next(
+                    (old.name for old in store.traces if reference(old, fresh)), None
+                )
+                dropped = list(store.dropped)
+                assert store.add(fresh, checker) is (expected is None)
+                if expected is not None:
+                    dropped.append((fresh.name, expected))
+                assert store.dropped == dropped
+            for t1, t2, answer in answers:
+                assert answer == reference(t1, t2), (t1.name, t2.name)
+            refuted += checker.witness_refutations
+        assert refuted > 0
