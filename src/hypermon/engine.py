@@ -520,7 +520,6 @@ class Session:
         checker = self.checker
         return {
             "copy_hits": checker.copy_hits if checker else 0,
-            "probe_refutations": checker.probe_refutations if checker else 0,
             "witness_refutations": checker.witness_refutations if checker else 0,
         }
 

@@ -13,15 +13,12 @@ present or future verdict.  Coverage is fragment-specific:
 
 Inclusion is decided exactly, by a shortest-word search on explicit instance
 automata; these are not minimised, but their decided states do not depend on
-the position in the bound trace, which keeps them close to minimal.  Three
-cheaper paths sit in front of it, and none can change an answer:
+the position in the bound trace, which keeps them close to minimal.  Two
+cheaper paths sit in front of it, and neither can change an answer:
 
 * **copy index**: dominance is reflexive, so a fresh trace whose projected
   steps equal those of a trace the store admitted is dropped at once, logged
   against that trace, with no inclusion check;
-* **probe vector**: each cached automaton keeps the acceptance bits of every
-  word up to a small depth (:data:`PROBE_WORDS`), so a short word accepted
-  by one automaton and not the other refutes the inclusion without a search;
 * **last refuting word**: the checker keeps, per variable, the last word a
   search found in one language and not the other, and runs it on the next
   pair first.  During one scan the fresh trace's automaton sits on the same
@@ -50,47 +47,6 @@ from .formula import QuantifierClass
 from .semantics import Trace
 from .template import ATOM_LIMIT, MonitorTemplate, materialize
 
-# words a probe vector may cover: every word up to the largest depth whose
-# count of words of that length or shorter fits
-PROBE_WORDS = 512
-
-
-def probe(dfa) -> int:
-    """Acceptance bits of every short word, one bit per word.
-
-    Words run by length, then in letter order, the empty word in the highest
-    bit.  Automata over the same support number their words the same way, so
-    ``probe(a) & ~probe(b)`` is non-zero only when some word is in L(a) and
-    not in L(b).
-    """
-    letters = dfa.num_letters
-    rows, accepting = dfa.transitions, dfa.accepting
-    memo = {}  # (state, length) -> bits; few states recur at each length
-
-    def level(state, length):
-        # the bits of the words of this length read from state, in order
-        key = (state, length)
-        out = memo.get(key)
-        if out is None:
-            out = 0
-            if length == 1:
-                for succ in rows[state]:
-                    out = out << 1 | (succ in accepting)
-            else:
-                width = letters ** (length - 1)
-                for succ in rows[state]:
-                    out = out << width | level(succ, length - 1)
-            memo[key] = out
-        return out
-
-    out, words, length = int(dfa.initial in accepting), 1, 0
-    while words + letters ** (length + 1) <= PROBE_WORDS:
-        length += 1
-        words += letters ** length
-        out = out << letters ** length | level(dfa.initial, length)
-    return out
-
-
 @dataclass
 class TraceStore:
     """Ordered traces plus a log of dropped ones.
@@ -104,9 +60,10 @@ class TraceStore:
     The copy index maps projected steps to the stored trace that has them.
     It holds every trace :meth:`add` appended with a checker: no trace
     stored before it dominates it (it would have been dropped), so it is the
-    first dominator of any copy in insertion order.  Traces passed to the
-    constructor, and the traces of :meth:`copy`, are not indexed; copies of
-    them are found by the linear scan.
+    first dominator of any copy in insertion order.  :meth:`copy` carries
+    the index along with the traces, in the same order.  Traces passed to
+    the constructor are not indexed; copies of them are found by the linear
+    scan.
     """
 
     traces: list = field(default_factory=list)
@@ -152,7 +109,9 @@ class TraceStore:
         return True
 
     def copy(self) -> "TraceStore":
-        return TraceStore(list(self.traces), list(self.dropped))
+        out = TraceStore(list(self.traces), list(self.dropped))
+        out._copies = dict(self._copies)
+        return out
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -188,28 +147,24 @@ class DominanceChecker:
         self.qclass = qclass
         self.inclusion_checks = 0
         self.copy_hits = 0  # drops found in the store's copy index
-        self.probe_refutations = 0  # inclusion checks refuted by the probes
         self.witness_refutations = 0  # refuted by the last refuting word
-        self._cache = {}  # (steps, variable) -> (instance DFA, probe)
+        self._cache = {}  # (steps, variable) -> instance DFA
         # variable -> the last word a search found in L(a) \ L(b); one per
         # variable, since instance alphabets of two variables may differ
         self._witness = {}
 
     def _instance(self, trace: Trace, var: str):
         key = (trace.steps, var)
-        entry = self._cache.get(key)
-        if entry is None:
-            dfa = materialize(self.template.instantiate(trace, var).automaton)
-            entry = self._cache[key] = (dfa, probe(dfa))
-        return entry
+        dfa = self._cache.get(key)
+        if dfa is None:
+            dfa = self._cache[key] = materialize(
+                self.template.instantiate(trace, var).automaton
+            )
+        return dfa
 
     def _included(self, t1: Trace, t2: Trace, var: str) -> bool:
         self.inclusion_checks += 1
-        a, probe_a = self._instance(t1, var)
-        b, probe_b = self._instance(t2, var)
-        if probe_a & ~probe_b:
-            self.probe_refutations += 1
-            return False
+        a, b = self._instance(t1, var), self._instance(t2, var)
         word = self._witness.get(var)
         if word is not None and a.accepts(word) and not b.accepts(word):
             self.witness_refutations += 1

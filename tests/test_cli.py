@@ -88,8 +88,8 @@ class TestMonitor:
 
     def test_trace_analysis_counts_reported(self, tmp_path, capsys):
         # t2 copies t1 (copy index); t3 passes its tuples and is no copy, so
-        # it is checked against t1, and the check is refuted by the
-        # one-letter probe words; t4 violates and makes no check
+        # it is checked against t1, and with no word kept yet the check is
+        # refuted by a search; t4 violates and makes no check
         spec = spec_file(tmp_path, OBSDET)
         paths = [
             write(tmp_path / f"t{i}.trace", text)
@@ -103,17 +103,15 @@ class TestMonitor:
             "rejecting_position", "stats", "optimizations", "trace_analysis",
             "dropped_traces",
         }
-        assert report["trace_analysis"] == {
-            "copy_hits": 1, "probe_refutations": 1, "witness_refutations": 0,
-        }
+        assert report["trace_analysis"] == {"copy_hits": 1, "witness_refutations": 0}
         assert report["stats"]["inclusion_checks"] == 1
         assert report["dropped_traces"] == [["t2", "t1"]]
         assert report["counterexample"] == {"p": "t1", "q": "t4"}
         assert main(args) == 1
         text = capsys.readouterr().out
-        for line in ("copy_hits: 1", "probe_refutations: 1", "witness_refutations: 0"):
+        for line in ("copy_hits: 1", "witness_refutations: 0"):
             assert line + "\n" in text
-        assert "memo_hits" not in text
+        assert "memo_hits" not in text and "probe_refutations" not in text
         assert main([*args, "--no-trace-analysis", "--stats-format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert set(report["trace_analysis"].values()) == {0}

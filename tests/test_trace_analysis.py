@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypermon.automata import Dfa, _uncovered_word, language_included
+from hypermon.automata import _uncovered_word, language_included
 from hypermon.circuits import random_traces
 from hypermon.errors import FragmentError
 from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
@@ -11,12 +11,10 @@ from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_quantified
 from hypermon.template import build_template, materialize
 from hypermon.trace_analysis import (
-    PROBE_WORDS,
     DominanceChecker,
     TraceStore,
     dominates,
     minimize_store,
-    probe,
 )
 
 from conftest import random_body, random_trace
@@ -127,6 +125,19 @@ class TestMinimizeStore:
             assert store.traces == [has_a, has_b]
             assert store.dropped == [("gone", "has_a")]
 
+    def test_copy_keeps_the_copy_index(self):
+        tpl, qc = setup("forall p. forall q. a@p -> !b@q")
+        checker = DominanceChecker(tpl, qc)
+        store = TraceStore()
+        a_b, b = Trace.of([{"a"}, {"b"}], "a_b"), Trace.of([{"b"}], "b")
+        for t in (a_b, b):
+            assert store.add(t, checker) is True
+        checks = checker.inclusion_checks
+        out = minimize_store(tpl, qc, store, b.renamed("twin"), checker)
+        assert checker.inclusion_checks == checks and checker.copy_hits == 1
+        assert out.names() == ["a_b", "b"] and out.dropped == [("twin", "b")]
+        assert store.names() == ["a_b", "b"] and store.dropped == []
+
     def test_universal_body_store_stays_singleton(self, rng):
         tpl, qc = setup("forall p. forall q. true")
         store = TraceStore()
@@ -198,95 +209,6 @@ class TestVerdictPreservation:
                         break
                 outcomes.append(hit)
             assert outcomes[0] == outcomes[1]
-
-
-def probe_depth(letters: int) -> int:
-    """The longest word length a probe covers over ``letters`` letters."""
-    depth, words, level = 0, 1, 1
-    while words + level * letters <= PROBE_WORDS:
-        level *= letters
-        words += level
-        depth += 1
-    return depth
-
-
-def short_words(letters: int, depth: int):
-    level = [()]
-    for _ in range(depth + 1):
-        yield from level
-        level = [w + (l,) for w in level for l in range(letters)]
-
-
-def string_probe(dfa):
-    """The probe built as a '0'/'1' string, breadth first, and parsed."""
-    letters = dfa.num_letters
-    words = level = 1
-    while words + level * letters <= PROBE_WORDS:
-        level *= letters
-        words += level
-    bits = []
-    states = [dfa.initial]
-    while True:
-        bits.extend("1" if s in dfa.accepting else "0" for s in states)
-        if len(bits) == words:
-            return int("".join(bits), 2)
-        states = [succ for s in states for succ in dfa.transitions[s]]
-
-
-class TestProbe:
-    def test_bits_match_the_string_construction(self, rng):
-        for atoms in range(9):  # 1 to 256 letters: probe depths 8 down to 1
-            support = tuple(AtomRef(f"a{i}", "p") for i in range(atoms))
-            for _ in range(25):
-                n = rng.randrange(1, 12)
-                dfa = Dfa(
-                    support,
-                    rng.randrange(n),
-                    frozenset(s for s in range(n) if rng.random() < 0.5),
-                    tuple(
-                        tuple(rng.randrange(n) for _ in range(1 << atoms))
-                        for _ in range(n)
-                    ),
-                )
-                assert probe(dfa) == string_probe(dfa)
-
-    @pytest.mark.parametrize("props, cases", [
-        (("a", "b"), 300),  # 4 letters per instance, as on counter3
-        (tuple("abcdefgh"), 40),  # 256 letters per instance, as on xor4
-    ], ids=("4-letters", "256-letters"))
-    def test_refutes_exactly_the_short_uncovered_words(self, rng, props, cases):
-        support = tuple(sorted(AtomRef(p, v) for p in props for v in ("p", "q")))
-        refuted = held = 0
-        for _ in range(cases):
-            body = desugar(random_body(rng, 3, props=props))
-            tpl = build_template(body, ("p", "q"), support=support)
-            qc = classify_prefix(QuantifiedFormula((("forall", "p"), ("forall", "q")), body))
-            checker = DominanceChecker(tpl, qc)
-            t1, t2 = (random_trace(rng, n, 3, props=props) for n in ("t1", "t2"))
-            for var in ("p", "q"):
-                (a, pa), (b, pb) = checker._instance(t1, var), checker._instance(t2, var)
-                depth = probe_depth(a.num_letters)
-                short = any(
-                    a.accepts(w) and not b.accepts(w)
-                    for w in short_words(a.num_letters, depth)
-                )
-                assert bool(pa & ~pb) == short, str(body)
-                word = _uncovered_word(a, b)
-                assert checker._included(t1, t2, var) == (word is None), str(body)
-                if word is None:
-                    held += 1
-                    assert not pa & ~pb, str(body)
-                else:
-                    assert short == (len(word) <= depth), str(body)
-                    refuted += short
-        assert refuted >= cases // 10 and held >= cases // 10
-
-    def test_included_counts_probe_refutations(self):
-        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
-        checker = DominanceChecker(tpl, qc)
-        t1, t2 = Trace.of([{"a"}], "t1"), Trace.of([set()], "t2")
-        assert not checker.dominates(t1, t2)
-        assert checker.inclusion_checks == 1 and checker.probe_refutations == 1
 
 
 def linear_dominator(checker, store, fresh):
@@ -462,3 +384,50 @@ class TestLastRefutingWord:
                 assert answer == reference(t1, t2), (t1.name, t2.name)
             refuted += checker.witness_refutations
         assert refuted > 0
+
+    @pytest.mark.parametrize("props, cases", [
+        (("a", "b"), 300),  # 4 letters per instance, as on counter3
+        (tuple("abcdefgh"), 40),  # 256 letters per instance, as on xor4
+    ], ids=("4-letters", "256-letters"))
+    def test_refutes_exactly_the_uncovered_words(self, rng, props, cases):
+        # one checker per body, and scans as in a store: each trace of a
+        # pool is checked against every other one, so a kept word meets
+        # pairs with the same right side and pairs with a new one
+        support = tuple(sorted(AtomRef(p, v) for p in props for v in ("p", "q")))
+        checks = held = witnessed = 0
+        for _ in range(cases):
+            body = desugar(random_body(rng, 3, props=props))
+            tpl = build_template(body, ("p", "q"), support=support)
+            qc = classify_prefix(QuantifiedFormula((("forall", "p"), ("forall", "q")), body))
+            checker = DominanceChecker(tpl, qc)
+            pool = [random_trace(rng, f"t{i}", 3, props=props) for i in range(3)]
+            for fresh, old in itertools.permutations(pool, 2):
+                for var in ("p", "q"):
+                    a, b = checker._instance(old, var), checker._instance(fresh, var)
+                    included = _uncovered_word(a, b) is None
+                    assert checker._included(old, fresh, var) == included, str(body)
+                    held += included
+            checks += checker.inclusion_checks
+            witnessed += checker.witness_refutations
+        assert held >= cases // 10 and checks - held >= cases // 10
+        assert witnessed > 0
+
+    def test_included_counts_witness_refutations(self, monkeypatch):
+        searches = []
+
+        def counted(a, b):
+            searches.append((a, b))
+            return _uncovered_word(a, b)
+
+        monkeypatch.setattr("hypermon.trace_analysis._uncovered_word", counted)
+        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
+        checker = DominanceChecker(tpl, qc)
+        t1, t2 = Trace.of([{"a"}], "t1"), Trace.of([set()], "t2")
+        # the first refuted check runs a search and keeps its word
+        assert not checker.dominates(t1, t2)
+        assert checker.inclusion_checks == 1 and checker.witness_refutations == 0
+        assert len(searches) == 1 and "p" in checker._witness
+        # a later check that the kept word refutes runs no search
+        assert not checker.dominates(t1, Trace.of([set(), {"a"}], "t3"))
+        assert checker.inclusion_checks == 2 and checker.witness_refutations == 1
+        assert len(searches) == 1
