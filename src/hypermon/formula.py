@@ -6,14 +6,16 @@ body into a canonical form (flattened, sorted n-ary or/and, double-negation
 and constant elimination) that the automaton construction uses as its state
 space.
 
-Body nodes are frozen, slotted dataclasses.  Each node computes its hash once,
-when it is built, and keeps it, so the dicts and sets the evaluator and the
-automaton construction key on nodes cost one lookup rather than a walk over
-the whole subtree.  Equality stays structural.
+Body nodes are frozen, slotted dataclasses, and they are hash-consed: every
+node is built through one process-wide unique table keyed on its class and
+fields, whose children are unique already.  Each distinct formula is thus
+built once, and equal formulas are the same object (Filliâtre & Conchon,
+"Type-safe modular hash-consing", 2006).  Equality and hashing are object
+identity, so the dicts and sets that the evaluator and the automaton
+construction key on nodes cost one lookup whatever the size of the subtree.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FormulaSyntaxError
 
@@ -32,115 +34,128 @@ class AtomRef:
         return f"{self.proposition}@{self.variable}"
 
 
-class Formula:
+# (class, *fields) -> the one node with those fields.  The table is strong:
+# a node, once built, lives as long as the process.
+_NODES = {}
+
+
+class _Unique(type):
+    """Metaclass of body nodes: a class call returns the unique node with
+    the given fields, and builds it only on the first call."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            # a throwaway node binds keywords the way the generated
+            # __init__ does, so dataclasses.replace finds the unique node
+            node = super().__call__(*args, **kwargs)
+            args = tuple(getattr(node, name) for name in cls.__match_args__)
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+class Formula(metaclass=_Unique):
     """Base class for body nodes.
 
-    Subclasses are ``@dataclass(frozen=True, slots=True)`` classes: immutable,
-    without a ``__dict__``, and compared field by field.  Each node hashes its
-    class name and fields when it is built and keeps the result in the ``_h``
-    slot, which ``__hash__`` returns.  A child's hash is then one slot read,
-    so a node costs O(number of children) to hash, once, not O(subtree) per
-    call.
+    Subclasses are ``@_node`` classes: frozen, slotted dataclasses without
+    ``__dict__`` or a generated ``__eq__``.  Calling a subclass returns the
+    unique node with those fields, so two nodes are equal exactly when they
+    are one object, and ``==`` and ``hash`` are those of ``object``.  Copies
+    and pickles rebuild a node by calling its class, so they return the
+    unique node too.
     """
 
-    __slots__ = ("_h",)
+    __slots__ = ("_key",)  # the node's fkey, set on first use
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # an explicit __hash__ in the class body stops dataclass from
-        # generating its own, which would rehash the whole subtree per call
-        cls.__hash__ = Formula.__hash__
-
-    def __post_init__(self):
-        # the class name rather than the class, whose hash is its address,
-        # keeps hashes reproducible under a fixed PYTHONHASHSEED
-        fields = [getattr(self, name) for name in self.__slots__]
-        object.__setattr__(self, "_h", hash((type(self).__name__, *fields)))
-
-    def __hash__(self) -> int:
-        return self._h
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True, slots=True)
+_node = dataclass(frozen=True, slots=True, eq=False)
+
+
+@_node
 class Atom(Formula):
     ref: AtomRef
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     args: tuple  # tuple[Formula, ...], at least two entries
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Xor(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Next(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Until(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class WeakUntil(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Release(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Globally(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eventually(Formula):
     sub: Formula
 
@@ -295,40 +310,36 @@ def desugar(f: Formula) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-@lru_cache(maxsize=None)
+_TAGS = {
+    TrueF: "T", FalseF: "F", Not: "!", Or: "|", And: "&", Next: "X", Until: "U",
+    WeakUntil: "W", Release: "R", Globally: "G", Eventually: "Fi", Implies: ">",
+    Iff: "=", Xor: "^",
+}
+
+
 def fkey(f: Formula) -> str:
-    """Canonical string key; total, deterministic order for commutative sorting."""
-    if isinstance(f, Atom):
-        return f"a({f.ref.proposition}@{f.ref.variable})"
-    if isinstance(f, TrueF):
-        return "T"
-    if isinstance(f, FalseF):
-        return "F"
-    if isinstance(f, Not):
-        return f"!({fkey(f.sub)})"
-    if isinstance(f, Or):
-        return "|(" + ",".join(fkey(a) for a in f.args) + ")"
-    if isinstance(f, And):
-        return "&(" + ",".join(fkey(a) for a in f.args) + ")"
-    if isinstance(f, Next):
-        return f"X({fkey(f.sub)})"
-    if isinstance(f, Until):
-        return f"U({fkey(f.lhs)},{fkey(f.rhs)})"
-    if isinstance(f, WeakUntil):
-        return f"W({fkey(f.lhs)},{fkey(f.rhs)})"
-    if isinstance(f, Release):
-        return f"R({fkey(f.lhs)},{fkey(f.rhs)})"
-    if isinstance(f, Globally):
-        return f"G({fkey(f.sub)})"
-    if isinstance(f, Eventually):
-        return f"Fi({fkey(f.sub)})"
-    if isinstance(f, Implies):
-        return f">({fkey(f.lhs)},{fkey(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"=({fkey(f.lhs)},{fkey(f.rhs)})"
-    if isinstance(f, Xor):
-        return f"^({fkey(f.lhs)},{fkey(f.rhs)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    """Canonical string of a node: the sort key of or/and arguments.
+
+    Unlike identity hashes, it orders formulas the same way in every process,
+    so every residual prints the same.  It is built once per node, from the
+    keys of the children, and kept on the node.
+    """
+    try:
+        return f._key
+    except AttributeError:
+        pass
+    kind = type(f)
+    if kind is Atom:
+        key = f"a({f.ref})"
+    elif kind not in _TAGS:
+        raise TypeError(f"not a formula node: {f!r}")
+    elif kind is TrueF or kind is FalseF:
+        key = _TAGS[kind]
+    else:
+        subs = f.args if kind is Or or kind is And else (getattr(f, n) for n in f.__match_args__)
+        key = f"{_TAGS[kind]}({','.join(map(fkey, subs))})"
+    object.__setattr__(f, "_key", key)
+    return key
 
 
 def mk_not(x: Formula) -> Formula:
@@ -344,56 +355,32 @@ def mk_not(x: Formula) -> Formula:
 def _flatten(items, cls, absorbing, neutral):
     """Shared or/and normalization: flatten, drop neutrals, detect absorbing
     constants and complementary pairs, deduplicate, absorb, sort."""
-    flat = []
-
-    def add(e):
+    flat = set()
+    stack = list(items)
+    while stack:
+        e = stack.pop()
         if isinstance(e, cls):
-            for a in e.args:
-                add(a)
-        elif isinstance(e, type(neutral)):
-            pass
+            stack.extend(e.args)
         elif isinstance(e, type(absorbing)):
-            raise _Short()
-        else:
-            flat.append(e)
-
-    try:
-        for e in items:
-            add(e)
-    except _Short:
-        return absorbing
-
-    by_key = {}
-    for e in flat:
-        by_key.setdefault(fkey(e), e)
-    keys = set(by_key)
-    for k, e in by_key.items():
-        if fkey(mk_not(e)) in keys:
             return absorbing
+        elif not isinstance(e, type(neutral)):
+            flat.add(e)
+    for e in flat:
         # flattening splices nested same-class args, so the complement of a
         # negated same-class node may be present only piecewise
-        if isinstance(e, Not) and isinstance(e.sub, cls) and all(
-            fkey(c) in keys for c in e.sub.args
+        if isinstance(e, Not) and (
+            e.sub in flat
+            or isinstance(e.sub, cls) and all(c in flat for c in e.sub.args)
         ):
             return absorbing
     dual = And if cls is Or else Or
-    kept = []
-    for k, e in by_key.items():
-        if isinstance(e, dual) and any(
-            fkey(c) in keys and fkey(c) != k for c in e.args
-        ):
-            continue  # absorbed: d OP (d DUAL x) == d
-        kept.append((k, e))
-    kept.sort(key=lambda p: p[0])
+    # absorbed: d OP (d DUAL x) == d
+    kept = [e for e in flat if not (isinstance(e, dual) and any(c in flat for c in e.args))]
     if not kept:
         return neutral
     if len(kept) == 1:
-        return kept[0][1]
-    return cls(tuple(e for _, e in kept))
-
-
-class _Short(Exception):
-    pass
+        return kept[0]
+    return cls(tuple(sorted(kept, key=fkey)))
 
 
 def mk_or(items) -> Formula:
@@ -414,7 +401,7 @@ def mk_next(x: Formula) -> Formula:
 def mk_until(a: Formula, b: Formula) -> Formula:
     if isinstance(b, (TrueF, FalseF)):
         return b
-    if isinstance(a, FalseF) or fkey(a) == fkey(b):
+    if isinstance(a, FalseF) or a is b:
         return b
     return Until(a, b)
 

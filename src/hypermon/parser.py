@@ -17,6 +17,10 @@ Grammar (# starts a line comment, whitespace is insignificant):
 Indexed atoms are written ``prop@var``.  The operator names X G F U W R and
 the keywords forall/exists/true/false are reserved and cannot be used as
 identifiers.
+
+A body may nest at most :data:`MAX_DEPTH` levels deep.  Each parenthesis,
+prefix operator, right operand of U, W, R or ->, and each further operand of
+a <-> or ^ chain opens one level.
 """
 
 import re
@@ -44,6 +48,13 @@ from .formula import (
     Xor,
 )
 
+# Every pass over a body (desugaring, simplification, compilation, the
+# evaluator) recurses a small constant number of times per level, so this
+# keeps them all inside the interpreter's default recursion limit.
+MAX_DEPTH = 100
+
+_PREFIX = {"!": Not, "X": Next, "G": Globally, "F": Eventually}
+_UNTILS = {"U": Until, "W": WeakUntil, "R": Release}
 _KEYWORDS = {"forall", "exists", "true", "false", "X", "G", "F", "U", "W", "R"}
 
 _TOKEN_RE = re.compile(
@@ -126,6 +137,13 @@ class _Parser:
             )
         return self.take()
 
+    def level(self, depth: int) -> int:
+        """``depth``, the nesting level of the next operand; refuses a level
+        past MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            self.error(f"formula nested {depth} levels deep; the limit is {MAX_DEPTH}")
+        return depth
+
     def error(self, msg: str, tok: _Token = None):
         tok = tok or self.peek()
         raise FormulaSyntaxError(msg, tok.line, tok.col)
@@ -144,78 +162,66 @@ class _Parser:
             self.expect(".")
             prefix.append((quant, name.text))
         self.bound = [v for _, v in prefix]
-        body = self.body()
+        body = self.iff(0)
         tok = self.peek()
         if tok.kind != "EOF":
             self.error(f"unexpected {tok.text!r} after formula", tok)
         return QuantifiedFormula(tuple(prefix), body)
 
-    def body(self):
-        return self.iff()
-
-    def iff(self):
-        f = self.xor()
+    def iff(self, depth):
+        f = self.xor(depth)
         while self.peek().kind == "<->":
             self.take()
-            f = Iff(f, self.xor())
+            depth = self.level(depth + 1)
+            f = Iff(f, self.xor(depth))
         return f
 
-    def xor(self):
-        f = self.impl()
+    def xor(self, depth):
+        f = self.impl(depth)
         while self.peek().kind == "^":
             self.take()
-            f = Xor(f, self.impl())
+            depth = self.level(depth + 1)
+            f = Xor(f, self.impl(depth))
         return f
 
-    def impl(self):
-        f = self.or_()
+    def impl(self, depth):
+        f = self.or_(depth)
         if self.peek().kind == "->":
             self.take()
-            return Implies(f, self.impl())
+            return Implies(f, self.impl(self.level(depth + 1)))
         return f
 
-    def or_(self):
-        parts = [self.and_()]
+    def or_(self, depth):
+        parts = [self.and_(depth)]
         while self.peek().kind == "|":
             self.take()
-            parts.append(self.and_())
+            parts.append(self.and_(depth))
         if len(parts) == 1:
             return parts[0]
         return Or(tuple(parts))
 
-    def and_(self):
-        parts = [self.unary()]
+    def and_(self, depth):
+        parts = [self.unary(depth)]
         while self.peek().kind == "&":
             self.take()
-            parts.append(self.unary())
+            parts.append(self.unary(depth))
         if len(parts) == 1:
             return parts[0]
         return And(tuple(parts))
 
-    def unary(self):
+    def unary(self, depth):
         kind = self.peek().kind
-        if kind == "!":
+        if kind in _PREFIX:
             self.take()
-            return Not(self.unary())
-        if kind == "X":
-            self.take()
-            return Next(self.unary())
-        if kind == "G":
-            self.take()
-            return Globally(self.unary())
-        if kind == "F":
-            self.take()
-            return Eventually(self.unary())
-        f = self.atom_or_paren()
+            return _PREFIX[kind](self.unary(self.level(depth + 1)))
+        f = self.atom_or_paren(depth)
         kind = self.peek().kind
-        if kind in ("U", "W", "R"):
+        if kind in _UNTILS:
             self.take()
-            rhs = self.unary()
-            cls = {"U": Until, "W": WeakUntil, "R": Release}[kind]
-            return cls(f, rhs)
+            return _UNTILS[kind](f, self.unary(self.level(depth + 1)))
         return f
 
-    def atom_or_paren(self):
+    def atom_or_paren(self, depth):
         tok = self.peek()
         if tok.kind == "true":
             self.take()
@@ -225,7 +231,7 @@ class _Parser:
             return FALSE
         if tok.kind == "(":
             self.take()
-            f = self.body()
+            f = self.iff(self.level(depth + 1))
             self.expect(")")
             return f
         if tok.kind == "IDENT":

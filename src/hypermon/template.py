@@ -112,8 +112,9 @@ def canonical_state(f: Formula) -> Formula:
     )
 
 
-def prog(f: Formula, letter: int, bits: dict) -> Formula:
-    """Residual of f after reading one letter (bitmask over ``bits``).
+def prog(f: Formula) -> Formula:
+    """Residual of a diagram leaf's formula, whose current-step atoms are
+    all fixed, after its step.
 
     Or stops at its first true child, And at its first false one, and Until
     when its right-hand side progresses to true: exactly where ``mk_or`` and
@@ -121,26 +122,27 @@ def prog(f: Formula, letter: int, bits: dict) -> Formula:
     changes no result.
     """
     kind = type(f)
-    if kind is Atom:
-        return TRUE if letter >> bits[f.ref] & 1 else FALSE
     if kind is Not:
-        return mk_not(prog(f.sub, letter, bits))
+        return mk_not(prog(f.sub))
     if kind is Or or kind is And:
         stop = TrueF if kind is Or else FalseF
         args = []
         for a in f.args:
-            a = prog(a, letter, bits)
+            a = prog(a)
             if type(a) is stop:
                 return a
             args.append(a)
         return mk_or(args) if kind is Or else mk_and(args)
     if kind is Until:
-        rhs = prog(f.rhs, letter, bits)
+        rhs = prog(f.rhs)
         if type(rhs) is TrueF:
             return rhs
-        return mk_or((rhs, mk_and((prog(f.lhs, letter, bits), f))))
-    # a next drops, a constant stays; any other node fails in canonical_state
-    return f.sub if kind is Next else f
+        return mk_or((rhs, mk_and((prog(f.lhs), f))))
+    if kind is Next:
+        return f.sub
+    if kind is TrueF or kind is FalseF:
+        return f
+    raise MonitorError(f"a diagram leaf holds a {kind.__name__} of the current step")
 
 
 class TemplateAutomaton:
@@ -221,11 +223,9 @@ class TemplateAutomaton:
                     node[side] = self._node(state, self._fix(node[3], node[0], side - 1))
                 node = node[side]
             if node[1] is None:
-                # the first letter to reach a leaf progresses the state; stored
+                # the first letter to reach a leaf progresses its formula; stored
                 # only now, so a tripped resource guard leaves the leaf open
-                node[1] = self._register(
-                    canonical_state(prog(self.formulas[state], letter, self.bits))
-                )
+                node[1] = self._register(canonical_state(prog(node[3])))
             sid = self.delta[state, letter] = node[1]
         return sid
 

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypermon
 from hypermon.cli import SessionReport, main
+from hypermon.parser import MAX_DEPTH
 from hypermon.semantics import Trace
 from hypermon.traceio import load_trace, save_trace
 
@@ -38,6 +43,14 @@ COUNTER3_THREE_QUANTIFIERS = (
     f"({COUNTER3_BODY.replace('@q', '@r')})\n"
 )
 GOLDEN = Path(__file__).parent / "golden"
+# a body nested n levels deep, per construct that nests
+DEEP = {
+    "parentheses": lambda n: "(" * n + "a@p" + ")" * n,
+    "not": lambda n: "!" * n + "a@p",
+    "next": lambda n: "X " * n + "a@p",
+    "globally": lambda n: "G " * n + "a@p",
+    "weak-until": lambda n: " W ".join(["a@p"] * (n + 1)),
+}
 
 
 def assert_write_error(capsys, path):
@@ -159,6 +172,21 @@ class TestMonitor:
         spec = spec_file(tmp_path, "forall p. a@\n")
         t1 = write(tmp_path / "t1.trace", "a\n")
         assert main(["monitor", spec, t1]) == 2
+
+    @pytest.mark.parametrize("construct", DEEP)
+    def test_depth_limit(self, tmp_path, capsys, construct):
+        traces = [write(tmp_path / f"t{i}.trace", "a\n") for i in (1, 2)]
+        off = ["--no-spec-analysis", "--no-trace-analysis"]
+        # at the limit every pass stays inside the recursion limit
+        spec = spec_file(tmp_path, f"forall p. {DEEP[construct](MAX_DEPTH)}\n")
+        assert main(["monitor", spec, *traces, *off]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        # one level deeper is bad input: one error line, no traceback
+        spec = spec_file(tmp_path, f"forall p. {DEEP[construct](MAX_DEPTH + 1)}\n")
+        assert main(["monitor", spec, *traces, *off]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"nested {MAX_DEPTH + 1} levels deep; the limit is {MAX_DEPTH}" in err
 
     def test_bad_trace_exit_2(self, tmp_path, capsys):
         spec = spec_file(tmp_path, EQ)
@@ -538,3 +566,45 @@ class TestTemplate:
         assert main(["template", spec]) == 0
         dot = capsys.readouterr().out
         assert "doublecircle" not in dot
+
+
+# Runs (command, spec, output) triples through the CLI in one interpreter.
+FRESH_RUN = """
+import contextlib, sys
+from hypermon.cli import main
+args = sys.argv[1:]
+for command, spec, out in zip(args[::3], args[1::3], args[2::3]):
+    if command == "template":
+        assert main(["template", spec, "--dot", out]) == 0
+    else:
+        with open(out, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+            assert main(["analyze", spec, "--format", "json"]) == 0
+"""
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("seed", ["0", "4242"])
+    def test_golden_outputs_under_any_hash_seed(self, tmp_path, seed):
+        """Formula nodes hash by identity, so a set of them iterates in
+        address order; no output may follow that order or the hash seed."""
+        jobs = [
+            ("analyze", COUNTER3, "counter3_analyze.json"),
+            ("analyze", f"forall p. forall q. {XOR4_BODY}\n", "xor4_analyze.json"),
+            ("template", EQ, "eq_template.dot"),
+            ("template", COUNTER3, "counter3_template.dot"),
+            ("template", COUNTER3_THREE_QUANTIFIERS, "counter3_three_template.dot"),
+        ]
+        argv = []
+        for i, (command, text, golden) in enumerate(jobs):
+            argv += [command, spec_file(tmp_path, text, f"spec{i}.hm"), str(tmp_path / golden)]
+        src = str(Path(hypermon.__file__).parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", FRESH_RUN, *argv], env=env, check=True)
+        for command, _, golden in jobs:
+            out = (tmp_path / golden).read_bytes()
+            if command == "analyze":
+                # the golden file leaves out the timings, as the in-process test does
+                payload = json.loads(out)
+                del payload["check_seconds"]
+                out = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+            assert out == (GOLDEN / golden).read_bytes(), golden

@@ -1,6 +1,9 @@
 """Hypothesis properties for the formula layer invariants."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -95,14 +98,21 @@ def test_variable_swap_is_involution(body):
 @given(bodies)
 def test_rebuilt_body_is_equal_with_equal_hash(body):
     h = hash(body)
-    assert hash(body) == h  # the kept hash is the one computed first
     table = {body: "original"}
     qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), body)
     swap = {"p": "q", "q": "p"}
+    by_keyword = {field.name: getattr(body, field.name) for field in fields(body)}
+    # every way of building a node returns the one node with those fields
     for rebuilt in (
         parse_formula(pretty_quantified(qf)).body,
         rename_variables(rename_variables(body, swap), swap),
+        type(body)(**by_keyword),
+        dataclasses.replace(body, **by_keyword),
+        copy.copy(body),
+        copy.deepcopy(body),
+        pickle.loads(pickle.dumps(body)),
     ):
+        assert rebuilt is body
         assert rebuilt == body
         assert hash(rebuilt) == h
         assert table[rebuilt] == "original"

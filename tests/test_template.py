@@ -30,6 +30,7 @@ from hypermon.template import (
     canonical_state,
     lazy_is_empty,
     materialize,
+    prog,
     rejecting_position,
 )
 
@@ -442,6 +443,13 @@ class TestTransitionTree:
         for state, f in enumerate(auto.formulas):
             assert auto.rel[state] == auto._reads(f)
         assert len(auto.delta) == transitions
+
+    def test_leaf_progression_reads_no_letter(self):
+        atom = parse_formula("forall p. a@p").body
+        assert prog(Next(atom)) is atom
+        # a leaf has no atom of the current step left to read
+        with pytest.raises(MonitorError):
+            prog(Or((Next(atom), atom)))
 
     def test_one_progression_per_letter_class(self, monkeypatch):
         qf = independence_property("xor4", ("lhs1",), ("out0",))
