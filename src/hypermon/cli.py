@@ -131,7 +131,8 @@ def _check_writable(path: str) -> None:
 
 def _load_spec(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is not part of the spec
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise MonitorError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     return parse_formula(text)

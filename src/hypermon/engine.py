@@ -56,7 +56,7 @@ from .formula import (
     validate_quantified,
 )
 from .prefix_tree import PrefixTree
-from .semantics import Trace, eval_body, eval_quantified
+from .semantics import Trace, eval_quantified
 from .spec_analysis import analyze
 from .template import (
     DEFAULT_STATE_LIMIT,
@@ -325,7 +325,7 @@ class Session:
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
-            if not eval_body({}, qf.body):
+            if not self.template.accepts({}):
                 self._verdict = Verdict(CounterExample((), 0))
         self.stats.wall_time += time.perf_counter() - begin
 

@@ -6,6 +6,10 @@ body into a canonical form (flattened, sorted n-ary or/and, double-negation
 and constant elimination) that the automaton construction uses as its state
 space.
 
+:func:`children` and :func:`rebuild` are the one place that knows which
+fields of which class hold subformulas: generic passes walk nodes through
+them, and only passes with a rule per operator name the fields themselves.
+
 Body nodes are frozen, slotted dataclasses, and they are hash-consed: every
 node is built through one process-wide unique table keyed on its class and
 fields, whose children are unique already.  Each distinct formula is thus
@@ -16,6 +20,8 @@ construction key on nodes cost one lookup whatever the size of the subtree.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import FormulaSyntaxError
 
@@ -67,7 +73,8 @@ class Formula(metaclass=_Unique):
     unique node too.
     """
 
-    __slots__ = ("_key",)  # the node's fkey, set on first use
+    # fkey, simplify and template.prog of the node, each set on first use
+    __slots__ = ("_key", "_simple", "_prog")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -166,6 +173,35 @@ FALSE = FalseF()
 CORE_TYPES = (Atom, TrueF, Not, Or, Next, Until)
 
 
+_args = attrgetter("args")
+# class -> the subformulas of its nodes, in field order
+_CHILDREN = {
+    **dict.fromkeys((Atom, TrueF, FalseF), lambda f: ()),
+    **dict.fromkeys((Not, Next, Globally, Eventually), lambda f: (f.sub,)),
+    **dict.fromkeys((Implies, Iff, Xor, Until, WeakUntil, Release), lambda f: (f.lhs, f.rhs)),
+    **dict.fromkeys((Or, And), _args),
+}
+
+
+def children(f: Formula) -> tuple:
+    """The direct subformulas of a node, in field order."""
+    try:
+        get = _CHILDREN[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {f!r}") from None
+    return get(f)
+
+
+def rebuild(f: Formula, subs, make=None) -> Formula:
+    """The node of ``f``'s shape with children ``subs``, built by ``make``,
+    which takes them as ``f``'s class does (default: that class, so
+    ``rebuild(f, children(f)) is f``).  A leaf is returned as it is."""
+    if not subs:
+        return f
+    make = make or type(f)
+    return make(tuple(subs)) if _CHILDREN[type(f)] is _args else make(*subs)
+
+
 @dataclass(frozen=True)
 class QuantifiedFormula:
     """Quantifier prefix (ordered (quantifier, variable) pairs) plus a body."""
@@ -223,26 +259,22 @@ def validate_quantified(qf: QuantifiedFormula) -> None:
             raise FormulaSyntaxError(f"unbound trace variable {ref.variable!r}")
 
 
-def atom_refs(f: Formula) -> set:
-    """All indexed atoms occurring in a body."""
-    out = set()
+def subformulas(f: Formula):
+    """Every distinct node of a body, ``f`` first, each once."""
+    seen = {f}
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.ref)
-        elif isinstance(node, (Not, Next, Globally, Eventually)):
-            stack.append(node.sub)
-        elif isinstance(node, (Or, And)):
-            stack.extend(node.args)
-        elif isinstance(node, (Implies, Iff, Xor, Until, WeakUntil, Release)):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-    return out
+        yield node
+        for sub in children(node):
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
 
 
-def free_variables(f: Formula) -> set:
-    return {ref.variable for ref in atom_refs(f)}
+def atom_refs(f: Formula) -> set:
+    """All indexed atoms occurring in a body."""
+    return {node.ref for node in subformulas(f) if type(node) is Atom}
 
 
 def collect_alphabet(qf: QuantifiedFormula) -> tuple:
@@ -252,62 +284,31 @@ def collect_alphabet(qf: QuantifiedFormula) -> tuple:
 
 def rename_variables(f: Formula, mapping: dict) -> Formula:
     """Replace each atom's trace variable per ``mapping`` (identity if absent)."""
-    if isinstance(f, Atom):
-        new_var = mapping.get(f.ref.variable, f.ref.variable)
-        if new_var == f.ref.variable:
-            return f
-        return Atom(AtomRef(f.ref.proposition, new_var))
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return Not(rename_variables(f.sub, mapping))
-    if isinstance(f, Next):
-        return Next(rename_variables(f.sub, mapping))
-    if isinstance(f, Globally):
-        return Globally(rename_variables(f.sub, mapping))
-    if isinstance(f, Eventually):
-        return Eventually(rename_variables(f.sub, mapping))
-    if isinstance(f, Or):
-        return Or(tuple(rename_variables(a, mapping) for a in f.args))
-    if isinstance(f, And):
-        return And(tuple(rename_variables(a, mapping) for a in f.args))
-    cls = type(f)
-    return cls(rename_variables(f.lhs, mapping), rename_variables(f.rhs, mapping))
+    if type(f) is Atom:
+        prop, var = f.ref.proposition, f.ref.variable
+        return Atom(AtomRef(prop, mapping.get(var, var)))
+    return rebuild(f, list(map(rename_variables, children(f), repeat(mapping))))
+
+
+# derived class -> its core expansion, from the desugared children
+_EXPANSIONS = {
+    FalseF: lambda: Not(TRUE),
+    And: lambda *args: Not(Or(tuple(Not(a) for a in args))),
+    Implies: lambda a, b: Or((Not(a), b)),
+    Iff: lambda a, b: Not(Or((Not(Or((Not(a), b))), Not(Or((Not(b), a)))))),
+    Xor: lambda a, b: Not(_EXPANSIONS[Iff](a, b)),
+    Eventually: lambda a: Until(TRUE, a),
+    Globally: lambda a: Not(Until(TRUE, Not(a))),
+    WeakUntil: lambda a, b: Or((Until(a, b), Not(Until(TRUE, Not(a))))),
+    Release: lambda a, b: Not(Until(Not(a), Not(b))),
+}
 
 
 def desugar(f: Formula) -> Formula:
     """Expand derived operators; the result uses only atom/true/not/or/next/until."""
-    if isinstance(f, (Atom, TrueF)):
-        return f
-    if isinstance(f, FalseF):
-        return Not(TRUE)
-    if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, Next):
-        return Next(desugar(f.sub))
-    if isinstance(f, Or):
-        return Or(tuple(desugar(a) for a in f.args))
-    if isinstance(f, Until):
-        return Until(desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, And):
-        return Not(Or(tuple(Not(desugar(a)) for a in f.args)))
-    if isinstance(f, Implies):
-        return Or((Not(desugar(f.lhs)), desugar(f.rhs)))
-    if isinstance(f, Iff):
-        a, b = desugar(f.lhs), desugar(f.rhs)
-        return Not(Or((Not(Or((Not(a), b))), Not(Or((Not(b), a))))))
-    if isinstance(f, Xor):
-        return Not(desugar(Iff(f.lhs, f.rhs)))
-    if isinstance(f, Eventually):
-        return Until(TRUE, desugar(f.sub))
-    if isinstance(f, Globally):
-        return Not(Until(TRUE, Not(desugar(f.sub))))
-    if isinstance(f, WeakUntil):
-        a, b = desugar(f.lhs), desugar(f.rhs)
-        return Or((Until(a, b), Not(Until(TRUE, Not(a)))))
-    if isinstance(f, Release):
-        return Not(Until(Not(desugar(f.lhs)), Not(desugar(f.rhs))))
-    raise TypeError(f"not a formula node: {f!r}")
+    subs = list(map(desugar, children(f)))
+    expand = _EXPANSIONS.get(type(f))
+    return expand(*subs) if expand else rebuild(f, subs)
 
 
 _TAGS = {
@@ -331,13 +332,9 @@ def fkey(f: Formula) -> str:
     kind = type(f)
     if kind is Atom:
         key = f"a({f.ref})"
-    elif kind not in _TAGS:
-        raise TypeError(f"not a formula node: {f!r}")
-    elif kind is TrueF or kind is FalseF:
-        key = _TAGS[kind]
     else:
-        subs = f.args if kind is Or or kind is And else (getattr(f, n) for n in f.__match_args__)
-        key = f"{_TAGS[kind]}({','.join(map(fkey, subs))})"
+        subs = children(f)  # raises on anything but a node
+        key = f"{_TAGS[kind]}({','.join(map(fkey, subs))})" if subs else _TAGS[kind]
     object.__setattr__(f, "_key", key)
     return key
 
@@ -406,24 +403,18 @@ def mk_until(a: Formula, b: Formula) -> Formula:
     return Until(a, b)
 
 
+# class -> the constructor that builds its nodes canonically; other classes
+# (atoms, constants, derived operators) keep their own
+_SIMPLIFIERS = {Not: mk_not, Or: mk_or, And: mk_and, Next: mk_next, Until: mk_until}
+
+
 def simplify(f: Formula) -> Formula:
     """Canonical rewrite; idempotent. Intended for desugared bodies, but total."""
-    if isinstance(f, (Atom, TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return mk_not(simplify(f.sub))
-    if isinstance(f, Or):
-        return mk_or(simplify(a) for a in f.args)
-    if isinstance(f, And):
-        return mk_and(simplify(a) for a in f.args)
-    if isinstance(f, Next):
-        return mk_next(simplify(f.sub))
-    if isinstance(f, Until):
-        return mk_until(simplify(f.lhs), simplify(f.rhs))
-    # Derived operators: simplify children only; desugar first for full rules.
-    if isinstance(f, (Globally, Eventually)):
-        return type(f)(simplify(f.sub))
-    return type(f)(simplify(f.lhs), simplify(f.rhs))
+    out = getattr(f, "_simple", None)
+    if out is None:
+        out = rebuild(f, list(map(simplify, children(f))), _SIMPLIFIERS.get(type(f)))
+        object.__setattr__(f, "_simple", out)
+    return out
 
 
 # Pretty printing: binding levels per the concrete grammar.  A printed child

@@ -9,6 +9,7 @@ because every trace eventually shifts to the empty trace where ``a@p`` is
 false.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import UncoveredVariableError
@@ -161,35 +162,7 @@ def eval_body(assignment: dict, f: Formula) -> bool:
 
 def eps_eval(f: Formula) -> bool:
     """Evaluate a body at the all-empty assignment (every atom false)."""
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Not):
-        return not eps_eval(f.sub)
-    if isinstance(f, Or):
-        return any(eps_eval(a) for a in f.args)
-    if isinstance(f, And):
-        return all(eps_eval(a) for a in f.args)
-    if isinstance(f, Implies):
-        return (not eps_eval(f.lhs)) or eps_eval(f.rhs)
-    if isinstance(f, Iff):
-        return eps_eval(f.lhs) == eps_eval(f.rhs)
-    if isinstance(f, Xor):
-        return eps_eval(f.lhs) != eps_eval(f.rhs)
-    if isinstance(f, Next):
-        return eps_eval(f.sub)
-    if isinstance(f, Until):
-        return eps_eval(f.rhs)
-    if isinstance(f, WeakUntil):
-        return eps_eval(f.lhs) or eps_eval(f.rhs)
-    if isinstance(f, Release):
-        return eps_eval(f.rhs)
-    if isinstance(f, (Globally, Eventually)):
-        return eps_eval(f.sub)
-    raise TypeError(f"not a formula node: {f!r}")
+    return _Evaluator(defaultdict(Trace)).eval(f, 0)
 
 
 def eval_quantified(traces, qf: QuantifiedFormula, assignment: dict = None) -> bool:

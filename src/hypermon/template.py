@@ -40,11 +40,12 @@ from .formula import (
     TrueF,
     Until,
     atom_refs,
-    free_variables,
+    children,
     mk_and,
     mk_not,
     mk_or,
     simplify,
+    subformulas,
 )
 from .semantics import Trace, eps_eval
 
@@ -119,8 +120,17 @@ def prog(f: Formula) -> Formula:
     Or stops at its first true child, And at its first false one, and Until
     when its right-hand side progresses to true: exactly where ``mk_or`` and
     ``mk_and`` would return the absorbing constant, so skipping the rest
-    changes no result.
+    changes no result.  The residual depends on nothing but the node, so it
+    is kept on the node and every automaton shares it.
     """
+    out = getattr(f, "_prog", None)
+    if out is None:
+        out = _progress(f)
+        object.__setattr__(f, "_prog", out)
+    return out
+
+
+def _progress(f: Formula) -> Formula:
     kind = type(f)
     if kind is Not:
         return mk_not(prog(f.sub))
@@ -156,6 +166,7 @@ class TemplateAutomaton:
     reads ``bit`` and goes to ``lo`` when it is 0, ``hi`` when it is 1 (None
     until a walk needs it).  A leaf has no atom left to read: its bit is -1
     and ``lo`` holds the successor, None until a letter first reaches it.
+    The body comes simplified, so every residual literal is canonical.
     """
 
     def __init__(self, body, support, state_limit=DEFAULT_STATE_LIMIT):
@@ -176,8 +187,7 @@ class TemplateAutomaton:
         # changes, so every rejecting_position call shares the answers
         self.empties = {}
         self._prop_bits = {}  # variable -> {proposition: bit}, see prop_bits
-        # deep-simplify once so every residual literal is already canonical
-        self.initial_state = self._register(canonical_state(simplify(body)))
+        self.initial_state = self._register(canonical_state(body))
 
     def _register(self, f: Formula) -> int:
         sid = self.index.get(f)
@@ -242,7 +252,7 @@ class TemplateAutomaton:
         mask = self._now.get(f)
         if mask is None:
             mask = 1 << self.bits[f.ref] if type(f) is Atom else 0
-            for sub in () if type(f) is Next else _operands(f):
+            for sub in () if type(f) is Next else children(f):
                 mask |= self._reads(sub)
             self._now[f] = mask
         return mask
@@ -509,46 +519,29 @@ def build_template(body: Formula, variables, support=None,
     them.  The automaton is built lazily; ``state_limit`` caps distinct
     residuals.
     """
-    _check_state_types(body)
     variables = tuple(variables)
-    missing = free_variables(body) - set(variables)
+    for node in subformulas(body):
+        if type(node) not in (Atom, TrueF, FalseF, Not, Or, And, Next, Until):
+            raise MonitorError(
+                f"body must be desugared before compilation, got {type(node).__name__}"
+            )
+    atoms = atom_refs(body)
+    missing = {ref.variable for ref in atoms} - set(variables)
     if missing:
         raise MonitorError(f"body mentions unbound variables {sorted(missing)}")
-    atoms = sorted(atom_refs(body))
     if support is None:
-        support = tuple(atoms)
+        support = tuple(sorted(atoms))
     else:
         support = tuple(support)
-        if not set(atoms) <= set(support):
+        if not atoms <= set(support):
             raise SupportMismatchError(
-                f"support is missing atoms {sorted(set(atoms) - set(support))}"
+                f"support is missing atoms {sorted(atoms - set(support))}"
             )
     bad = {r.variable for r in support} - set(variables)
     if bad:
         raise SupportMismatchError(f"support mentions unknown variables {sorted(bad)}")
-    auto = TemplateAutomaton(body, support, state_limit)
+    auto = TemplateAutomaton(simplify(body), support, state_limit)
     return MonitorTemplate(auto, variables)
-
-
-def _operands(f: Formula) -> tuple:
-    """The direct subformulas of a state formula; raises on any other node."""
-    if isinstance(f, (Or, And)):
-        return f.args
-    if isinstance(f, (Not, Next)):
-        return (f.sub,)
-    if isinstance(f, Until):
-        return (f.lhs, f.rhs)
-    if isinstance(f, (Atom, TrueF, FalseF)):
-        return ()
-    raise MonitorError(
-        f"body must be desugared before compilation, got {type(f).__name__}"
-    )
-
-
-def _check_state_types(f: Formula) -> None:
-    stack = [f]
-    while stack:
-        stack.extend(_operands(stack.pop()))
 
 
 def rejecting_position(auto, letters) -> int:

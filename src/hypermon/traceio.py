@@ -63,8 +63,9 @@ def load_trace(path) -> Trace:
     if not isinstance(path, Path):
         path = Path(path)
     try:
-        # splitlines() ends lines at \r\n and \r as read_text() would
-        text = path.read_bytes().decode("utf-8")
+        # splitlines() ends lines at \r\n and \r as read_text() would; a
+        # leading byte-order mark is not part of the first line
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     try:

@@ -219,6 +219,26 @@ class TestMonitor:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "spec.hm" in err
 
+    def test_byte_order_marks_give_the_same_report(self, tmp_path, capsys):
+        traces = {"t1": "a\n", "t2": "{}\na\n", "t3": "a\n{}\n", "t4": "{}\n"}
+        reports = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            run = tmp_path / encoding
+            (run / "corpus").mkdir(parents=True)
+            spec = run / "spec.hm"
+            spec.write_text(EQ, encoding=encoding)
+            for i, (name, text) in enumerate(sorted(traces.items())):
+                # a marked run marks every other trace
+                mark = encoding if i % 2 else "utf-8"
+                (run / "corpus" / f"{name}.trace").write_text(text, encoding=mark)
+            code = main(["monitor", str(spec), str(run / "corpus"),
+                         "--continue-after-violation", "--stats-format", "json"])
+            assert code == 1
+            report = json.loads(capsys.readouterr().out)
+            del report["stats"]["wall_time"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_duplicate_trace_stems_exit_2(self, tmp_path, capsys):
         spec = spec_file(tmp_path, EQ)
         for sub in ("d1", "d2"):

@@ -1128,3 +1128,21 @@ def test_stats_snapshot_fields():
         "inclusion_checks",
         "wall_time",
     }
+
+
+class TestEmptyPrefix:
+    @pytest.mark.parametrize("text", ["true", "false", "X false", "G true"])
+    def test_verdict_from_the_initial_state(self, text, monkeypatch):
+        qf = parse_formula(text)
+        holds = eval_body({}, qf.body)
+
+        def unused(*args):
+            raise AssertionError("the empty prefix runs no evaluator")
+
+        monkeypatch.setattr(semantics, "eval_body", unused)
+        assert not hasattr(engine, "eval_body")
+        session = Session(qf)
+        expected = engine.Verdict(None if holds else engine.CounterExample((), 0))
+        assert session.verdict() == expected
+        assert session.process_trace(Trace.of([set()], "t1")) == expected
+        assert session.verdict() == expected

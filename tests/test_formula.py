@@ -1,5 +1,9 @@
+import dataclasses
 import random
 
+import pytest
+
+from hypermon import formula
 from hypermon.formula import (
     FALSE,
     TRUE,
@@ -163,3 +167,64 @@ class TestAlphabet:
             AtomRef("o", "p"),
             AtomRef("o", "q"),
         )
+
+
+NODE_CLASSES = [
+    cls for cls in vars(formula).values()
+    if isinstance(cls, type) and issubclass(cls, formula.Formula) and cls is not formula.Formula
+]
+
+
+def sample_node(cls, props):
+    """A node of ``cls`` whose every formula field holds fresh atoms."""
+    atoms = (atom(prop, "p") for prop in props)
+    fields = []
+    for field in dataclasses.fields(cls):
+        if field.name == "ref":
+            fields.append(AtomRef("r", "p"))
+        elif field.type is tuple:
+            fields.append((next(atoms), next(atoms), next(atoms)))
+        else:
+            fields.append(next(atoms))
+    return cls(*fields)
+
+
+class TestNodeShapes:
+    """``children`` and ``rebuild`` are the one table of node shapes."""
+
+    def test_the_table_lists_exactly_the_node_classes(self):
+        assert len(NODE_CLASSES) == 15
+        assert set(formula._CHILDREN) == set(NODE_CLASSES)
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_children_are_the_formula_fields(self, cls):
+        node = sample_node(cls, "abcd")
+        held = []
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, formula.Formula):
+                held.append(value)
+            elif isinstance(value, tuple):
+                held.extend(value)
+        assert formula.children(node) == tuple(held)
+        assert formula.rebuild(node, formula.children(node)) is node
+        other = sample_node(cls, "wxyz")
+        assert formula.rebuild(node, formula.children(other)) is (
+            node if not held else other
+        )
+
+    def test_class_missing_from_the_table_fails_loudly(self):
+        class Box(formula.Formula):
+            __slots__ = ()
+
+        box = object.__new__(Box)  # outside the unique table
+        for walk in (
+            formula.children,
+            formula.atom_refs,
+            desugar,
+            simplify,
+            formula.fkey,
+            lambda f: rename_variables(f, {}),
+        ):
+            with pytest.raises(TypeError, match="not a formula node"):
+                walk(box)

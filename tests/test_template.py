@@ -16,6 +16,7 @@ from hypermon.formula import (
     TrueF,
     Until,
     atom_refs,
+    children,
     desugar,
     mk_and,
     mk_not,
@@ -24,8 +25,8 @@ from hypermon.formula import (
 )
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body
+from hypermon.spec_analysis import analyze
 from hypermon.template import (
-    _operands,
     build_template,
     canonical_state,
     lazy_is_empty,
@@ -378,7 +379,7 @@ def nests_until_and_next(f, above=frozenset()):
         if {Until, Next} - {kind} <= above:
             return True
         above = above | {kind}
-    return any(nests_until_and_next(sub, above) for sub in _operands(f))
+    return any(nests_until_and_next(sub, above) for sub in children(f))
 
 
 def check_against_oracle(auto, rng, max_states=12):
@@ -514,3 +515,22 @@ class TestTransitionTree:
         with pytest.raises(ResourceLimitError):
             auto.step(start, bit["c"] | bit["a"])
         assert len(auto.formulas) == 1
+
+
+class TestProgressionMemo:
+    def test_each_residual_progresses_once(self, monkeypatch):
+        """Spec analysis of ``G``³⁰ ``a@p`` reaches 308 distinct leaf
+        formulas, which share their subformulas.  Progression keeps its
+        residual on the node, so each is progressed once; recomputed per
+        call, the same analysis made 231,432 ``prog`` calls."""
+        calls = []
+        original = template.prog
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(template, "prog", counted)
+        result = analyze(parse_formula("forall p. forall q. " + "G " * 30 + "a@p"))
+        assert result.flags() == (True, True, False)
+        assert len(calls) < 5_000

@@ -146,6 +146,20 @@ def test_crlf_and_cr_line_ends(tmp_path):
     assert str(info.value) == f"{path}: line 4: invalid proposition ''"
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "a,b\n# comment\n{}\nb\n"
+    plain, marked = tmp_path / "plain.trace", tmp_path / "marked.trace"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_trace(marked).steps == load_trace(plain).steps
+    # a mark anywhere else is still part of its line
+    marked.write_bytes(b"a\n\xef\xbb\xbfb\n")
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(marked)
+    assert str(info.value) == f"{marked}: line 2: invalid proposition '\\ufeffb'"
+
+
 def test_parse_cache_stays_bounded():
     lines = [f"p{i},q" for i in range(PARSE_CACHE_SIZE + 100)]
     trace = parse_trace("\n".join(lines))
