@@ -157,7 +157,7 @@ def random_traces(kind: str, n: int, length: int, seed: int, bias: dict = None):
     """
     _check_kind(kind)
     if n < 1 or length < 1:
-        raise ValueError("need n >= 1 and length >= 1")
+        raise CircuitInputError("need n >= 1 and length >= 1")
     bias = dict(bias or {})
     unknown = set(bias) - set(_INPUTS[kind])
     if unknown:

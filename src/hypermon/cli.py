@@ -3,11 +3,14 @@
 Commands:
 
 * ``monitor SPEC TRACE...``: check traces (files or directories of ``*.trace``
-  files) against a specification.  Exit 0 clean, 1 violation, 2 bad input,
-  3 resource limit.
+  files) against a specification.  Exit 0 clean, 1 violation.
 * ``analyze SPEC``: report symmetry/transitivity/reflexivity with witnesses.
 * ``gen``: simulate a circuit into a directory of trace files plus manifest.
 * ``template SPEC``: export the compiled monitor automaton as GraphViz.
+
+Every command exits 2 on bad input and 3 on a resource limit, with one line
+on stderr.  The commands raise; :func:`main` alone maps the error to the
+exit code.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,9 +113,13 @@ def build_report(session: Session) -> SessionReport:
     )
 
 
-def _write_failed(path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_USAGE
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` in the block into a ``MonitorError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise MonitorError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _check_writable(path: str) -> None:
@@ -147,44 +155,29 @@ def cmd_monitor(args) -> int:
     )
     if args.out:
         # before the run, so a long run is not thrown away for a bad path
-        try:
+        with _writing(args.out):
             _check_writable(args.out)
-        except OSError as exc:
-            return _write_failed(args.out, exc)
-    try:
-        qf = _load_spec(args.spec)
-        paths = collect_trace_paths(args.traces)
-        if not paths:
-            raise MonitorError("no trace files found")
-        session = Session(qf, options)
-        # one trace in memory at a time; files after a violation are still
-        # read, so a bad one exits 2
-        for path in paths:
-            session.process_trace(load_trace(path))
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (MonitorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    qf = _load_spec(args.spec)
+    paths = collect_trace_paths(args.traces)
+    if not paths:
+        raise MonitorError("no trace files found")
+    session = Session(qf, options)
+    # one trace in memory at a time; files after a violation are still
+    # read, so a bad one exits 2
+    for path in paths:
+        session.process_trace(load_trace(path))
     report = build_report(session)
     rendered = report.to_json() + "\n" if args.stats_format == "json" else report.to_text()
     if args.out:
-        try:
+        with _writing(args.out):
             Path(args.out).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            return _write_failed(args.out, exc)
     else:
         sys.stdout.write(rendered)
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_CLEAN
 
 
 def cmd_analyze(args) -> int:
-    try:
-        qf = _load_spec(args.spec)
-    except (MonitorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    qf = _load_spec(args.spec)
     result = analyze(qf)
     payload = {
         "formula": pretty_quantified(qf),
@@ -236,16 +229,11 @@ def cmd_gen(args) -> int:
         try:
             bias[name] = float(prob)
         except ValueError:
-            print(f"error: bad bias {item!r}, expected name=probability", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        traces = random_traces(args.kind, args.n, args.length, args.seed, bias)
-    except (MonitorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise MonitorError(f"bad bias {item!r}, expected name=probability") from None
+    traces = random_traces(args.kind, args.n, args.length, args.seed, bias)
     out = Path(args.out)
     width = max(5, len(str(args.n - 1)))
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         for idx, circuit_trace in enumerate(traces):
             name = f"t{idx:0{width}d}"
@@ -260,30 +248,18 @@ def cmd_gen(args) -> int:
             input_bits=list(input_bits(args.kind)),
             output_bits=list(output_bits(args.kind)),
         )
-    except OSError as exc:
-        return _write_failed(out, exc)
     print(f"wrote {args.n} traces to {out}")
     return EXIT_CLEAN
 
 
 def cmd_template(args) -> int:
-    try:
-        qf = _load_spec(args.spec)
-    except (MonitorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        session = Session(qf, MonitorOptions(spec_analysis=False, trace_analysis=False,
-                                             state_limit=args.state_limit))
-        dot = to_dot(session.template.dfa)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    qf = _load_spec(args.spec)
+    session = Session(qf, MonitorOptions(spec_analysis=False, trace_analysis=False,
+                                         state_limit=args.state_limit))
+    dot = to_dot(session.template.dfa)
     if args.dot:
-        try:
+        with _writing(args.dot):
             Path(args.dot).write_text(dot, encoding="utf-8")
-        except OSError as exc:
-            return _write_failed(args.dot, exc)
     else:
         sys.stdout.write(dot)
     return EXIT_CLEAN
@@ -342,7 +318,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one place that maps errors to exit codes; the commands just raise
+    try:
+        return args.func(args)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (MonitorError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ space.
 fields of which class hold subformulas: generic passes walk nodes through
 them, and only passes with a rule per operator name the fields themselves.
 
+The concrete syntax is one operator table: :data:`INFIX` (the infix
+operators, loosest first, each with its token and how a chain of it nests),
+:data:`PREFIX`, :data:`UNTILS` and :data:`CONSTANTS`.  The parser and
+:func:`pretty` both read it, so a token or a binding level is written once.
+
 Body nodes are frozen, slotted dataclasses, and they are hash-consed: every
 node is built through one process-wide unique table keyed on its class and
 fields, whose children are unique already.  Each distinct formula is thus
@@ -311,19 +316,26 @@ def desugar(f: Formula) -> Formula:
     return expand(*subs) if expand else rebuild(f, subs)
 
 
-_TAGS = {
-    TrueF: "T", FalseF: "F", Not: "!", Or: "|", And: "&", Next: "X", Until: "U",
-    WeakUntil: "W", Release: "R", Globally: "G", Eventually: "Fi", Implies: ">",
-    Iff: "=", Xor: "^",
-}
+# class -> its tag in fkey, so or/and arguments sort by class in this order.
+# Progression, the evaluator and the normal form stop at the first argument
+# that decides, and on the benchmark workloads they read less with negations
+# and atoms first and disjunctions last than in hash order.
+_TAGS = {cls: tag for tag, cls in enumerate((
+    Not, Atom, And, Iff, Implies, FalseF, Eventually, Globally, Release, TrueF,
+    Until, WeakUntil, Next, Xor, Or))}
 
 
-def fkey(f: Formula) -> str:
-    """Canonical string of a node: the sort key of or/and arguments.
+def fkey(f: Formula) -> int:
+    """Canonical key of a node: the sort key of or/and arguments.
 
-    Unlike identity hashes, it orders formulas the same way in every process,
-    so every residual prints the same.  It is built once per node, from the
-    keys of the children, and kept on the node.
+    Unlike identity hashes, it orders formulas the same way in every process
+    and under any ``PYTHONHASHSEED``, so every residual prints the same.  It
+    is the node's class tag above a 64-bit hash of the tag and its
+    children's keys (an atom's text read as an int), built once per node and
+    kept on the node, so it has a fixed size however large the formula.  Two
+    distinct nodes whose keys collide sort in either order; that can cost a
+    duplicate automaton state, whose formula is the same set of arguments in
+    another order, but never a wrong verdict.
     """
     try:
         return f._key
@@ -331,10 +343,11 @@ def fkey(f: Formula) -> str:
         pass
     kind = type(f)
     if kind is Atom:
-        key = f"a({f.ref})"
+        parts = (int.from_bytes(str(f.ref).encode(), "big"),)
     else:
-        subs = children(f)  # raises on anything but a node
-        key = f"{_TAGS[kind]}({','.join(map(fkey, subs))})" if subs else _TAGS[kind]
+        parts = map(fkey, children(f))  # raises on anything but a node
+    tag = _TAGS[kind]
+    key = tag << 64 | hash((tag, *parts)) % (1 << 64)
     object.__setattr__(f, "_key", key)
     return key
 
@@ -417,59 +430,64 @@ def simplify(f: Formula) -> Formula:
     return out
 
 
-# Pretty printing: binding levels per the concrete grammar.  A printed child
-# at a looser level than its context gets parentheses so parsing recovers the
-# identical tree.
-_LVL_IFF, _LVL_XOR, _LVL_IMPL, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(7)
+# The concrete syntax, read by both the parser and the printer.  INFIX holds
+# the infix operators, loosest first: an operator's binding level is its
+# index, and its shape says how a chain of it parses.  "left" and "right"
+# chains nest to that side; a "flat" chain is one n-ary node.  Prefix
+# operators and U/W/R bind at level UNARY, tighter than any infix operator;
+# the left operand of U/W/R is an atom, a constant or parenthesized.
+INFIX = (
+    ("<->", Iff, "left"),
+    ("^", Xor, "left"),
+    ("->", Implies, "right"),
+    ("|", Or, "flat"),
+    ("&", And, "flat"),
+)
+UNARY = len(INFIX)
+PREFIX = {"!": Not, "X": Next, "G": Globally, "F": Eventually}
+UNTILS = {"U": Until, "W": WeakUntil, "R": Release}
+CONSTANTS = {"true": TRUE, "false": FALSE}
+
+# class -> (token, binding level, shape) for the printer
+_SYNTAX = {
+    **{cls: (token, level, shape) for level, (token, cls, shape) in enumerate(INFIX)},
+    **{cls: (token, UNARY, "prefix") for token, cls in PREFIX.items()},
+    **{cls: (token, UNARY, "until") for token, cls in UNTILS.items()},
+    **{type(node): (token, UNARY + 1, "leaf") for token, node in CONSTANTS.items()},
+}
 
 
 def _pp(f: Formula, level: int) -> str:
-    if isinstance(f, Atom):
+    """``f`` printed in a context of binding ``level``: a child looser than
+    its context gets parentheses, so parsing recovers the identical tree."""
+    if type(f) is Atom:
         return str(f.ref)
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Iff):
-        s = f"{_pp(f.lhs, _LVL_IFF)} <-> {_pp(f.rhs, _LVL_XOR)}"
-        return f"({s})" if level > _LVL_IFF else s
-    if isinstance(f, Xor):
-        s = f"{_pp(f.lhs, _LVL_XOR)} ^ {_pp(f.rhs, _LVL_IMPL)}"
-        return f"({s})" if level > _LVL_XOR else s
-    if isinstance(f, Implies):
-        # right-associative: the right child stays at this level
-        s = f"{_pp(f.lhs, _LVL_OR)} -> {_pp(f.rhs, _LVL_IMPL)}"
-        return f"({s})" if level > _LVL_IMPL else s
-    if isinstance(f, Or):
-        s = " | ".join(_pp(a, _LVL_AND) for a in f.args)
-        return f"({s})" if level > _LVL_OR else s
-    if isinstance(f, And):
-        s = " & ".join(_pp(a, _LVL_UNARY) for a in f.args)
-        return f"({s})" if level > _LVL_AND else s
-    if isinstance(f, Not):
-        return f"!{_pp(f.sub, _LVL_UNARY)}"
-    if isinstance(f, Next):
-        return f"X {_pp(f.sub, _LVL_UNARY)}"
-    if isinstance(f, Globally):
-        return f"G {_pp(f.sub, _LVL_UNARY)}"
-    if isinstance(f, Eventually):
-        return f"F {_pp(f.sub, _LVL_UNARY)}"
-    if isinstance(f, (Until, WeakUntil, Release)):
-        op = {Until: "U", WeakUntil: "W", Release: "R"}[type(f)]
-        # the left operand of U/W/R must be an atom, constant or parenthesized
-        if isinstance(f.lhs, (Atom, TrueF, FalseF)):
-            lhs = _pp(f.lhs, _LVL_ATOM)
-        else:
-            lhs = f"({_pp(f.lhs, _LVL_IFF)})"
-        s = f"{lhs} {op} {_pp(f.rhs, _LVL_UNARY)}"
-        # a U-chain is itself a unary production, no parens needed at unary level
-        return f"({s})" if level > _LVL_UNARY else s
-    raise TypeError(f"not a formula node: {f!r}")
+    try:
+        token, own, shape = _SYNTAX[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {f!r}") from None
+    if shape == "leaf":
+        return token
+    if shape == "prefix":
+        # a word operator needs a space before its operand
+        s = token + " " * token.isalpha() + _pp(f.sub, own)
+    elif shape == "until":
+        lhs = _pp(f.lhs, 0)
+        if children(f.lhs):
+            lhs = f"({lhs})"
+        s = f"{lhs} {token} {_pp(f.rhs, own)}"
+    elif shape == "flat":
+        s = f" {token} ".join(_pp(a, own + 1) for a in f.args)
+    else:
+        # the operand on the chain's side stays at this level
+        left, right = (own, own + 1) if shape == "left" else (own + 1, own)
+        s = f"{_pp(f.lhs, left)} {token} {_pp(f.rhs, right)}"
+    return f"({s})" if level > own else s
 
 
 def pretty(f: Formula) -> str:
     """Render a body; parse(pretty(f)) reproduces the identical tree."""
-    return _pp(f, _LVL_IFF)
+    return _pp(f, 0)
 
 
 def pretty_quantified(qf: QuantifiedFormula) -> str:

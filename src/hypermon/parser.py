@@ -14,9 +14,11 @@ Grammar (# starts a line comment, whitespace is insignificant):
               | atomOrParen (("U" | "W" | "R") unary)?
     atomOrParen := "true" | "false" | IDENT "@" IDENT | "(" body ")"
 
-Indexed atoms are written ``prop@var``.  The operator names X G F U W R and
-the keywords forall/exists/true/false are reserved and cannot be used as
-identifiers.
+The operators, their binding levels and how each chains come from one table,
+:data:`hypermon.formula.INFIX` with ``PREFIX``, ``UNTILS`` and
+``CONSTANTS``, which the printer reads too.  Indexed atoms are written
+``prop@var``.  The operator names X G F U W R and the keywords
+forall/exists/true/false are reserved and cannot be used as identifiers.
 
 A body may nest at most :data:`MAX_DEPTH` levels deep.  Each parenthesis,
 prefix operator, right operand of U, W, R or ->, and each further operand of
@@ -24,28 +26,19 @@ a <-> or ^ chain opens one level.
 """
 
 import re
+from functools import partial, reduce
 
 from .errors import DuplicateBinderError, FormulaSyntaxError, UnboundVariableError
 from .formula import (
+    CONSTANTS,
     EXISTS,
-    FALSE,
     FORALL,
-    TRUE,
-    And,
+    INFIX,
+    PREFIX,
+    UNTILS,
     Atom,
     AtomRef,
-    Eventually,
-    Globally,
-    Iff,
-    Implies,
-    Next,
-    Not,
-    Or,
     QuantifiedFormula,
-    Release,
-    Until,
-    WeakUntil,
-    Xor,
 )
 
 # Every pass over a body (desugaring, simplification, compilation, the
@@ -53,18 +46,14 @@ from .formula import (
 # keeps them all inside the interpreter's default recursion limit.
 MAX_DEPTH = 100
 
-_PREFIX = {"!": Not, "X": Next, "G": Globally, "F": Eventually}
-_UNTILS = {"U": Until, "W": WeakUntil, "R": Release}
-_KEYWORDS = {"forall", "exists", "true", "false", "X", "G", "F", "U", "W", "R"}
+_KEYWORDS = {FORALL, EXISTS, *CONSTANTS, *PREFIX, *UNTILS}
 
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<iff><->)
-  | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()@.!&|^])
+  | (?P<punct><->|->|[()@.!&|^])
     """,
     re.VERBOSE,
 )
@@ -86,26 +75,20 @@ def _tokenize(text: str):
     line = 1
     line_start = 0
     while pos < len(text):
+        col = pos - line_start + 1
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            col = pos - line_start + 1
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         tok = m.group()
-        col = pos - line_start + 1
         if kind == "ws":
             line += tok.count("\n")
             if "\n" in tok:
                 line_start = pos + tok.rindex("\n") + 1
         elif kind == "comment":
             pass
-        elif kind == "ident":
-            if tok in _KEYWORDS:
-                tokens.append(_Token(tok, tok, line, col))
-            else:
-                tokens.append(_Token("IDENT", tok, line, col))
-        elif kind in ("iff", "arrow"):
-            tokens.append(_Token(tok, tok, line, col))
+        elif kind == "ident" and tok not in _KEYWORDS:
+            tokens.append(_Token("IDENT", tok, line, col))
         else:
             tokens.append(_Token(tok, tok, line, col))
         pos = m.end()
@@ -118,6 +101,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.bound = []
+        # the parser of an infix level's operands: the next tighter level,
+        # then unary; bound here, so each level costs one frame
+        self.operands = [partial(self.infix, at) for at in range(1, len(INFIX))]
+        self.operands.append(self.unary)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -130,11 +117,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise FormulaSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
         return self.take()
 
     def level(self, depth: int) -> int:
@@ -162,76 +145,49 @@ class _Parser:
             self.expect(".")
             prefix.append((quant, name.text))
         self.bound = [v for _, v in prefix]
-        body = self.iff(0)
+        body = self.infix(0, 0)
         tok = self.peek()
         if tok.kind != "EOF":
             self.error(f"unexpected {tok.text!r} after formula", tok)
         return QuantifiedFormula(tuple(prefix), body)
 
-    def iff(self, depth):
-        f = self.xor(depth)
-        while self.peek().kind == "<->":
+    def infix(self, at, depth):
+        """A chain of the infix operator ``INFIX[at]`` over operands of the
+        tighter levels."""
+        token, make, shape = INFIX[at]
+        operand = self.operands[at]
+        parts = [operand(depth)]
+        while self.peek().kind == token:
             self.take()
-            depth = self.level(depth + 1)
-            f = Iff(f, self.xor(depth))
-        return f
-
-    def xor(self, depth):
-        f = self.impl(depth)
-        while self.peek().kind == "^":
-            self.take()
-            depth = self.level(depth + 1)
-            f = Xor(f, self.impl(depth))
-        return f
-
-    def impl(self, depth):
-        f = self.or_(depth)
-        if self.peek().kind == "->":
-            self.take()
-            return Implies(f, self.impl(self.level(depth + 1)))
-        return f
-
-    def or_(self, depth):
-        parts = [self.and_(depth)]
-        while self.peek().kind == "|":
-            self.take()
-            parts.append(self.and_(depth))
+            if shape == "right":
+                return make(parts[0], self.infix(at, self.level(depth + 1)))
+            if shape == "left":
+                depth = self.level(depth + 1)
+            parts.append(operand(depth))
         if len(parts) == 1:
             return parts[0]
-        return Or(tuple(parts))
-
-    def and_(self, depth):
-        parts = [self.unary(depth)]
-        while self.peek().kind == "&":
-            self.take()
-            parts.append(self.unary(depth))
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
+        return make(tuple(parts)) if shape == "flat" else reduce(make, parts)
 
     def unary(self, depth):
         kind = self.peek().kind
-        if kind in _PREFIX:
+        if kind in PREFIX:
             self.take()
-            return _PREFIX[kind](self.unary(self.level(depth + 1)))
+            return PREFIX[kind](self.unary(self.level(depth + 1)))
         f = self.atom_or_paren(depth)
         kind = self.peek().kind
-        if kind in _UNTILS:
+        if kind in UNTILS:
             self.take()
-            return _UNTILS[kind](f, self.unary(self.level(depth + 1)))
+            return UNTILS[kind](f, self.unary(self.level(depth + 1)))
         return f
 
     def atom_or_paren(self, depth):
         tok = self.peek()
-        if tok.kind == "true":
+        if tok.kind in CONSTANTS:
             self.take()
-            return TRUE
-        if tok.kind == "false":
-            self.take()
-            return FALSE
+            return CONSTANTS[tok.kind]
         if tok.kind == "(":
             self.take()
-            f = self.iff(self.level(depth + 1))
+            f = self.infix(0, self.level(depth + 1))
             self.expect(")")
             return f
         if tok.kind == "IDENT":
