@@ -101,17 +101,53 @@ class MonitorOptions:
     state_limit: int = DEFAULT_STATE_LIMIT
 
 
-@dataclass(frozen=True)
 class CounterExample:
     """A rejected tuple: (variable, trace name) pairs in prefix order.
 
     rejecting_position is the length of the shortest joint-word prefix after
     which acceptance was impossible (None for provisional verdicts, where no
-    joint run exists).
+    joint run exists).  A session's tuple loop gives it as a thunk, run on
+    the first read and then kept, so a counterexample nobody reads costs no
+    emptiness search.  Equality, hash and repr are by value, and read it.
     """
 
-    assignment: tuple
-    rejecting_position: int = None
+    __slots__ = ("assignment", "_position", "_compute")
+
+    def __init__(self, assignment: tuple, rejecting_position: int = None):
+        self.assignment = assignment
+        self._position = rejecting_position
+        self._compute = None
+
+    @classmethod
+    def deferred(cls, assignment: tuple, compute) -> "CounterExample":
+        """A counterexample whose position is ``compute()``, run on first read."""
+        ce = cls(assignment)
+        ce._compute = compute
+        return ce
+
+    @property
+    def rejecting_position(self) -> int:
+        if self._compute is not None:
+            self._position, self._compute = self._compute(), None
+        return self._position
+
+    def _key(self):
+        return self.assignment, self.rejecting_position
+
+    def __eq__(self, other):
+        if type(other) is not CounterExample:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CounterExample(assignment={self.assignment!r}, "
+                f"rejecting_position={self.rejecting_position!r})")
+
+    def __reduce__(self):  # pickles and copies by value, as the dataclass did
+        return CounterExample, self._key()
 
 
 @dataclass(frozen=True)
@@ -268,7 +304,13 @@ class _Rows:
 
 
 class Session:
-    """Monitoring state for one specification."""
+    """Monitoring state for one specification.
+
+    A violating tuple's counterexample carries its assignment at once; its
+    ``rejecting_position`` runs on first read (see :class:`CounterExample`),
+    so with ``continue_after_violation`` the violations nobody reads cost
+    no emptiness search and register no automaton state.
+    """
 
     def __init__(self, qf: QuantifiedFormula, options: MonitorOptions = None):
         begin = time.perf_counter()
@@ -485,14 +527,21 @@ class Session:
         return None
 
     def _build_counterexample(self, tup, masks_of) -> CounterExample:
-        letters = list(joint_word(
-            masks_of(trace, var) for var, trace in zip(self.variables, tup)
-        ))
-        position = rejecting_position(self.template.automaton, letters)
-        assignment = tuple(
-            (var, trace.name) for var, trace in zip(self.variables, tup)
+        """The counterexample of ``tup``; its rejecting position is worked
+        out on first read.  That gives the value a read right now would:
+        stored traces keep their trie paths, the fresh trace's masks stay in
+        ``masks_of``, and every letter was already stepped by the tuple
+        loop."""
+        pairs = tuple(zip(self.variables, tup))
+        auto = self.template.automaton
+
+        def position():
+            letters = list(joint_word(masks_of(trace, var) for var, trace in pairs))
+            return rejecting_position(auto, letters)
+
+        return CounterExample.deferred(
+            tuple((var, trace.name) for var, trace in pairs), position
         )
-        return CounterExample(assignment, position)
 
     # -- other fragments (direct evaluation) --------------------------------
 

@@ -181,6 +181,7 @@ class TemplateAutomaton:
         self.nodes = {}
         self.roots = []
         self._now = {}  # formula -> bits of the atoms it reads this step
+        self._fixed = {}  # (formula, bit, value) -> _fix's result
         self.true_sid = -1
         self.false_sid = -1
         # state -> whether its language is empty; a state's language never
@@ -260,7 +261,15 @@ class TemplateAutomaton:
     def _fix(self, f: Formula, bit: int, value: int) -> Formula:
         """``f``, which reads ``bit``, with that atom fixed to ``value`` and
         constants folded; an until that reads it is unrolled to
-        ``rhs | lhs & X until``."""
+        ``rhs | lhs & X until``.  Kept per (formula, bit, value), since the
+        diagram nodes of many states share subformulas."""
+        key = (f, bit, value)
+        out = self._fixed.get(key)
+        if out is None:
+            out = self._fixed[key] = self._fix_now(f, bit, value)
+        return out
+
+    def _fix_now(self, f: Formula, bit: int, value: int) -> Formula:
         kind = type(f)
         if kind is Atom:
             return TRUE if value else FALSE

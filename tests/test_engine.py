@@ -2,11 +2,12 @@ import itertools
 import logging
 import math
 import operator
+import pickle
 import random
 
 import pytest
 
-from hypermon import engine, semantics
+from hypermon import cli, engine, semantics, template
 from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
 from hypermon.formula import (
@@ -15,6 +16,7 @@ from hypermon.formula import (
     Implies,
     Or,
     QuantifiedFormula,
+    desugar,
     pretty_quantified,
     rename_variables,
 )
@@ -1146,3 +1148,101 @@ class TestEmptyPrefix:
         assert session.verdict() == expected
         assert session.process_trace(Trace.of([set()], "t1")) == expected
         assert session.verdict() == expected
+
+
+SYMMETRIC_THREE = parse_formula(
+    "forall p. forall q. forall r. "
+    + " & ".join(
+        f"((overflow@{a} <-> overflow@{b}) W !(decr@{a} <-> decr@{b}))"
+        for a, b in ("pq", "qr", "pr")
+    )
+)
+
+
+def _violation_stream(name):
+    """(formula, traces) of a continue-after-violation stream where many
+    traces violate."""
+    if name == "counter3-stream":
+        corpus = random_traces("counter3", 400, 20, 7, bias=STREAM_BIAS)
+        return COUNTER3, [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    corpus = random_traces("counter3", 60, 12, 1, bias=STREAM_BIAS)
+    return SYMMETRIC_THREE, [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+
+
+class TestLazyRejectingPosition:
+    """A counterexample's rejecting position runs on first read and equals
+    the value read at once."""
+
+    @pytest.mark.parametrize("table_size", (None, 4))
+    @pytest.mark.parametrize("name", ("counter3-stream", "three-quantifiers"))
+    def test_read_after_the_corpus_gives_the_eager_value(
+            self, name, table_size, monkeypatch):
+        qf, traces = _violation_stream(name)
+        if table_size is not None:
+            # the mask tables clear between a violation and its read
+            monkeypatch.setattr(engine, "TABLE_SIZE", table_size)
+        session = Session(qf, MonitorOptions(continue_after_violation=True))
+        if name == "three-quantifiers":
+            assert session.symmetric
+        violations = [
+            ce for ce in (session.process_trace(t).counterexample for t in traces)
+            if ce is not None
+        ]
+        assert len(violations) >= 10
+        by_name = {t.name: t for t in traces}
+        fresh = template.build_template(desugar(qf.body), qf.variables).automaton
+        for ce in violations:
+            letters = list(template.joint_word(
+                template.trace_masks(fresh, var, by_name[trace])
+                for var, trace in ce.assignment
+            ))
+            assert ce.rejecting_position == template.rejecting_position(fresh, letters)
+        assert len({ce.rejecting_position for ce in violations}) > 1
+
+    def test_runs_only_when_read(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = engine.rejecting_position
+
+        def counted(auto, letters):
+            calls.append(len(letters))
+            return original(auto, letters)
+
+        monkeypatch.setattr(engine, "rejecting_position", counted)
+        qf, traces = _violation_stream("counter3-stream")
+        session = Session(qf, MonitorOptions(continue_after_violation=True))
+        violations = [
+            ce for ce in (session.process_trace(t).counterexample for t in traces)
+            if ce is not None
+        ]
+        assert len(violations) > 100 and calls == []
+        ce = session.verdict().counterexample
+        first = ce.rejecting_position
+        assert ce.rejecting_position == first and len(calls) == 1  # then kept
+
+        calls.clear()
+        spec = tmp_path / "spec.hm"
+        spec.write_text(pretty_quantified(qf) + "\n")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for t in traces:
+            save_trace(t, corpus / f"{t.name}.trace")
+        argv = ["monitor", str(spec), str(corpus), "--continue-after-violation"]
+        assert cli.main(argv) == cli.EXIT_VIOLATION
+        assert len(calls) == 1  # the reported counterexample only
+        assert "rejecting prefix length: " in capsys.readouterr().out
+
+    def test_equality_hash_and_repr_by_value(self):
+        assignment = (("p", "t1"), ("q", "t2"))
+        calls = []
+        lazy = engine.CounterExample.deferred(assignment, lambda: calls.append(1) or 3)
+        eager = engine.CounterExample(assignment, 3)
+        assert calls == []
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager) == (
+            "CounterExample(assignment=(('p', 't1'), ('q', 't2')), "
+            "rejecting_position=3)"
+        )
+        assert engine.Verdict(lazy) == engine.Verdict(eager)
+        assert lazy != engine.CounterExample(assignment, None)
+        assert pickle.loads(pickle.dumps(lazy)) == eager
+        assert calls == [1]
