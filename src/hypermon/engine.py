@@ -14,9 +14,9 @@ It describes the tuples as families: fixed slots (the fresh trace or stored
 heads) plus at most one free slot that ranges over a run of stored traces.
 The session keeps a prefix tree of the stored traces' masks for each
 variable a stored trace takes (``prefix_tree``), and runs a family in one
-walk of the free slot's tree, one automaton step per node instead of one per
-tuple.  The counterexample is still the first violating tuple in expansion
-order.
+walk of the free slot's tree, at most one automaton step per node instead
+of one per tuple.  The counterexample is still the first violating tuple in
+expansion order.
 
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace;

@@ -11,12 +11,17 @@ the one of the trace that created it, its largest is the last one inserted
 below it, and a trace's masks can be read back off the path to its leaf.
 
 :meth:`PrefixTree.first_violator` runs the joint word of the fixed slots
-against every trace of the tree in one depth-first walk: one automaton step
-per node, not one per tuple, and a subtree is settled as a whole once the
-state is decided (``true_sid`` or ``false_sid``).  The answer equals running
-each tuple on its own with ``template.run_masks``: a trace past its end
-contributes mask 0, and a trace that ends early runs the rest of the fixed
-letters with ``template.accepts_from``.
+against every trace of the tree in one depth-first walk: at most one
+automaton step per node, not one per tuple, and a subtree is settled as a
+whole once the state is decided (``true_sid`` or ``false_sid``).  A node
+with many children first asks the automaton for its live set
+(``TemplateAutomaton.live``): the free slot's mask values that the state's
+transition diagram, restricted to the fixed slots' letter, does not already
+send to ``true_sid``.  Only children whose masks are in it are stepped; the
+rest would step to ``true_sid`` and be skipped anyway.  The answer equals
+running each tuple on its own with ``template.run_masks``: a trace past its
+end contributes mask 0, and a trace that ends early runs the rest of the
+fixed letters with ``template.accepts_from``.
 """
 
 from .template import accepts_from
@@ -44,6 +49,12 @@ class PrefixTree:
     def __init__(self):
         self.root = Node(None, None, None)
         self.leaves = {}
+        # every bit some mask in the tree sets: the free bits of a live set;
+        # a bit of the variable that no mask sets is 0 in every child
+        self.bits = 0
+        # the smallest live set a walk has seen (a fallback counts as the
+        # node's fan-out), None before the first
+        self.least = None
 
     def add(self, masks, serial) -> None:
         """Insert a trace's masks; ``serial`` exceeds every serial held."""
@@ -58,6 +69,7 @@ class PrefixTree:
             else:
                 child = Node(mask, node, serial)
                 node.children += (child,)
+                self.bits |= mask
             child.last = serial
             node = child
         node.ends += (serial,)
@@ -78,14 +90,16 @@ class PrefixTree:
         rejected by ``auto``; None when every such tuple is accepted.
 
         A subtree whose serials cannot beat the best violator found so far,
-        or lie below ``lo``, is not entered.
+        or lie below ``lo``, is not entered.  A node asks for its live set
+        only when it has more children than the smallest live set seen.
         """
-        step = auto.step
+        step, live, rel = auto.step, auto.live, auto.rel
         # both decided states absorb, so a walk that meets one before it is
         # registered (still -1 here) only runs longer, to the same answer
         true_sid, false_sid = auto.true_sid, auto.false_sid
         size = len(word)
         best = hi + 1
+        bits, least = self.bits, self.least
         node, state, depth = self.root, auto.initial_state, 0
         # one frame per node on the path: its children not yet tried, its
         # state, the next letter of the fixed slots and the children's depth;
@@ -100,7 +114,19 @@ class PrefixTree:
                         best = min(best, serial)
                         break
             letter = word[depth] if depth < size else 0
-            frames.append((iter(node.children), state, letter, depth + 1))
+            children = node.children
+            fanout = len(children)
+            # before any live set is seen, a lone child is not worth a walk
+            if fanout > (1 if least is None else least):
+                values = live(state, letter, bits, fanout)
+                if values is None:
+                    seen = fanout
+                else:
+                    seen = len(values)
+                    within = rel[state]
+                    children = [c for c in children if c.mask & within in values]
+                least = seen if least is None else min(least, seen)
+            frames.append((iter(children), state, letter, depth + 1))
             while frames:
                 children, state, letter, depth = frames[-1]
                 for node in children:
@@ -119,4 +145,5 @@ class PrefixTree:
                     continue
                 break
             else:
+                self.least = least
                 return best if best <= hi else None

@@ -55,46 +55,56 @@ ATOM_LIMIT = 14
 _DNF_TERM_CAP = 4096
 
 
-def _dnf(f: Formula, neg: bool):
+def _dnf(f: Formula, neg: bool, memo: dict):
     """Disjunctive normal form as a set of frozensets of (node, positive)
     literals, where atoms, next- and until-nodes are opaque literals.
 
     Residuals of progression only combine such literals with not/or/and, so
     this puts every automaton state into a canonical, provably finite shape
     (an antichain of literal sets drawn from the body's subformulas).
+    ``memo`` keeps each and/or node's form per polarity for one call of
+    :func:`canonical_state`, so a shared operand is expanded once there.
     """
     if isinstance(f, TrueF):
         return frozenset() if neg else frozenset({frozenset()})
     if isinstance(f, FalseF):
         return frozenset({frozenset()}) if neg else frozenset()
     if isinstance(f, Not):
-        return _dnf(f.sub, not neg)
+        return _dnf(f.sub, not neg, memo)
     if isinstance(f, (Or, And)):
-        parts = [_dnf(a, neg) for a in f.args]
-        if isinstance(f, Or) != neg:  # disjunction
-            out = set()
-            for p in parts:
-                out |= p
-            return frozenset(out)
-        terms = frozenset({frozenset()})
-        for p in parts:
-            new_terms = set()
-            for t1 in terms:
-                for t2 in p:
-                    if any((node, not pos) in t1 for node, pos in t2):
-                        continue
-                    new_terms.add(t1 | t2)
-                    if len(new_terms) > _DNF_TERM_CAP:
-                        raise ResourceLimitError(
-                            f"residual formula exceeds {_DNF_TERM_CAP} terms"
-                        )
-            terms = new_terms
-        return frozenset(terms)
+        out = memo.get((f, neg))
+        if out is None:
+            parts = [_dnf(a, neg, memo) for a in f.args]
+            if isinstance(f, Or) != neg:  # disjunction
+                out = frozenset().union(*parts)
+            else:
+                out = _product(parts)
+            memo[f, neg] = out
+        return out
     if isinstance(f, (Atom, Next, Until)):
         return frozenset({frozenset({(f, not neg)})})
     raise MonitorError(
         f"automaton states must be desugared bodies, got {type(f).__name__}"
     )
+
+
+def _product(parts):
+    """The conjunction of disjunctive normal forms: every union of one term
+    from each part that holds no literal in both polarities."""
+    terms = frozenset({frozenset()})
+    for p in parts:
+        new_terms = set()
+        for t1 in terms:
+            for t2 in p:
+                if any((node, not pos) in t1 for node, pos in t2):
+                    continue
+                new_terms.add(t1 | t2)
+                if len(new_terms) > _DNF_TERM_CAP:
+                    raise ResourceLimitError(
+                        f"residual formula exceeds {_DNF_TERM_CAP} terms"
+                    )
+        terms = new_terms
+    return frozenset(terms)
 
 
 def _subsume(terms):
@@ -107,7 +117,7 @@ def _subsume(terms):
 
 def canonical_state(f: Formula) -> Formula:
     """Boolean-equivalent canonical form used as the automaton state space."""
-    terms = _subsume(_dnf(f, False))
+    terms = _subsume(_dnf(f, False, {}))
     return mk_or(
         mk_and(node if pos else Not(node) for node, pos in term) for term in terms
     )
@@ -182,6 +192,7 @@ class TemplateAutomaton:
         self.roots = []
         self._now = {}  # formula -> bits of the atoms it reads this step
         self._fixed = {}  # (formula, bit, value) -> _fix's result
+        self._live = {}  # (free bits, state, letter) -> live's answer
         self.true_sid = -1
         self.false_sid = -1
         # state -> whether its language is empty; a state's language never
@@ -229,16 +240,76 @@ class TemplateAutomaton:
             # walk the state's diagram, building the nodes the walk reaches
             node = self.roots[state]
             while node[0] >= 0:
-                side = 2 if letter >> node[0] & 1 else 1
-                if node[side] is None:
-                    node[side] = self._node(state, self._fix(node[3], node[0], side - 1))
-                node = node[side]
+                node = self._child(state, node, 2 if letter >> node[0] & 1 else 1)
             if node[1] is None:
                 # the first letter to reach a leaf progresses its formula; stored
                 # only now, so a tripped resource guard leaves the leaf open
                 node[1] = self._register(canonical_state(prog(node[3])))
             sid = self.delta[state, letter] = node[1]
         return sid
+
+    def _child(self, state: int, node: list, side: int) -> list:
+        """``node[side]`` (1: its bit is 0, 2: it is 1), built on first use."""
+        child = node[side]
+        if child is None:
+            child = node[side] = self._node(
+                state, self._fix(node[3], node[0], side - 1)
+            )
+        return child
+
+    def live(self, state: int, letter: int, free: int, fanout: int):
+        """The values of the ``free`` bits within ``rel[state]`` that do not
+        lead from ``state`` to a leaf already progressed to ``true_sid``
+        when every other bit follows ``letter``, as a frozenset.  A leaf not
+        yet progressed counts as live.
+
+        The walk restricts the state's diagram to the letter's fixed bits
+        and enumerates its paths, branching on the free bits.  It returns
+        None, for the caller to step every value, when a live path leaves a
+        free bit unread or when the paths would number ``fanout``, so it
+        never reaches more leaves than the caller has values to step.  It
+        builds diagram nodes but progresses no leaf, so it registers no
+        state.  Answers are kept per (free bits, state, letter); a later
+        progression to ``true_sid`` only leaves a kept set a value too many,
+        which the caller steps to the same answer.
+        """
+        rel = self.rel[state]
+        free &= rel
+        key = (free, state, letter & rel)
+        known = self._live.get(key, 0)
+        if type(known) is frozenset:
+            return known if len(known) < fanout else None
+        # None: a live path skips a free bit; an int: at least that many paths
+        if known is None or known >= fanout:
+            return None
+        true_sid = self.true_sid
+        values, paths = [], 0
+        stack = [(self.roots[state], 0, 0)]
+        while stack:
+            node, value, read = stack.pop()
+            bit = node[0]
+            while bit >= 0 and not free >> bit & 1:
+                side = 2 if letter >> bit & 1 else 1
+                node = node[side] or self._child(state, node, side)
+                bit = node[0]
+            if bit >= 0:
+                read |= 1 << bit
+                stack.append((node[2] or self._child(state, node, 2), value | 1 << bit, read))
+                stack.append((node[1] or self._child(state, node, 1), value, read))
+                continue
+            paths += 1
+            if paths >= fanout:
+                self._live[key] = paths
+                return None
+            if node[1] != true_sid:
+                if read != free:
+                    answer = None
+                    break
+                values.append(value)
+        else:
+            answer = frozenset(values)
+        self._live[key] = answer
+        return answer
 
     def _node(self, state: int, pending: Formula) -> list:
         node = self.nodes.get((state, pending))

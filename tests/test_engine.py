@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -12,6 +13,8 @@ from hypermon.circuits import independence_property, random_traces
 from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
 from hypermon.formula import (
     And,
+    Atom,
+    AtomRef,
     Iff,
     Implies,
     Or,
@@ -20,6 +23,7 @@ from hypermon.formula import (
     pretty_quantified,
     rename_variables,
 )
+from hypermon.errors import ResourceLimitError
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_body, eval_quantified
 from hypermon.trace_analysis import DominanceChecker
@@ -1246,3 +1250,95 @@ class TestLazyRejectingPosition:
         assert lazy != engine.CounterExample(assignment, None)
         assert pickle.loads(pickle.dumps(lazy)) == eager
         assert calls == [1]
+
+
+LIVE_PROPS = ("a", "b", "c")
+
+
+def _live_corpora(rng):
+    """(formula, options, traces) for the live-set differential tests: xor4
+    under a clean and a violating spec, the counter3 stream, and random
+    bodies over two and three variables.  Every other random body holds
+    whenever the traces differ in ``a``, so many children lead nowhere."""
+    xor4 = [c.to_trace(f"t{i}") for i, c in enumerate(random_traces("xor4", 120, 5, 11))]
+    yield (QuantifiedFormula(COUNTER3.prefix, XOR4_BODY),
+           MonitorOptions(trace_analysis=False), xor4)
+    yield (independence_property("xor4", ("lhs0",), ("out0",)),
+           MonitorOptions(continue_after_violation=True), xor4)
+    counter3 = random_traces("counter3", 300, 20, 7, bias=STREAM_BIAS)
+    yield (COUNTER3, MonitorOptions(continue_after_violation=True),
+           [c.to_trace(f"t{i}") for i, c in enumerate(counter3)])
+    for variables, count, stored in ((("p", "q"), 24, 40), (("p", "q", "r"), 8, 14)):
+        prefix = tuple(("forall", v) for v in variables)
+        for i in range(count):
+            body = random_body(rng, 3, props=LIVE_PROPS, variables=variables)
+            if i % 2:
+                same = [Iff(Atom(AtomRef("a", v)), Atom(AtomRef("a", w)))
+                        for v, w in zip(variables, variables[1:])]
+                body = Implies(And(tuple(same)) if len(same) > 1 else same[0], body)
+            traces = [random_trace(rng, f"t{j}", 4, LIVE_PROPS) for j in range(stored)]
+            yield (QuantifiedFormula(prefix, body),
+                   MonitorOptions(trace_analysis=i % 4 < 2, continue_after_violation=True),
+                   traces)
+
+
+def _walk_outputs(qf, options, traces):
+    """Per-trace counterexamples, rejecting positions and ``instances_run``,
+    the automaton's residuals, and the trace whose tuples tripped a resource
+    guard (None if none did)."""
+    per_trace, tripped = [], None
+    try:
+        session = Session(qf, options)
+    except ResourceLimitError:
+        return per_trace, [], -1
+    for i, t in enumerate(traces):
+        try:
+            ce = session.process_trace(t).counterexample
+        except ResourceLimitError:
+            tripped = i
+            break
+        per_trace.append((ce and ce.assignment, ce and ce.rejecting_position,
+                          session.stats.instances_run))
+    return per_trace, list(session.template.automaton.formulas), tripped
+
+
+class TestLiveSets:
+    """The trie walk that steps only the children its live sets leave open
+    gives what the walk that steps every child gives: verdicts,
+    counterexamples, rejecting positions, ``instances_run`` and the same
+    automaton states in the same order."""
+
+    @staticmethod
+    def _both(qf, options, traces, monkeypatch):
+        """(outputs, automaton steps) with live sets, then with every child
+        stepped."""
+        runs, calls = [], []
+        step = template.TemplateAutomaton.step
+        with monkeypatch.context() as m:
+            m.setattr(template.TemplateAutomaton, "step",
+                      lambda auto, state, letter: calls.append(1) or step(auto, state, letter))
+            runs.append((_walk_outputs(qf, options, traces), len(calls)))
+            calls.clear()
+            m.setattr(template.TemplateAutomaton, "live", lambda auto, *args: None)
+            runs.append((_walk_outputs(qf, options, traces), len(calls)))
+        return runs
+
+    def test_same_outputs_as_stepping_every_child(self, rng, monkeypatch):
+        pruned = violations = 0
+        for qf, options, traces in _live_corpora(rng):
+            (got, steps), (expected, every) = self._both(qf, options, traces, monkeypatch)
+            assert got == expected, str(qf)
+            assert steps <= every
+            pruned += steps < every
+            violations += sum(ce is not None for ce, _, _ in got[0])
+        assert pruned >= 5 and violations >= 10
+
+    def test_state_limit_trips_on_the_same_trace(self, rng, monkeypatch):
+        trips = 0
+        for qf, options, traces in _live_corpora(rng):
+            for limit in (2, 3, 5):
+                limited = dataclasses.replace(options, state_limit=limit)
+                (got, _), (expected, _) = self._both(qf, limited, traces, monkeypatch)
+                assert got == expected, (str(qf), limit)
+                trips += got[2] is not None and got[2] > 0
+        assert trips >= 10

@@ -33,6 +33,8 @@ from hypermon.template import (
     materialize,
     prog,
     rejecting_position,
+    run_masks,
+    trace_masks,
 )
 
 from conftest import all_traces, random_body, random_trace
@@ -456,9 +458,18 @@ class TestTransitionTree:
         qf = independence_property("xor4", ("lhs1",), ("out0",))
         session = Session(qf, MonitorOptions(trace_analysis=False))
         calls = count_progressions(monkeypatch)
-        for i, circuit in enumerate(random_traces("xor4", 150, 5, seed=7)):
-            assert not session.process_trace(circuit.to_trace(f"t{i}")).is_violation
+        corpus = random_traces("xor4", 150, 5, seed=7)
+        traces = [circuit.to_trace(f"t{i}") for i, circuit in enumerate(corpus)]
+        for trace in traces:
+            assert not session.process_trace(trace).is_violation
+        # the tuple loop steps only the letters its live sets leave open, so
+        # every pair's joint word runs through step on its own as well
         auto = session.template.automaton
+        p = [trace_masks(auto, "p", trace) for trace in traces]
+        q = [trace_masks(auto, "q", trace) for trace in traces]
+        for masks in p:
+            for other in q:
+                assert run_masks(auto, [masks, other])
         assert len(auto.delta) > 1000
         assert 0 < len(calls) < len(auto.delta) / 10
         # one progression per distinct pending residual: a handful in all
