@@ -13,8 +13,12 @@ present or future verdict.  Coverage is fragment-specific:
 
 Inclusion is decided exactly, by a shortest-word search on explicit instance
 automata; these are not minimised, but their decided states do not depend on
-the position in the bound trace, which keeps them close to minimal.  Two
-cheaper paths sit in front of it, and neither can change an answer:
+the position in the bound trace, which keeps them close to minimal.  Each is
+built in one pass over (monitor state, position in the bound trace) from the
+template's cached transitions and the trace's masks
+(:func:`~hypermon.template.instance_dfa`), the same DFA, state for state, as
+``materialize`` on the instantiated template.  Two cheaper paths sit in
+front of the search, and neither can change an answer:
 
 * **copy index**: dominance is reflexive, so a fresh trace whose projected
   steps equal those of a trace the store admitted is dropped at once, logged
@@ -22,7 +26,10 @@ cheaper paths sit in front of it, and neither can change an answer:
 * **last refuting word**: the checker keeps, per variable, the last word a
   search found in one language and not the other, and runs it on the next
   pair first.  During one scan the fresh trace's automaton sits on the same
-  side of every check, so that word often refutes the next check too.
+  side of every check, so that word often refutes the next check too.  Each
+  cached automaton keeps the last word it ran and that run's answer, so a
+  word runs once per automaton: on the fresh trace's side once per scan,
+  not once per stored trace.
 
 :meth:`TraceStore.add` is the one insertion routine: copy index, then the
 scan for a dominator, and it frees the cached automata of a trace it drops.
@@ -39,13 +46,16 @@ a violator needs no inclusion check.
 
 from dataclasses import dataclass, field
 
-# language_included and minimize stay importable from here, unused:
-# perfbench/child.py wraps both under this module's name
-from .automata import _uncovered_word, language_included, minimize  # noqa: F401
+from .automata import _uncovered_word
 from .errors import FragmentError, ResourceLimitError
 from .formula import QuantifierClass
 from .semantics import Trace
-from .template import ATOM_LIMIT, MonitorTemplate, materialize
+from .template import ATOM_LIMIT, MonitorTemplate, instance_dfa
+
+# language_included, minimize and materialize stay importable from here,
+# unused: perfbench/child.py wraps all three under this module's name
+from .automata import language_included, minimize  # noqa: F401
+from .template import materialize  # noqa: F401
 
 @dataclass
 class TraceStore:
@@ -120,6 +130,9 @@ class TraceStore:
 class DominanceChecker:
     """Caches per-(trace, variable) instantiated automata across queries.
 
+    Each instance DFA is built by :func:`~hypermon.template.instance_dfa`
+    from the template's own automaton, so the template must come from
+    :func:`~hypermon.template.build_template`, not from ``instantiate``.
     :meth:`TraceStore.add` frees the entries of a trace it drops with
     :meth:`forget`; the cache is then bounded by the store.
     Raises FragmentError for a prefix with no dominance rule, and
@@ -148,28 +161,40 @@ class DominanceChecker:
         self.inclusion_checks = 0
         self.copy_hits = 0  # drops found in the store's copy index
         self.witness_refutations = 0  # refuted by the last refuting word
-        self._cache = {}  # (steps, variable) -> instance DFA
+        # (steps, variable) -> [instance DFA, last word it ran, its answer]
+        self._cache = {}
         # variable -> the last word a search found in L(a) \ L(b); one per
         # variable, since instance alphabets of two variables may differ
         self._witness = {}
+        # (variable, whether the pair is swapped): t1 dominates t2 when
+        # L(t1) ⊆ L(t2) on each unswapped variable, L(t2) ⊆ L(t1) on the rest
+        variables = template.free_variables
+        if qclass.kind == "forall_n":
+            self._sides = tuple((v, False) for v in variables)
+        elif qclass.kind == "exists_n":
+            self._sides = tuple((v, True) for v in variables)
+        else:  # forall-exists: first variable universal, second existential
+            self._sides = ((variables[0], False), (variables[1], True))
+
+    def _entry(self, trace: Trace, var: str) -> list:
+        key = (trace.steps, var)
+        entry = self._cache.get(key)
+        if entry is None:
+            dfa = instance_dfa(self.template.automaton, var, trace)
+            entry = self._cache[key] = [dfa, None, False]
+        return entry
 
     def _instance(self, trace: Trace, var: str):
-        key = (trace.steps, var)
-        dfa = self._cache.get(key)
-        if dfa is None:
-            dfa = self._cache[key] = materialize(
-                self.template.instantiate(trace, var).automaton
-            )
-        return dfa
+        return self._entry(trace, var)[0]
 
     def _included(self, t1: Trace, t2: Trace, var: str) -> bool:
         self.inclusion_checks += 1
-        a, b = self._instance(t1, var), self._instance(t2, var)
+        a, b = self._entry(t1, var), self._entry(t2, var)
         word = self._witness.get(var)
-        if word is not None and a.accepts(word) and not b.accepts(word):
+        if word is not None and _accepts(a, word) and not _accepts(b, word):
             self.witness_refutations += 1
             return False
-        word = _uncovered_word(a, b)
+        word = _uncovered_word(a[0], b[0])
         if word is None:
             return True
         self._witness[var] = word
@@ -182,14 +207,20 @@ class DominanceChecker:
 
     def dominates(self, t1: Trace, t2: Trace) -> bool:
         """True when t1 dominates t2 (t2 is redundant while t1 is stored)."""
-        variables = self.template.free_variables
-        if self.qclass.kind == "forall_n":
-            return all(self._included(t1, t2, v) for v in variables)
-        if self.qclass.kind == "exists_n":
-            return all(self._included(t2, t1, v) for v in variables)
-        # forall-exists: first variable universal, second existential
-        univ, exis = variables
-        return self._included(t1, t2, univ) and self._included(t2, t1, exis)
+        for var, swapped in self._sides:
+            a, b = (t2, t1) if swapped else (t1, t2)
+            if not self._included(a, b, var):
+                return False
+        return True
+
+
+def _accepts(entry: list, word) -> bool:
+    """Whether a cache entry's DFA accepts ``word``, run at most once per
+    word: the entry keeps the last word it ran and that run's answer."""
+    if entry[1] is not word:
+        entry[1] = word
+        entry[2] = entry[0].accepts(word)
+    return entry[2]
 
 
 def dominates(template: MonitorTemplate, qclass: QuantifierClass,

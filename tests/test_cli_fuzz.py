@@ -173,10 +173,7 @@ def test_deep_specs_around_the_limit(tmp_path, capsys):
         levels = MAX_DEPTH + rng.choice((-1, 0, 1))
         prefix = rng.choice(PREFIXES)
         spec.write_text(f"{prefix} {deep_body(rng, levels)}\n", encoding="utf-8")
-        # spec analysis stays off: its time grows by about n^4 on G^n, and
-        # on forall p. forall q. G^100 one run takes about 18 s
-        options = [*rng.choice(OPTIONS), "--no-spec-analysis"]
-        code = monitor(capsys, rng, str(spec), traces, case, options)
+        code = monitor(capsys, rng, str(spec), traces, case)
         if levels > MAX_DEPTH:
             assert code == 2, case
         else:

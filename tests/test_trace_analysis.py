@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypermon.automata import _uncovered_word, language_included
+from hypermon.automata import Dfa, _uncovered_word, language_included
 from hypermon.circuits import random_traces
 from hypermon.errors import FragmentError
 from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
@@ -431,3 +431,35 @@ class TestLastRefutingWord:
         assert not checker.dominates(t1, Trace.of([set(), {"a"}], "t3"))
         assert checker.inclusion_checks == 2 and checker.witness_refutations == 1
         assert len(searches) == 1
+
+
+class TestOneRunPerWord:
+    """Each cached instance runs the last refuting word at most once."""
+
+    def test_no_automaton_runs_a_word_twice_in_a_row(self, monkeypatch):
+        runs = []  # (DFA, word), every run of a kept word
+        accepts = Dfa.accepts
+
+        def recorded(dfa, word):
+            runs.append((dfa, word))
+            return accepts(dfa, word)
+
+        monkeypatch.setattr(Dfa, "accepts", recorded)
+        tpl, qc = setup(
+            "forall p. forall q. (overflow@p <-> overflow@q) W !(decr@p <-> decr@q)"
+        )
+        refuted = 0
+        for corpus in counter3_corpora().values():
+            checker = DominanceChecker(tpl, qc)
+            store = TraceStore()
+            for fresh in corpus:
+                store.add(fresh, checker)
+            refuted += checker.witness_refutations
+        # a refutation runs the word on both sides; within a scan the fresh
+        # trace's side is the same instance, so the memo makes fewer than two
+        # runs per refutation
+        assert refuted > len(runs) // 2 > 0
+        last = {}
+        for dfa, word in runs:
+            assert last.get(id(dfa)) is not word
+            last[id(dfa)] = word
