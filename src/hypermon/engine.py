@@ -346,9 +346,10 @@ class Session:
                 # alone decides
                 log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
-        self._warned_extra = frozenset()
-        # raw step -> (projected step, propositions dropped), and per variable
-        # projected step -> mask; equal steps map to one shared object
+        self._warned_extra = set()
+        self._new_extra = set()  # first met in the trace being projected
+        # raw step -> projected step, and per variable projected step ->
+        # mask; equal projections are one shared object
         self._projection = _Table(self._project_step)
         auto = self.template.automaton
         self._mask_tables = {
@@ -393,20 +394,20 @@ class Session:
     # -- trace intake ------------------------------------------------------
 
     def _project_step(self, step):
-        """``step`` within the spec's propositions, and the ones it drops;
-        equal projections are one object, the table's."""
+        """``step`` within the spec's propositions; equal projections are one
+        object, the table's.  Runs only on a table miss, which is where a
+        proposition outside the spec is first met: a hit is a step met
+        before."""
         dropped = step - self.propositions
         if not dropped:
-            return step, dropped
-        return self._projection[step - dropped][0], dropped
+            return step
+        self._new_extra |= dropped - self._warned_extra
+        return self._projection[step - dropped]
 
     def _project(self, trace: Trace) -> Trace:
-        rows = list(map(self._projection.__getitem__, trace.steps))
-        extra = set().union(*[dropped for _, dropped in rows])
-        if not extra:
-            return trace
-        unseen = frozenset(extra) - self._warned_extra
-        if unseen:
+        steps = tuple(map(self._projection.__getitem__, trace.steps))
+        if self._new_extra:
+            unseen, self._new_extra = self._new_extra, set()
             self._warned_extra |= unseen
             log.warning(
                 "trace %s carries propositions %s not in the specification; "
@@ -414,7 +415,8 @@ class Session:
                 trace.name,
                 sorted(unseen),
             )
-        return Trace(tuple([step for step, _ in rows]), trace.name)
+        # a projection that drops something is a smaller set, so unequal
+        return trace if steps == trace.steps else Trace(steps, trace.name)
 
     def process_trace(self, trace: Trace) -> Verdict:
         if trace.name in self._seen_names:

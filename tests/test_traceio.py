@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -180,7 +181,8 @@ def test_collect_paths_expands_directories(tmp_path):
     (tmp_path / "a.trace").write_text("a\n")
     (tmp_path / "manifest.json").write_text("{}")
     got = collect_trace_paths([tmp_path])
-    assert [p.name for p in got] == ["a.trace", "b.trace"]
+    assert got == [str(p) for p in sorted(tmp_path.glob("*.trace"))]
+    assert got == [str(tmp_path / "a.trace"), str(tmp_path / "b.trace")]
 
 
 def test_collect_paths_sorted_as_paths(tmp_path):
@@ -188,7 +190,7 @@ def test_collect_paths_sorted_as_paths(tmp_path):
     for name in names:
         (tmp_path / f"{name}.trace").write_text("a\n")
     got = collect_trace_paths([tmp_path])
-    assert got == sorted(tmp_path.glob("*.trace"))
+    assert got == [str(p) for p in sorted(tmp_path.glob("*.trace"))]
     assert len(got) == len(names)
 
 
@@ -197,6 +199,120 @@ def test_collect_paths_rejects_duplicate_stems_unread(tmp_path):
     with pytest.raises(TraceFormatError) as info:
         collect_trace_paths([first, tmp_path / "u.trace", second])  # none exist
     assert str(info.value) == f"duplicate trace name 't': {first} and {second}"
+
+
+# names a directory may hold: odd stems, non-ASCII, names that are not traces
+_ODD_NAMES = [".trace", "a..trace", "a.b.trace", ".hidden.trace", "é.trace",
+              "日本.trace", "t 1.trace", "T.trace", "trace", "a.TRACE",
+              "notes.txt", "x.trace.bak"]
+
+
+def _random_file(rng) -> bytes:
+    """A trace file's bytes: random lines, sometimes a planted bad line, a
+    byte-order mark, CRLF or CR line ends or invalid UTF-8."""
+    lines = [_random_line(rng) for _ in range(rng.randint(0, 8))]
+    if lines and rng.random() < 0.2:
+        lines[rng.randrange(len(lines))] = rng.choice(["a,,b", "é", "x y", "1a"])
+    text = rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n"])
+    data = text.encode("utf-8")
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data
+    if rng.random() < 0.1:
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"]) + data[cut:]
+    return data
+
+
+def _reference_collect(paths):
+    """``collect_trace_paths`` with pathlib: glob, sort, stems."""
+    out = []
+    for p in paths:
+        p = Path(p)
+        out.extend(sorted(p.glob("*.trace")) if p.is_dir() else [p])
+    first = {}
+    for path in out:
+        other = first.setdefault(path.stem, path)
+        if other is not path:
+            return f"duplicate trace name {path.stem!r}: {other} and {path}"
+    return [str(path) for path in out]
+
+
+def _reference_load(path: Path):
+    """``load_trace`` with ``read_bytes`` and the uncached reference parse."""
+    try:
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not valid UTF-8 ({exc.reason})"
+    except OSError as exc:
+        return type(exc), str(exc)
+    try:
+        return reference_parse(text, path.stem)
+    except TraceFormatError as exc:
+        return f"{path}: {exc}"
+
+
+def _collect(paths):
+    try:
+        return collect_trace_paths(paths)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def _load(path):
+    try:
+        return load_trace(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    except OSError as exc:
+        return type(exc), str(exc)
+
+
+def test_intake_equals_pathlib_reference(tmp_path, monkeypatch):
+    rng = random.Random(2027)
+    monkeypatch.chdir(tmp_path)
+    kinds = set()
+    for case in range(40):
+        d = tmp_path / f"d{case}"
+        d.mkdir()
+        for name in rng.sample(_ODD_NAMES, 5) + [f"t{i}.trace" for i in range(4)]:
+            (d / name).write_bytes(_random_file(rng))
+        (d / "x.trace").mkdir()  # listed by the glob, unreadable as a trace
+        (d / "e.trace").write_bytes(b"")
+        other = tmp_path / f"o{case}.trace"
+        other.write_bytes(_random_file(rng))
+        spellings = [d.name, d.name + "/", f"./{d.name}", str(d), str(d) + "/", d]
+        args = [rng.choice(spellings)]
+        if rng.random() < 0.5:  # explicit files, as str and as Path
+            args.append(rng.choice([str(other), other, other.name, f"./{other.name}"]))
+        if rng.random() < 0.3:
+            args.append(rng.choice([tmp_path / "missing.trace", "missing.trace"]))
+        if rng.random() < 0.2:  # the directory twice: duplicate stems
+            args.append(rng.choice(spellings))
+        expected = _reference_collect(args)
+        got = _collect(args)
+        assert got == expected, args
+        if isinstance(got, str):
+            kinds.add("duplicate")
+            continue
+        assert all(type(path) is str for path in got)
+        for path in got:
+            want = _reference_load(Path(path))
+            assert _load(path) == want, path
+            assert _load(Path(path)) == want, path
+            if isinstance(want, tuple):
+                kinds.add(want[0].__name__)
+            elif isinstance(want, str):
+                kinds.add("UTF-8" if "not valid UTF-8" in want else "line")
+            else:
+                kinds.add("empty" if not want.steps else "steps")
+        # "." lists the working directory, spelled without a "./"
+        monkeypatch.chdir(d)
+        assert _collect(["."]) == _reference_collect(["."]) == [
+            str(Path(".") / p.name) for p in sorted(d.glob("*.trace"))]
+        monkeypatch.chdir(tmp_path)
+    # every kind of outcome was compared
+    assert kinds == {"steps", "empty", "line", "UTF-8", "IsADirectoryError",
+                     "FileNotFoundError", "duplicate"}
 
 
 def test_manifest_roundtrip(tmp_path):
