@@ -18,9 +18,6 @@ from .engine import (
     MonitorStats,
     Session,
     Verdict,
-    new_session,
-    process_trace,
-    stats,
 )
 from .errors import (
     CircuitInputError,

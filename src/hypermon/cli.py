@@ -101,9 +101,9 @@ def build_report(session: Session) -> SessionReport:
         rejecting_position=ce.rejecting_position if ce is not None else None,
         stats=session.stats.as_dict(),
         optimizations={
-            # what ran: either analysis may step aside for the spec at hand
+            # what ran: both analyses run only where tuples pair traces
             "spec_analysis": session.analysis is not None,
-            "trace_analysis": session.checker is not None,
+            "trace_analysis": session.trace_analysis,
             "symmetric": session.symmetric,
             "transitive": session.transitive,
             "reflexive": session.reflexive,

@@ -5,10 +5,11 @@ Each incoming trace is checked in every new tuple it forms with the stored
 traces; a rejected tuple is reported as a counterexample.  Specification
 analysis removes tuple orders (symmetry: one tuple per permutation class, at
 any number of quantifiers), the all-same tuple (reflexivity) or all but one
-comparison partner (transitivity); trace analysis discards traces that a
-stored trace dominates.  ``tuples_with_last`` alone applies these reductions.
-All of them shrink the tuple loop, so they run only where it pairs traces:
-on all-universal prefixes of two or more quantifiers.
+comparison partner (transitivity); trace analysis discards a trace whose
+projected steps copy a stored trace's.  ``tuples_with_last`` alone applies
+the spec-analysis reductions.  All of them shrink the tuple loop, so they
+run only where it pairs traces: on all-universal prefixes of two or more
+quantifiers.
 
 It describes the tuples as families: fixed slots (the fresh trace or stored
 heads) plus at most one free slot that ranges over a run of stored traces.
@@ -19,12 +20,12 @@ of one per tuple.  The counterexample is still the first violating tuple in
 expansion order.
 
 On universal prefixes a fresh trace goes through three steps, in this order:
-the store's copy index drops an exact projected copy of a stored trace;
-otherwise the tuple loop runs; only a trace that passes it goes to
-``TraceStore.add``, which drops it or appends it; the store never evicts.
-A dominated trace cannot violate, so a violator skips the dominance pass
-without changing any output, and a dropped trace's tuples are taken back out
-of ``instances_run``.
+the store's copy index drops an exact projected copy of a stored trace
+(dominance is reflexive, so a copy changes no verdict); otherwise the tuple
+loop runs; a trace that passes it is appended to the store, entered in the
+copy index and added to the tries.  The store never evicts.  No inclusion
+check runs: ``trace_analysis.DominanceChecker`` is library API only, since
+on every corpus measured it cost more than the tuples it saved.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes are evaluated directly (``semantics.eval_quantified``) and
@@ -47,7 +48,6 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
 from .formula import (
     QuantifiedFormula,
     classify_prefix,
@@ -66,7 +66,7 @@ from .template import (
     run_masks,
     step_mask,
 )
-from .trace_analysis import DominanceChecker, TraceStore
+from .trace_analysis import TraceStore
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +174,8 @@ class MonitorStats:
     removes the all-fresh tuple, and transitivity drops all but the
     representative comparison.  ``instances_run`` counts the tuples decided,
     including the ones a prefix-tree walk decides together in one subtree;
-    a violating trace counts its tuples up to the counterexample.
+    a violating trace counts its tuples up to the counterexample.  A
+    session runs no inclusion check, so ``inclusion_checks`` stays 0.
     """
 
     traces_seen: int = 0
@@ -335,16 +336,10 @@ class Session:
         self.analysis = None
         if self.options.spec_analysis and tupled:
             self.analysis = analyze(qf, self.options.state_limit)
+        # trace analysis is the store's copy index, built only when it runs
+        self.trace_analysis = self.options.trace_analysis and tupled
         self.store = TraceStore()
         self.stats = MonitorStats()
-        self.checker = None
-        if self.options.trace_analysis and tupled:
-            try:
-                self.checker = DominanceChecker(self.template, self.qclass)
-            except ResourceLimitError as exc:
-                # instance alphabets too wide to enumerate: the tuple loop
-                # alone decides
-                log.warning("trace analysis off: %s", exc)
         self._seen_names = set()
         self._warned_extra = set()
         self._new_extra = set()  # first met in the trace being projected
@@ -440,29 +435,21 @@ class Session:
             verdict = self._process_provisional(trace)
             self._verdict = verdict
         self.stats.traces_stored = len(self.store)
-        if self.checker is not None:
-            self.stats.inclusion_checks = self.checker.inclusion_checks
         self.stats.wall_time += time.perf_counter() - begin
         return verdict
 
     # -- universal fragment (tuple loop) ------------------------------------
 
     def _process_universal(self, fresh: Trace) -> Verdict:
-        if self.store.drop_if_copy(fresh, self.checker):
+        if self.trace_analysis and self.store.drop_if_copy(fresh):
             return CLEAN
-        ran = self.stats.instances_run
         masks_of = self._mask_source(fresh)
         violating = self._run_tuples(fresh, masks_of)
         if violating is not None:
-            # a dominated trace cannot violate: no dominance pass needed
             return Verdict(self._build_counterexample(violating, masks_of))
-        if self.qclass.n < 2:
-            return CLEAN
-        if not self.store.add(fresh, self.checker):
-            # count only the tuples of kept or violating traces
-            self.stats.instances_run = ran
-            return CLEAN
-        self._index(fresh, masks_of)
+        if self.qclass.n >= 2:
+            self.store.add(fresh, index=self.trace_analysis)
+            self._index(fresh, masks_of)
         return CLEAN
 
     def _mask_source(self, fresh: Trace):
@@ -548,7 +535,7 @@ class Session:
     # -- other fragments (direct evaluation) --------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        # no tuple loop here, so no tries to keep and no trace analysis
+        # no tuple loop here, so no tries to keep and no copy index
         if self.qclass.n >= 2:
             self.store.add(fresh)
             pool = self.store.traces
@@ -567,21 +554,5 @@ class Session:
         return self._verdict
 
     def trace_analysis_counts(self) -> dict:
-        """How often each exact shortcut of trace analysis answered."""
-        checker = self.checker
-        return {
-            "copy_hits": checker.copy_hits if checker else 0,
-            "witness_refutations": checker.witness_refutations if checker else 0,
-        }
-
-
-def new_session(qf: QuantifiedFormula, options: MonitorOptions = None) -> Session:
-    return Session(qf, options)
-
-
-def process_trace(session: Session, trace: Trace) -> Verdict:
-    return session.process_trace(trace)
-
-
-def stats(session: Session) -> MonitorStats:
-    return session.stats
+        """How often trace analysis dropped a trace: copy-index hits."""
+        return {"copy_hits": self.store.copy_hits}

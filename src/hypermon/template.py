@@ -477,25 +477,19 @@ def lazy_is_empty(auto, start=None):
     return False, word
 
 
-def _global_letters(auto, support) -> list:
-    """Each letter over ``support`` (bit i: ``support[i]``), as the same
-    letter in ``auto``'s bit space, indexed by the local letter."""
+def materialize(auto) -> Dfa:
+    """Explicit DFA over the automaton's own support with contiguous bits."""
+    support = tuple(auto.support)
     if len(support) > ATOM_LIMIT:
         raise ResourceLimitError(
             f"explicit alphabet over {len(support)} atoms exceeds the limit "
             f"of {ATOM_LIMIT}"
         )
-    letters = [0]
+    # each letter over support (bit i: support[i]) in auto's bit space
+    global_letters = [0]
     for ref in support:
         bit = 1 << auto.bits[ref]
-        letters += [letter | bit for letter in letters]
-    return letters
-
-
-def materialize(auto) -> Dfa:
-    """Explicit DFA over the automaton's own support with contiguous bits."""
-    support = tuple(auto.support)
-    global_letters = _global_letters(auto, support)
+        global_letters += [letter | bit for letter in global_letters]
 
     order = [auto.initial_state]
     ids = {auto.initial_state: 0}
@@ -511,61 +505,6 @@ def materialize(auto) -> Dfa:
             succ_of_class[cls] = ids[succ]
         rows.append(tuple(succ_of_class[g & rel] for g in global_letters))
     accepting = frozenset(i for i, st in enumerate(order) if auto.accepting(st))
-    return Dfa(support, 0, accepting, tuple(rows))
-
-
-def instance_dfa(auto: TemplateAutomaton, var: str, trace: Trace) -> Dfa:
-    """``materialize(InstantiatedAutomaton(auto, var, trace))``, state for
-    state, built in one pass over (state of ``auto``, position in ``trace``).
-
-    No instance object is made: each state's row reads ``auto``'s cached
-    transitions with the trace's mask at that position, and a decided state
-    takes the end position, as in :class:`InstantiatedAutomaton`.  A state
-    accepts when its class-0 successor does, until the end of the trace,
-    where the monitor state's own acceptance holds.  ``auto`` makes the same
-    steps in the same order as under ``materialize``.
-    """
-    support = tuple(r for r in auto.support if r.variable != var)
-    letters = _global_letters(auto, support)
-    support_mask = letters[-1]  # the letter holding every atom of support
-    tmasks = trace_masks(auto, var, trace)
-    end = len(tmasks)
-    delta, rel_of = auto.delta, auto.rel
-    decided = (auto.true_sid, auto.false_sid)
-    order = [(auto.initial_state, 0)]
-    ids = {order[0]: 0}
-    rows = []
-    for s, j in order:
-        rel = rel_of[s]
-        free = rel & support_mask
-        fixed = tmasks[j] & rel if j < end else 0
-        succ_of_class = {}
-        for cls in _submasks_ascending(free):
-            t = delta.get((s, cls | fixed))
-            if t is None:
-                t = auto.step(s, cls | fixed)
-                # a miss may register a decided state for the first time
-                decided = (auto.true_sid, auto.false_sid)
-            succ = (t, end if j == end or t in decided else j + 1)
-            i = ids.get(succ)
-            if i is None:
-                i = ids[succ] = len(order)
-                order.append(succ)
-            succ_of_class[cls] = i
-        rows.append(tuple([succ_of_class[g & free] for g in letters]))
-    acc = [None] * len(order)
-    for start in range(len(order)):
-        i, chain = start, []
-        while acc[i] is None:
-            s, j = order[i]
-            if j == end:
-                acc[i] = auto.acc[s]
-                break
-            chain.append(i)
-            i = rows[i][0]
-        for passed in chain:
-            acc[passed] = acc[i]
-    accepting = frozenset(i for i, yes in enumerate(acc) if yes)
     return Dfa(support, 0, accepting, tuple(rows))
 
 

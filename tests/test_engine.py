@@ -10,7 +10,7 @@ import pytest
 
 from hypermon import cli, engine, semantics, template
 from hypermon.circuits import independence_property, random_traces
-from hypermon.engine import MonitorOptions, Session, new_session, process_trace, stats
+from hypermon.engine import MonitorOptions, Session
 from hypermon.formula import (
     And,
     Atom,
@@ -19,6 +19,7 @@ from hypermon.formula import (
     Implies,
     Or,
     QuantifiedFormula,
+    collect_alphabet,
     desugar,
     pretty_quantified,
     rename_variables,
@@ -30,6 +31,7 @@ from hypermon.trace_analysis import DominanceChecker
 from hypermon.traceio import load_trace, parse_trace, save_trace
 
 from conftest import random_body, random_trace, trie_serials
+from test_golden_runs import CORPORA as GOLDEN_CORPORA, SPEC as GOLDEN_SPEC
 
 EQ = "forall p. forall q. G (a@p <-> a@q)"
 OBSDET = "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)"
@@ -56,12 +58,6 @@ def tries_hold_the_store(session) -> bool:
             and all(leaves == names for leaves in trie_leaves(session).values()))
 
 
-def cache_within_store(session) -> bool:
-    """Every cached dominance automaton belongs to a stored trace's steps."""
-    stored = {(t.steps, v) for t in session.store.traces for v in session.qf.variables}
-    return set(session.checker._cache) <= stored
-
-
 def feed(session, traces):
     """Process traces until a violation; returns (index, verdict) or (None, last)."""
     verdict = None
@@ -74,29 +70,29 @@ def feed(session, traces):
 
 class TestUniversalSessions:
     def test_eq_violation_names_both_traces(self):
-        session = new_session(parse_formula(EQ))
-        assert not process_trace(session, Trace.of([{"a"}], "t1")).is_violation
-        verdict = process_trace(session, Trace.of([set()], "t2"))
+        session = Session(parse_formula(EQ))
+        assert not session.process_trace(Trace.of([{"a"}], "t1")).is_violation
+        verdict = session.process_trace(Trace.of([set()], "t2"))
         assert verdict.is_violation
         assert verdict.counterexample.assignment == (("p", "t1"), ("q", "t2"))
         assert verdict.counterexample.rejecting_position == 1
 
     def test_same_trace_twice_is_clean_with_zero_instances(self):
-        session = new_session(parse_formula(OBSDET))
+        session = Session(parse_formula(OBSDET))
         t = Trace.of([{"i", "o"}, {"o"}], "t1")
         assert not session.process_trace(t).is_violation
         assert session.stats.instances_run == 0  # reflexive skip
         assert not session.process_trace(t.renamed("t2")).is_violation
 
     def test_obsdet_session_reductions(self):
-        session = new_session(parse_formula(OBSDET))
+        session = Session(parse_formula(OBSDET))
         assert session.symmetric and session.reflexive
         assert not session.transitive
 
     def test_symmetric_reflexive_pair_counting(self):
         # ObsDet is symmetric+reflexive but not transitive: k traces cost
         # k*(k-1)/2 instances
-        session = new_session(
+        session = Session(
             parse_formula(OBSDET), MonitorOptions(trace_analysis=False)
         )
         for i in range(6):
@@ -104,13 +100,13 @@ class TestUniversalSessions:
         assert session.stats.instances_run == 15
 
     def test_transitive_formula_checks_one_representative(self):
-        session = new_session(parse_formula(EQ), MonitorOptions(trace_analysis=False))
+        session = Session(parse_formula(EQ), MonitorOptions(trace_analysis=False))
         for i in range(6):
             session.process_trace(Trace.of([{"a"}], f"t{i}"))
         assert session.stats.instances_run == 5  # one comparison per fresh trace
 
     def test_no_reductions_counts_ordered_tuples(self):
-        session = new_session(
+        session = Session(
             parse_formula(OBSDET),
             MonitorOptions(trace_analysis=False, spec_analysis=False),
         )
@@ -123,7 +119,7 @@ class TestUniversalSessions:
         from hypermon.semantics import eval_body
 
         qf = parse_formula(EQ)
-        session = new_session(qf)
+        session = Session(qf)
         session.process_trace(Trace.of([{"a"}], "t1"))
         verdict = session.process_trace(Trace.of([set()], "t2"))
         names = dict(verdict.counterexample.assignment)
@@ -135,7 +131,7 @@ class TestUniversalSessions:
         assert not eval_body(assignment, qf.body)
 
     def test_verdict_is_sticky_after_violation(self):
-        session = new_session(parse_formula(EQ))
+        session = Session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t1"))
         first = session.process_trace(Trace.of([set()], "t2"))
         again = session.process_trace(Trace.of([{"a"}, {"a"}], "t3"))
@@ -143,7 +139,7 @@ class TestUniversalSessions:
         assert session.stats.traces_seen == 2  # t3 was not processed
 
     def test_continue_after_violation(self):
-        session = new_session(
+        session = Session(
             parse_formula(EQ), MonitorOptions(continue_after_violation=True)
         )
         session.process_trace(Trace.of([{"a"}], "t1"))
@@ -153,18 +149,21 @@ class TestUniversalSessions:
         assert session.stats.traces_seen == 3
 
     def test_inclusion_checks_synced_after_violations(self):
-        session = new_session(
+        # the copy index is all the trace analysis a session runs, so no
+        # trace, kept, dropped or violating, makes an inclusion check
+        session = Session(
             parse_formula(EQ), MonitorOptions(continue_after_violation=True)
         )
         session.process_trace(Trace.of([{"a"}], "t1"))
-        # passes its tuples and is not a copy, so it runs inclusion checks
+        # passes its tuples and is not a copy: it is stored, though t1
+        # dominates it
         assert not session.process_trace(Trace.of([{"a"}, set()], "pass")).is_violation
-        checks = session.checker.inclusion_checks
-        assert checks > 0
+        assert not session.process_trace(Trace.of([{"a"}], "copy")).is_violation
         for i, steps in enumerate(([set()], [set(), {"a"}], [set(), set()])):
             assert session.process_trace(Trace.of(steps, f"v{i}")).is_violation
-        assert session.checker.inclusion_checks == checks  # violators run none
-        assert session.stats.inclusion_checks == session.checker.inclusion_checks
+        assert session.store.names() == ["t1", "pass"]
+        assert session.store.dropped == [("copy", "t1")]
+        assert session.stats.inclusion_checks == 0
 
     def test_masks_kept_for_stored_traces_only(self):
         session = Session(
@@ -180,27 +179,14 @@ class TestUniversalSessions:
         assert set(session._tries) == {"p", "q"}  # not symmetric
         assert trie_leaves(session) == {"p": ["blank", "a_b"], "q": ["blank", "a_b"]}
 
-    def test_dominance_cache_bounded_by_store(self):
-        session = Session(
-            independence_property("counter3", ("incr",), ("overflow",)),
-            MonitorOptions(continue_after_violation=True),
-        )
-        corpus = random_traces("counter3", 200, 20, seed=5,
-                               bias={"incr": 0.85, "decr": 0.05})
-        verdicts = [
-            session.process_trace(c.to_trace(f"t{i}")) for i, c in enumerate(corpus)
-        ]
-        assert any(v.is_violation for v in verdicts) and session.store.dropped
-        assert cache_within_store(session)
-
     def test_duplicate_names_rejected(self):
-        session = new_session(parse_formula(EQ))
+        session = Session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t"))
         with pytest.raises(ValueError):
             session.process_trace(Trace.of([{"a"}], "t"))
 
     def test_duplicate_names_rejected_after_a_violation(self):
-        session = new_session(parse_formula(EQ))
+        session = Session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t1"))
         assert session.process_trace(Trace.of([set()], "t2")).is_violation
         for name in ("t1", "t2"):
@@ -213,7 +199,7 @@ class TestUniversalSessions:
         assert session.stats.traces_seen == 2
 
     def test_duplicate_of_dropped_name_rejected(self):
-        session = new_session(parse_formula(EQ))
+        session = Session(parse_formula(EQ))
         session.process_trace(Trace.of([{"a"}], "t1"))
         session.process_trace(Trace.of([{"a"}], "t2"))
         assert session.store.dropped == [("t2", "t1")]
@@ -233,7 +219,7 @@ class TestUniversalSessions:
         for size in (engine.TABLE_SIZE, 1):  # 1: cleared before every miss
             monkeypatch.setattr(engine, "TABLE_SIZE", size)
             # a fresh session warns again on the same shared steps
-            session = new_session(parse_formula(EQ), MonitorOptions(
+            session = Session(parse_formula(EQ), MonitorOptions(
                 continue_after_violation=True))
             for name, lines, unseen in stream:
                 caplog.clear()
@@ -251,13 +237,13 @@ class TestUniversalSessions:
         traces = [random_trace(rng, f"t{i}") for i in range(8)]
         indexes = []
         for _ in range(2):
-            session = new_session(parse_formula(EQ))
+            session = Session(parse_formula(EQ))
             idx, _ = feed(session, traces)
             indexes.append(idx)
         assert indexes[0] == indexes[1]
 
     def test_empty_prefix_false_body(self):
-        session = new_session(parse_formula("false"))
+        session = Session(parse_formula("false"))
         assert session.verdict().is_violation
 
     def test_agreement_with_direct_evaluation(self, rng):
@@ -275,7 +261,7 @@ class TestUniversalSessions:
 class TestProvisionalSessions:
     def test_exists_verdict_can_flip(self):
         qf = parse_formula("exists p. exists q. G (a@p <-> a@q) & F a@p")
-        session = new_session(qf)
+        session = Session(qf)
         assert session.provisional
         first = session.process_trace(Trace.of([set()], "t1"))
         assert first.is_violation  # nothing satisfies the body yet
@@ -285,24 +271,24 @@ class TestProvisionalSessions:
     def test_exists_exists_finds_a_pair_in_either_order(self):
         qf = parse_formula("exists p. exists q. a@p & b@q")
         for first, second in (({"a"}, {"b"}), ({"b"}, {"a"})):
-            session = new_session(qf, MonitorOptions(trace_analysis=False))
+            session = Session(qf, MonitorOptions(trace_analysis=False))
             assert session.process_trace(Trace.of([first], "t1")).is_violation
             # the fresh trace completes the pair at q, or at p
             assert not session.process_trace(Trace.of([second], "t2")).is_violation
 
     def test_forall_exists_counterexample_names_universal_trace(self):
         qf = parse_formula("forall p. exists q. F (a@p & a@q) | !(F a@p)")
-        session = new_session(qf, MonitorOptions(trace_analysis=False))
+        session = Session(qf, MonitorOptions(trace_analysis=False))
         verdict = session.process_trace(Trace.of([{"a"}], "lone"))
         assert not verdict.is_violation  # (lone, lone) pairs with itself
 
     def test_dominance_cache_bounded_by_store(self, rng):
-        # no tuple loop pairs traces here, so no dominance cache is built
-        # and every trace is stored
+        # no tuple loop pairs traces here, so no copy index is built and
+        # every trace is stored
         for _ in range(20):
             qf = QuantifiedFormula((("forall", "p"), ("exists", "q")), random_body(rng, 3))
             session = Session(qf)
-            assert session.checker is None
+            assert not session.trace_analysis
             for i in range(12):
                 session.process_trace(random_trace(rng, f"t{i}", 4))
             assert len(session.store) == 12 and not session.store.dropped
@@ -310,7 +296,7 @@ class TestProvisionalSessions:
     def test_forall_exists_violation(self):
         # a@p must be followed somewhere by b on the partner trace
         qf = parse_formula("forall p. exists q. a@p -> b@q")
-        session = new_session(qf, MonitorOptions(trace_analysis=False))
+        session = Session(qf, MonitorOptions(trace_analysis=False))
         verdict = session.process_trace(Trace.of([{"a"}], "t1"))
         assert verdict.is_violation
         assert verdict.counterexample.assignment == (("p", "t1"),)
@@ -587,7 +573,7 @@ class TestThreeQuantifiers:
     def test_reflexive_skip_covers_all_same_triples(self):
         # reflexive but not symmetric, so the unordered generator runs
         text = "forall p0. forall p1. forall p2. G ((i@p0 -> i@p1) & (o@p1 -> o@p2))"
-        session = new_session(parse_formula(text))
+        session = Session(parse_formula(text))
         assert session.reflexive and not session.symmetric
         verdict = session.process_trace(Trace.of([{"i", "o"}], "t0"))
         assert not verdict.is_violation
@@ -867,11 +853,19 @@ class TestPrefixTreeRunner:
                 assert got[2] or not ta  # trace analysis dropped traces
 
 
-def _reference_process(session, fresh):
-    """The dominance-first order, written out without the store's routines:
-    the first stored dominator in insertion order drops ``fresh``; otherwise
-    its tuples run, and a passing trace is appended."""
-    store, checker = session.store, session.checker
+def drops_are_copies(qf, traces, stored, dropped) -> bool:
+    """Each dropped entry names a stored trace whose steps, projected on the
+    spec's propositions, equal the dropped trace's."""
+    props = {ref.proposition for ref in collect_alphabet(qf)}
+    steps = {t.name: tuple(step & props for step in t.steps) for t in traces}
+    return all(dom in stored and steps[name] == steps[dom] for name, dom in dropped)
+
+
+def _reference_process(session, checker, fresh):
+    """The paper's dominance-first order, written out without the store's
+    routines: the first stored dominator in insertion order drops ``fresh``;
+    otherwise its tuples run, and a passing trace is appended."""
+    store = session.store
     for old in store.traces:
         if checker.dominates(old, fresh):
             store.dropped.append((fresh.name, old.name))
@@ -886,26 +880,29 @@ def _reference_process(session, fresh):
 
 
 def _order_run(qf, traces, reference):
-    """Per-trace outputs of a session, run in the session's order or in the
-    reference order, plus whether every violator ran no inclusion check."""
+    """Per-trace outputs of a session, run in the session's order (copy
+    index, tuples, store) or in the dominance-first reference order."""
     session = Session(qf, MonitorOptions(continue_after_violation=True))
     if reference:
-        session._process_universal = lambda fresh: _reference_process(session, fresh)
-    verdicts, violators_unchecked = [], True
+        checker = DominanceChecker(session.template, session.qclass)
+        session._process_universal = (
+            lambda fresh: _reference_process(session, checker, fresh)
+        )
+    verdicts = []
     for t in traces:
-        checks = session.checker.inclusion_checks
         ce = session.process_trace(t).counterexample
         verdicts.append(None if ce is None else (ce.assignment, ce.rejecting_position))
-        if ce is not None and session.checker.inclusion_checks != checks:
-            violators_unchecked = False
     outputs = (verdicts, session.store.names(), session.store.dropped,
                session.stats.instances_run)
     # the tries hold the stored traces only
     assert tries_hold_the_store(session)
-    return outputs, violators_unchecked
+    return outputs
 
 
 class TestTuplesBeforeDominance:
+    """The session's copy-only order gives each trace the verdict of the
+    paper's dominance-first order, which stores fewer traces."""
+
     @pytest.mark.parametrize("text, n, length, bias, transitive", [
         (pretty_quantified(independence_property("counter3", ("incr",), ("overflow",))),
          120, 10, {"incr": 0.85, "decr": 0.05}, False),
@@ -919,42 +916,30 @@ class TestTuplesBeforeDominance:
     ], ids=("forall-forall", "three-quantifiers", "transitive", "drop-heavy"))
     def test_same_outputs_as_dominance_first(self, text, n, length, bias, transitive):
         qf = parse_formula(text)
-        assert new_session(qf).transitive == transitive
+        assert Session(qf).transitive == transitive
         for seed in (1, 2):
             corpus = random_traces("counter3", n, length, seed, bias=bias)
             traces = [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
-            outputs, violators_unchecked = _order_run(qf, traces, reference=False)
-            expected, _ = _order_run(qf, traces, reference=True)
-            assert outputs == expected, (text, seed)
-            assert violators_unchecked
-            verdicts, _, dropped, _ = outputs
+            outputs = _order_run(qf, traces, reference=False)
+            expected = _order_run(qf, traces, reference=True)
+            assert outputs[0] == expected[0], (text, seed)
+            verdicts, stored, dropped, _ = outputs
+            assert drops_are_copies(qf, traces, stored, dropped)
             if bias is None:
                 assert len(dropped) > n // 2  # drop-heavy
             else:
                 assert any(v is not None for v in verdicts)
 
-    def test_dominated_non_copy_takes_back_its_tuples(self):
+    def test_dominated_non_copy_is_stored_with_its_tuples(self):
         qf = parse_formula("forall p. forall q. a@p -> !b@q")
-        traces = [
-            Trace.of([{"a"}, {"b"}], "a_b"),
-            Trace.of([set()], "blank"),  # dominated by a_b, but no copy of it
-        ]
-        expected, _ = _order_run(qf, traces, reference=True)
         session = Session(qf, MonitorOptions(continue_after_violation=True))
-        session.process_trace(traces[0])
+        session.process_trace(Trace.of([{"a"}, {"b"}], "a_b"))
         ran = session.stats.instances_run
-        scanned = []
-        run = session._run_tuples
-        session._run_tuples = (
-            lambda fresh, masks_of: scanned.append(fresh.name) or run(fresh, masks_of)
-        )
-        assert not session.process_trace(traces[1]).is_violation
-        assert scanned == ["blank"]  # the tuples ran before the dominance pass
-        assert session.checker.copy_hits == 0
-        assert session.store.dropped == [("blank", "a_b")]
-        assert session.stats.instances_run == ran == expected[3]
-        assert trie_leaves(session) == {"p": ["a_b"], "q": ["a_b"]}
-        assert cache_within_store(session)
+        # dominated by a_b, but no copy of it: no trace analysis drops it
+        assert not session.process_trace(Trace.of([set()], "blank")).is_violation
+        assert session.store.copy_hits == 0 and session.store.dropped == []
+        assert session.stats.instances_run == ran + 3
+        assert trie_leaves(session) == {"p": ["a_b", "blank"], "q": ["a_b", "blank"]}
 
     @pytest.mark.parametrize("text", EVICTING_BODIES)
     def test_verdicts_on_streams_where_later_traces_dominate(self, rng, text):
@@ -976,7 +961,7 @@ class TestTuplesBeforeDominance:
                 sequences.append([session.process_trace(t).is_violation for t in stream])
             assert sequences[0] == sequences[1], text
             violations += sum(sequences[1])
-            checker = session.checker
+            checker = DominanceChecker(session.template, session.qclass)
             kept += any(
                 checker.dominates(y, x)
                 for x, y in itertools.combinations(session.store.traces, 2)
@@ -1017,24 +1002,25 @@ class TestWideInstanceAlphabet:
     @pytest.mark.parametrize("qf", [
         parse_formula(WIDE_TWO_VARIABLES), WIDE_THREE_QUANTIFIERS,
     ], ids=("two-variables-15-propositions", "three-quantifiers-xor4"))
-    def test_trace_analysis_steps_aside(self, qf, caplog):
+    def test_copy_index_runs_on_wide_alphabets(self, qf):
+        # instance alphabets past ATOM_LIMIT: the copy index builds no
+        # automaton, so trace analysis runs and changes no verdict
         for seed in (1, 2, 3):
             traces = _wide_stream(qf, seed)
+            traces.append(traces[0].renamed("copy"))
             runs = []
             for ta in (True, False):
-                caplog.clear()
-                with caplog.at_level(logging.WARNING, logger="hypermon.engine"):
-                    session = Session(qf, MonitorOptions(
-                        trace_analysis=ta, continue_after_violation=True,
-                    ))
-                    verdicts = [session.process_trace(t).counterexample for t in traces]
-                off = [r for r in caplog.records
-                       if r.getMessage().startswith("trace analysis off:")]
-                assert session.checker is None
-                assert len(off) == (1 if ta else 0)
-                runs.append((verdicts, session.stats.instances_run))
+                session = Session(qf, MonitorOptions(
+                    trace_analysis=ta, continue_after_violation=True,
+                ))
+                verdicts = [session.process_trace(t).counterexample for t in traces]
+                assert session.trace_analysis is ta
+                runs.append(verdicts)
+                dropped = session.store.dropped
+                assert drops_are_copies(qf, traces, session.store.names(), dropped)
+                assert ("copy", "t0") in dropped if ta else not dropped
             assert runs[0] == runs[1], seed
-            assert any(ce is not None for ce in runs[0][0])
+            assert any(ce is not None for ce in runs[0])
 
 
 COUNTER3 = independence_property("counter3", ("incr",), ("overflow",))
@@ -1123,9 +1109,65 @@ class TestSharedStepIntake:
         assert any(v.is_violation for v, _ in per_trace)
 
 
+def _counter3(n, length, seed, bias=None):
+    return [c.to_trace(f"t{i}")
+            for i, c in enumerate(random_traces("counter3", n, length, seed, bias))]
+
+
+def _cut(traces, seed, most):
+    """Each trace cut to a seeded length in 0..most, empty traces included."""
+    rng = random.Random(seed)
+    return [Trace(t.steps[:rng.randint(0, most)], t.name) for t in traces]
+
+
+# (formula, traces) of each copy-only differential corpus: the counter3
+# stream's spec and bias, the same cut to seeded lengths, unbiased counter3
+# and xor4 lhs1 -> out0, at the sizes and seeds of the ROADMAP's trace
+# analysis measurements, and the CI drop-heavy and cut-length corpora
+COPY_ONLY_CORPORA = {
+    "counter3-stream": lambda: (COUNTER3, _counter3(1000, 20, 1001, STREAM_BIAS)),
+    "counter3-cut": lambda: (
+        COUNTER3, _cut(_counter3(1000, 20, 1001, STREAM_BIAS), 1001, 20)),
+    "counter3-unbiased": lambda: (COUNTER3, _counter3(1000, 8, 1001)),
+    "xor4": lambda: (
+        QuantifiedFormula((("forall", "p"), ("forall", "q")), XOR4_BODY),
+        [c.to_trace(f"t{i}") for i, c in enumerate(random_traces("xor4", 400, 5, 1))]),
+    "drop-heavy": lambda: (parse_formula(GOLDEN_SPEC), GOLDEN_CORPORA["drop_heavy"]()),
+    "cut-length": lambda: (parse_formula(GOLDEN_SPEC), GOLDEN_CORPORA["cut_length"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_ONLY_CORPORA))
+def test_copy_only_trace_analysis_changes_no_verdict(name):
+    # the copy index drops only exact projected copies, so each trace's
+    # counterexample and rejecting position equal those with trace
+    # analysis off, which stores every trace that passes
+    qf, traces = COPY_ONLY_CORPORA[name]()
+    runs, sessions = [], []
+    for ta in (True, False):
+        session = Session(qf, MonitorOptions(
+            trace_analysis=ta, continue_after_violation=True))
+        verdicts = [session.process_trace(t).counterexample for t in traces]
+        runs.append([None if ce is None else (ce.assignment, ce.rejecting_position)
+                     for ce in verdicts])
+        sessions.append(session)
+    on, off = runs
+    assert on == off
+    violations = sum(v is not None for v in on)
+    # the biased counter3 streams violate; the other corpora are clean
+    assert bool(violations) == (name in ("counter3-stream", "counter3-cut", "cut-length"))
+    store = sessions[0].store
+    assert drops_are_copies(qf, traces, store.names(), store.dropped)
+    assert len(store) + len(store.dropped) + violations == len(traces)
+    assert store.copy_hits == len(store.dropped)
+    assert sessions[0].stats.inclusion_checks == 0
+    if name != "xor4":  # no two xor4 traces agree on the spec's inputs
+        assert store.dropped
+
+
 def test_stats_snapshot_fields():
-    session = new_session(parse_formula(EQ))
-    s = stats(session)
+    session = Session(parse_formula(EQ))
+    s = session.stats
     assert s.traces_seen == 0 and s.instances_run == 0
     assert set(s.as_dict()) == {
         "traces_seen",

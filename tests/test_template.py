@@ -31,7 +31,6 @@ from hypermon.template import (
     ATOM_LIMIT,
     build_template,
     canonical_state,
-    instance_dfa,
     lazy_is_empty,
     materialize,
     prog,
@@ -273,68 +272,6 @@ class TestInstanceFold:
         d = materialize(tpl.instantiate(Trace.of(steps, "t"), "p").automaton)
         assert d.num_states == states
         assert minimize(d).num_states == states
-
-
-class TestInstanceDfa:
-    """``instance_dfa`` builds, state for state, the DFA ``materialize``
-    builds from an instantiated template; ``Dfa ==`` compares numbering."""
-
-    @staticmethod
-    def folds(auto, var, trace) -> bool:
-        """Whether the bound trace alone reaches a decided state before its
-        end, so that the instance folds positions into the end one."""
-        state = auto.initial_state
-        for mask in trace_masks(auto, var, trace)[:-1]:
-            state = auto.step(state, mask)
-            if auto.is_dead(state) or auto.is_universal(state):
-                return True
-        return False
-
-    @pytest.mark.parametrize("props, cases", [
-        (("a", "b"), 150),  # 4 letters per instance, as on counter3
-        (tuple("abcdefgh"), 15),  # 256 letters per instance, as on xor4
-    ], ids=("4-letters", "256-letters"))
-    def test_equals_the_materialized_instance(self, rng, props, cases):
-        support = tuple(sorted(AtomRef(p, v) for p in props for v in ("p", "q")))
-        folded = 0
-        for _ in range(cases):
-            body = desugar(random_body(rng, 3, props=props))
-            tpl = build_template(body, ("p", "q"), support=support)
-            # longer than the body's nesting first, so that the first build on
-            # a fresh template registers the decided states; then shorter,
-            # and empty
-            for length in (9, 2, 1, 0):
-                steps = [{p for p in props if rng.random() < 0.5} for _ in range(length)]
-                trace = Trace.of(steps, "t")
-                for var in ("p", "q"):
-                    built = instance_dfa(tpl.automaton, var, trace)
-                    expected = materialize(tpl.instantiate(trace, var).automaton)
-                    assert built == expected, (str(body), steps, var)
-                    folded += self.folds(tpl.automaton, var, trace)
-        assert folded >= cases
-
-    def test_steps_the_template_as_materialize_does(self, rng):
-        # the same monitor states, registered in the same order
-        for _ in range(40):
-            body = desugar(random_body(rng, 3))
-            ours, theirs = (build_template(body, ("p", "q")) for _ in range(2))
-            for var in ("p", "q"):
-                trace = random_trace(rng, "t", 6)
-                instance_dfa(ours.automaton, var, trace)
-                materialize(theirs.instantiate(trace, var).automaton)
-                assert ours.automaton.formulas == theirs.automaton.formulas
-                assert list(ours.automaton.delta) == list(theirs.automaton.delta)
-
-    def test_too_wide_an_instance_raises_the_same_error(self):
-        atoms = " & ".join(f"w{i}@q" for i in range(ATOM_LIMIT + 1))
-        tpl, _ = template_for(f"forall p. forall q. a@p & {atoms}")
-        trace = Trace.of([{"a"}], "t")
-        with pytest.raises(ResourceLimitError) as expected:
-            materialize(tpl.instantiate(trace, "p").automaton)
-        with pytest.raises(ResourceLimitError) as raised:
-            instance_dfa(tpl.automaton, "p", trace)
-        assert str(raised.value) == str(expected.value)
-        assert f"over {ATOM_LIMIT + 1} atoms" in str(raised.value)
 
 
 class TestRejectingPosition:

@@ -1,15 +1,12 @@
 import itertools
-import random
 
 import pytest
 
-from hypermon.automata import Dfa, _uncovered_word, language_included
-from hypermon.circuits import random_traces
 from hypermon.errors import FragmentError
-from hypermon.formula import AtomRef, QuantifiedFormula, classify_prefix, desugar
+from hypermon.formula import QuantifiedFormula, classify_prefix, desugar
 from hypermon.parser import parse_formula
 from hypermon.semantics import Trace, eval_quantified
-from hypermon.template import build_template, materialize
+from hypermon.template import build_template
 from hypermon.trace_analysis import (
     DominanceChecker,
     TraceStore,
@@ -89,21 +86,6 @@ class TestDominates:
                     )
         assert positives >= 10
 
-    def test_forget_keeps_steps_a_stored_trace_has(self):
-        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
-        checker = DominanceChecker(tpl, qc)
-        kept, other = Trace.of([{"a"}], "kept"), Trace.of([set()], "other")
-        store = TraceStore()
-        for t in (kept, other):
-            assert store.add(t, checker) is True
-        both = {(kept.steps, "p"), (other.steps, "p")}
-        assert set(checker._cache) == both
-        # a copy hit builds nothing, so it frees nothing
-        assert store.add(kept.renamed("copy"), checker) is False
-        assert set(checker._cache) == both and checker.copy_hits == 1
-        checker.forget(other)
-        assert set(checker._cache) == {(kept.steps, "p")}
-
 
 class TestMinimizeStore:
     def test_identical_fresh_is_discarded(self):
@@ -131,10 +113,11 @@ class TestMinimizeStore:
         store = TraceStore()
         a_b, b = Trace.of([{"a"}, {"b"}], "a_b"), Trace.of([{"b"}], "b")
         for t in (a_b, b):
-            assert store.add(t, checker) is True
+            store = minimize_store(tpl, qc, store, t, checker)
+            assert store.traces[-1] is t
         checks = checker.inclusion_checks
         out = minimize_store(tpl, qc, store, b.renamed("twin"), checker)
-        assert checker.inclusion_checks == checks and checker.copy_hits == 1
+        assert checker.inclusion_checks == checks and out.copy_hits == 1
         assert out.names() == ["a_b", "b"] and out.dropped == [("twin", "b")]
         assert store.names() == ["a_b", "b"] and store.dropped == []
 
@@ -172,8 +155,9 @@ class TestMinimizeStore:
             store = TraceStore()
             arrival = [random_trace(rng, f"t{i}", 3) for i in range(6)]
             for fresh in arrival:
-                stored = store.add(fresh, checker)
-                assert stored == (store.traces[-1] is fresh)
+                out = minimize_store(tpl, qc, store, fresh, checker)
+                assert (out.traces[-1] is fresh) == (len(out) > len(store))
+                store = out
             order = {t.name: i for i, t in enumerate(arrival)}
             for x, y in itertools.combinations(store.traces, 2):
                 assert not checker.dominates(x, y)
@@ -223,28 +207,23 @@ PREFIXES = (
 )
 
 
-def cache_within_store(checker, store) -> bool:
-    """Every cached dominance automaton belongs to a stored trace's steps."""
-    variables = checker.template.free_variables
-    stored = {(t.steps, v) for t in store.traces for v in variables}
-    return set(checker._cache) <= stored
-
-
 class TestCopyIndex:
     def stream(self, rng, store, checker, pool, tag):
-        """Feed random pool traces, sometimes with no checker; every drop
-        must name the linear scan's first dominator, and the cache must stay
-        within the stored steps."""
+        """Feed random pool traces, sometimes appended unchecked; every drop
+        must name the linear scan's first dominator.  Returns the store."""
+        tpl, qc = checker.template, checker.qclass
         for i in range(12):
             fresh = rng.choice(pool).renamed(f"{tag}{i}")
             if rng.random() < 0.15:
-                assert store.add(fresh) is True  # appended unchecked: not indexed
+                store.add(fresh)  # appended unchecked: not indexed
                 continue
             expected = linear_dominator(checker, store, fresh)
-            assert store.add(fresh, checker) is (expected is None)
+            out = minimize_store(tpl, qc, store, fresh, checker)
+            assert (out.traces[-1] is fresh) is (expected is None)
             if expected is not None:
-                assert store.dropped[-1] == (fresh.name, expected)
-            assert cache_within_store(checker, store)
+                assert out.dropped[-1] == (fresh.name, expected)
+            store = out
+        return store
 
     @pytest.mark.parametrize("shape", PREFIXES)
     def test_same_dominator_as_the_linear_scan(self, rng, shape):
@@ -259,10 +238,9 @@ class TestCopyIndex:
                 TraceStore(), TraceStore([pool[0], pool[0].renamed("twin"), *pool[1:3]])
             ):
                 checker = DominanceChecker(tpl, qc)
-                self.stream(rng, store, checker, pool, "s")
-                store = store.copy()
-                self.stream(rng, store, checker, pool, "c")
-                hits += checker.copy_hits
+                store = self.stream(rng, store, checker, pool, "s")
+                store = self.stream(rng, store.copy(), checker, pool, "c")
+                hits += store.copy_hits
         assert hits >= 25
 
     @pytest.mark.parametrize("shape", PREFIXES)
@@ -288,178 +266,11 @@ class TestCopyIndex:
     def test_drop_if_copy_runs_no_inclusion(self):
         tpl, qc = setup("forall p. forall q. a@p -> !b@q")
         checker = DominanceChecker(tpl, qc)
-        store = TraceStore()
         a_b = Trace.of([{"a"}, {"b"}], "a_b")
-        assert store.add(a_b, checker) is True
-        assert not store.drop_if_copy(a_b.renamed("twin"), None)
-        assert store.drop_if_copy(a_b.renamed("twin"), checker)
-        assert store.dropped == [("twin", "a_b")] and checker.copy_hits == 1
+        unindexed = TraceStore()
+        unindexed.add(a_b)
+        assert not unindexed.drop_if_copy(a_b.renamed("twin"))
+        store = minimize_store(tpl, qc, TraceStore(), a_b, checker)
+        assert store.drop_if_copy(a_b.renamed("twin"))
+        assert store.dropped == [("twin", "a_b")] and store.copy_hits == 1
         assert checker.inclusion_checks == 0
-
-
-def counter3_corpora():
-    """Small counter3 corpora: biased as on the stream workload, the same
-    cut to seeded lengths (empty traces included), and unbiased."""
-    def corpus(tag, length, seed, bias=None):
-        runs = random_traces("counter3", 40, length, seed, bias)
-        return [c.to_trace(f"{tag}{i:02d}") for i, c in enumerate(runs)]
-
-    biased = {"incr": 0.85, "decr": 0.05}
-    cut_rng = random.Random(1)
-    return {
-        "biased": corpus("b", 12, 7, biased),
-        "cut": [
-            Trace(t.steps[:cut_rng.randint(0, 12)], t.name)
-            for t in corpus("c", 12, 8, biased)
-        ],
-        "unbiased": corpus("u", 8, 9),
-    }
-
-
-class TestLastRefutingWord:
-    """The last refuting word changes no dominance answer and no store outcome."""
-
-    # body, and the atoms an instance alphabet has per bound variable
-    BODIES = (
-        ("(overflow@p <-> overflow@q) W !(decr@p <-> decr@q)", {"p": 2, "q": 2}),
-        ("G (overflow@p -> (incr@q & decr@q))", {"p": 2, "q": 1}),
-    )
-
-    @staticmethod
-    def reference(tpl, qc):
-        """Dominance decided by language_included on materialized instances."""
-        instances = {}
-
-        def included(t1, t2, var):
-            dfas = []
-            for t in (t1, t2):
-                key = (t.steps, var)
-                if key not in instances:
-                    instances[key] = materialize(tpl.instantiate(t, var).automaton)
-                dfas.append(instances[key])
-            return language_included(*dfas)[0]
-
-        def dominates(t1, t2):
-            variables = tpl.free_variables
-            if qc.kind == "forall_n":
-                return all(included(t1, t2, v) for v in variables)
-            if qc.kind == "exists_n":
-                return all(included(t2, t1, v) for v in variables)
-            univ, exis = variables
-            return included(t1, t2, univ) and included(t2, t1, exis)
-
-        return dominates
-
-    @pytest.mark.parametrize("body, widths", BODIES, ids=("stream-spec", "unequal-widths"))
-    @pytest.mark.parametrize("shape", PREFIXES, ids=("AA", "EE", "AE"))
-    def test_answers_match_language_inclusion(self, body, widths, shape):
-        qf = QuantifiedFormula(shape, parse_formula(f"forall p. forall q. {body}").body)
-        tpl = build_template(desugar(qf.body), ("p", "q"))
-        qc = classify_prefix(qf)
-        empty = Trace.of([], "empty")
-        assert {v: len(tpl.instantiate(empty, v).support) for v in widths} == widths
-        refuted = 0
-        for corpus in counter3_corpora().values():
-            reference = self.reference(tpl, qc)
-            checker = DominanceChecker(tpl, qc)
-            answers = []
-            dominates = checker.dominates
-
-            def recorded(t1, t2):
-                answers.append((t1, t2, dominates(t1, t2)))
-                return answers[-1][2]
-
-            checker.dominates = recorded
-            store = TraceStore()
-            for fresh in corpus:
-                expected = next(
-                    (old.name for old in store.traces if reference(old, fresh)), None
-                )
-                dropped = list(store.dropped)
-                assert store.add(fresh, checker) is (expected is None)
-                if expected is not None:
-                    dropped.append((fresh.name, expected))
-                assert store.dropped == dropped
-            for t1, t2, answer in answers:
-                assert answer == reference(t1, t2), (t1.name, t2.name)
-            refuted += checker.witness_refutations
-        assert refuted > 0
-
-    @pytest.mark.parametrize("props, cases", [
-        (("a", "b"), 300),  # 4 letters per instance, as on counter3
-        (tuple("abcdefgh"), 40),  # 256 letters per instance, as on xor4
-    ], ids=("4-letters", "256-letters"))
-    def test_refutes_exactly_the_uncovered_words(self, rng, props, cases):
-        # one checker per body, and scans as in a store: each trace of a
-        # pool is checked against every other one, so a kept word meets
-        # pairs with the same right side and pairs with a new one
-        support = tuple(sorted(AtomRef(p, v) for p in props for v in ("p", "q")))
-        checks = held = witnessed = 0
-        for _ in range(cases):
-            body = desugar(random_body(rng, 3, props=props))
-            tpl = build_template(body, ("p", "q"), support=support)
-            qc = classify_prefix(QuantifiedFormula((("forall", "p"), ("forall", "q")), body))
-            checker = DominanceChecker(tpl, qc)
-            pool = [random_trace(rng, f"t{i}", 3, props=props) for i in range(3)]
-            for fresh, old in itertools.permutations(pool, 2):
-                for var in ("p", "q"):
-                    a, b = checker._instance(old, var), checker._instance(fresh, var)
-                    included = _uncovered_word(a, b) is None
-                    assert checker._included(old, fresh, var) == included, str(body)
-                    held += included
-            checks += checker.inclusion_checks
-            witnessed += checker.witness_refutations
-        assert held >= cases // 10 and checks - held >= cases // 10
-        assert witnessed > 0
-
-    def test_included_counts_witness_refutations(self, monkeypatch):
-        searches = []
-
-        def counted(a, b):
-            searches.append((a, b))
-            return _uncovered_word(a, b)
-
-        monkeypatch.setattr("hypermon.trace_analysis._uncovered_word", counted)
-        tpl, qc = setup("forall p. forall q. G (a@p <-> a@q)")
-        checker = DominanceChecker(tpl, qc)
-        t1, t2 = Trace.of([{"a"}], "t1"), Trace.of([set()], "t2")
-        # the first refuted check runs a search and keeps its word
-        assert not checker.dominates(t1, t2)
-        assert checker.inclusion_checks == 1 and checker.witness_refutations == 0
-        assert len(searches) == 1 and "p" in checker._witness
-        # a later check that the kept word refutes runs no search
-        assert not checker.dominates(t1, Trace.of([set(), {"a"}], "t3"))
-        assert checker.inclusion_checks == 2 and checker.witness_refutations == 1
-        assert len(searches) == 1
-
-
-class TestOneRunPerWord:
-    """Each cached instance runs the last refuting word at most once."""
-
-    def test_no_automaton_runs_a_word_twice_in_a_row(self, monkeypatch):
-        runs = []  # (DFA, word), every run of a kept word
-        accepts = Dfa.accepts
-
-        def recorded(dfa, word):
-            runs.append((dfa, word))
-            return accepts(dfa, word)
-
-        monkeypatch.setattr(Dfa, "accepts", recorded)
-        tpl, qc = setup(
-            "forall p. forall q. (overflow@p <-> overflow@q) W !(decr@p <-> decr@q)"
-        )
-        refuted = 0
-        for corpus in counter3_corpora().values():
-            checker = DominanceChecker(tpl, qc)
-            store = TraceStore()
-            for fresh in corpus:
-                store.add(fresh, checker)
-            refuted += checker.witness_refutations
-        # a refutation runs the word on both sides; within a scan the fresh
-        # trace's side is the same instance, so the memo makes fewer than two
-        # runs per refutation
-        assert refuted > len(runs) // 2 > 0
-        last = {}
-        for dfa, word in runs:
-            assert last.get(id(dfa)) is not word
-            last[id(dfa)] = word
