@@ -28,14 +28,17 @@ check runs: ``trace_analysis.DominanceChecker`` is library API only, since
 on every corpus measured it cost more than the tuples it saved.
 
 Universal prefixes get definitive verdicts (violations never flip back).
-Other prefixes are evaluated directly (``semantics.eval_quantified``) and
-their verdicts are provisional: a later trace can change them.  ``_Rows``
-decides them per fresh trace from the tuples that hold it and the rows that
-are still open, never from every tuple of the store.
+Other prefixes get provisional verdicts: a later trace can change them.
+``_Rows`` decides them per fresh trace from the tuples that hold it and the
+rows that are still open, never from every tuple of the store, on the same
+template and tries: a family of tuples is one walk of its free slot's trie,
+for the first accepted tuple under ∃ and the first rejected one under ∀,
+and a tuple with no free slot runs with ``run_masks``.  The direct
+evaluator (``semantics.eval_quantified``) is the tests' oracle only.
 
-Provisional prefixes of two or more variables store every trace.  A prefix
-of fewer than two variables pairs no two traces, so it stores none, on
-either path.
+Provisional prefixes of two or more variables store every trace and index
+it in the tries their walks read.  A prefix of fewer than two variables
+pairs no two traces, so it stores none, on either path.
 
 Intake projects each distinct step once per session: bounded tables map a
 raw step to its projection, one shared object, and that to each variable's
@@ -56,7 +59,10 @@ from .formula import (
     validate_quantified,
 )
 from .prefix_tree import PrefixTree
-from .semantics import Trace, eval_quantified
+from .semantics import Trace
+# no code here calls it: perfbench/child.py wraps ``engine.eval_quantified``
+# by attribute, and every traced benchmark run fails without the name
+from .semantics import eval_quantified  # noqa: F401
 from .spec_analysis import analyze
 from .template import (
     DEFAULT_STATE_LIMIT,
@@ -242,59 +248,59 @@ def tuples_with_last(pool, n: int, skip_self: bool = False, ordered: bool = Fals
                 yield prefix + (trace, last), None, 0
 
 
-def _level(prefix, body):
-    """``(exists, var, whole, below)``, built once per session: the first
-    quantifier; for a prefix of one kind, the prefix and, per variable,
-    (variable, the prefix without it); for any other, None and the rest's."""
+def _level(prefix):
+    """``(exists, var, block, below)``, built once per session: the first
+    quantifier; for a prefix of one kind, its variables last first and
+    None; for any other, None and the rest's level.  Read in that order,
+    ``tuples_with_last`` gives a fresh trace's row (its tuples at the
+    block's first variable) before its column."""
     quant, var = prefix[0]
     if all(q == quant for q, _ in prefix):
-        below = [(v, QuantifiedFormula(prefix[:i] + prefix[i + 1:], body))
-                 for i, (_, v) in enumerate(prefix)]
-        return quant == "exists", var, QuantifiedFormula(prefix, body), below
-    return quant == "exists", var, None, _level(prefix[1:], body)
+        return quant == "exists", var, tuple(v for _, v in reversed(prefix)), None
+    return quant == "exists", var, None, _level(prefix[1:])
 
 
 class _Rows:
-    """A quantifier prefix over a growing store, outer variables ``bound``.
+    """A quantifier prefix over a growing store; ``trace`` is the trace the
+    row binds (None at the root) and ``masks`` the masks of each trace bound
+    outside the prefix, outermost first.
 
     A prefix of one kind keeps a flag, ``settled``, that a deciding tuple
-    sets for good (∃: a satisfying one, ∀: a falsifying one); each trace it
-    has not read adds the tuples that put it at each position.  Any other
-    prefix keeps one row per stored trace, the rest of the prefix with that
-    trace bound, made and read in store order up to the first that decides
-    (later rows catch up when read).  A settled row is dropped, or settles
-    the prefix when it decides the first quantifier.
+    sets for good (∃: an accepted one, ∀: a rejected one); each trace it
+    has not read adds the tuples that hold it.  Any other prefix keeps one
+    row per stored trace, the rest of the prefix with that trace bound,
+    made and read in store order up to the first that decides (later rows
+    catch up when read).  A settled row is dropped, or settles the prefix
+    when it decides the first quantifier.
     """
 
-    __slots__ = ("level", "bound", "read", "rows", "settled")
+    __slots__ = ("level", "trace", "masks", "read", "rows", "settled")
 
-    def __init__(self, level, bound, pool):
-        self.level, self.bound = level, bound
+    def __init__(self, level, trace, masks):
+        self.level, self.trace, self.masks = level, trace, masks
         self.read, self.rows, self.settled = 0, [], False
-        exists, _, whole, _ = level
-        if whole is not None and pool:  # reads the store so far in one call
-            self.read = len(pool)
-            self.settled = eval_quantified(pool, whole, bound) == exists
 
-    def holds(self, pool) -> bool:
-        """The prefix's value over ``pool``, the store so far."""
-        (exists, var, whole, below), bound = self.level, self.bound
+    def holds(self, session, pool, masks_of) -> bool:
+        """The prefix's value over ``pool``, the store so far; ``masks_of``
+        comes from :meth:`Session._mask_source`."""
+        exists, var, block, below = self.level
         if self.settled:
             return exists
-        if whole is not None:
-            self.settled = any(
-                eval_quantified(pool[:j + 1], rest, {**bound, v: pool[j]}) == exists
-                for j in range(self.read, len(pool)) for v, rest in below
-            )
-            self.read = len(pool)
+        if block is not None:
+            if self.read < len(pool):
+                self.settled = session._decides(
+                    block, exists, self.masks, pool, self.read, masks_of
+                )
+                self.read = len(pool)
             return self.settled == exists
         i = 0
         while i < len(self.rows) or self.read < len(pool):
             if i == len(self.rows):
-                self.rows.append(_Rows(below, {**bound, var: pool[self.read]}, pool))
+                trace = pool[self.read]
+                self.rows.append(_Rows(below, trace, self.masks + [masks_of(trace, var)]))
                 self.read += 1
             row = self.rows[i]
-            if row.holds(pool) == exists:
+            if row.holds(session, pool, masks_of) == exists:
                 self.settled = row.settled  # a settled row settles the prefix
                 return exists
             if row.settled:
@@ -351,15 +357,24 @@ class Session:
             var: _Table(functools.partial(step_mask, auto.prop_bits(var)))
             for var in self.variables
         }
-        # tries of the stored traces' masks, one per variable a stored trace
-        # takes in a tuple (all but the last one, which is the fresh trace's
-        # when tuples are ordered); a stored trace's serial is its position
-        # in the store, which only grows
-        held = self.variables[:-1] if self.symmetric else self.variables
-        self._tries = {var: PrefixTree() for var in held} if tupled else {}
-        self._serials = {}  # stored trace name -> serial
+        # tries of the stored traces' masks: on universal prefixes one per
+        # variable a stored trace takes in a tuple (all but the last one,
+        # which is the fresh trace's when tuples are ordered); on other
+        # prefixes one per variable a walk reads, the free slots of the
+        # innermost block.  A stored trace's serial is its position in the
+        # store, which only grows
+        held = ()
+        if tupled:
+            held = self.variables[:-1] if self.symmetric else self.variables
         if self.provisional:
-            self._root = _Rows(_level(qf.prefix, qf.body), {}, ())
+            self._root = _Rows(_level(qf.prefix), None, [])
+            level = self._root.level
+            while level[2] is None:  # down to the innermost block
+                level = level[3]
+            if self.qclass.n >= 2:
+                held = level[2][-2:]  # its free slots: its first two variables
+        self._tries = {var: PrefixTree() for var in held}
+        self._serials = {}  # stored trace name -> serial
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
             # degenerate empty prefix: the single empty tuple decides everything
@@ -455,16 +470,18 @@ class Session:
     def _mask_source(self, fresh: Trace):
         """``masks_of(trace, var)``: the fresh trace's masks are read off the
         variable's mask table once, on first use; a stored trace's are read
-        off its trie."""
+        off its trie, or off the table when the variable has no trie."""
         tables, tries, serials = self._mask_tables, self._tries, self._serials
         kept = {}
 
         def masks_of(trace, var):
-            if trace is not fresh:
+            if trace is fresh:
+                if var not in kept:
+                    kept[var] = list(map(tables[var].__getitem__, fresh.steps))
+                return kept[var]
+            if var in tries:
                 return tries[var].masks(serials[trace.name])
-            if var not in kept:
-                kept[var] = list(map(tables[var].__getitem__, fresh.steps))
-            return kept[var]
+            return list(map(tables[var].__getitem__, trace.steps))
 
         return masks_of
 
@@ -505,8 +522,8 @@ class Session:
             else:
                 word = list(joint_word(fixed_masks))
             # serials are store positions
-            at = self._tries[variables[slot]].first_violator(
-                auto, word, start, len(stored) - 1
+            at = self._tries[variables[slot]].first_serial(
+                auto, word, start, len(stored) - 1, False
             )
             if at is None:
                 self.stats.instances_run += len(stored) - start
@@ -532,23 +549,59 @@ class Session:
             tuple((var, trace.name) for var, trace in pairs), position
         )
 
-    # -- other fragments (direct evaluation) --------------------------------
+    # -- other fragments (rows over the tries) -------------------------------
 
     def _process_provisional(self, fresh: Trace) -> Verdict:
-        # no tuple loop here, so no tries to keep and no copy index
+        # no copy index here: every trace is stored and indexed
+        masks_of = self._mask_source(fresh)
         if self.qclass.n >= 2:
             self.store.add(fresh)
+            self._index(fresh, masks_of)
             pool = self.store.traces
         else:
             # one variable stores nothing: the root reads the fresh trace alone
             pool, self._root.read = [fresh], 0
-        if self._root.holds(pool):
+        if self._root.holds(self, pool, masks_of):
             return CLEAN
         if self.qclass.kind == "forall_exists":
             # the first stored trace with no witness: every open ∃ row is false
-            [(univ, trace)] = self._root.rows[0].bound.items()
-            return Verdict(CounterExample(((univ, trace.name),), None))
+            trace = self._root.rows[0].trace
+            return Verdict(CounterExample(((self.variables[0], trace.name),), None))
         return Verdict(CounterExample((), None))
+
+    def _decides(self, block, accepted, masks, pool, read, masks_of) -> bool:
+        """Whether a tuple over ``pool`` that holds one of ``pool[read:]``,
+        its traces bound to ``block``'s variables in order and ``masks``
+        the outer traces' masks, is accepted (``accepted``) or rejected
+        (not ``accepted``).
+
+        One variable's new tuples are the new traces: the fresh trace alone
+        is run with ``run_masks``, more (a row made over a store) are one
+        walk of its trie.  More variables read each new trace's tuples as
+        families; a family runs its free slot in one walk.
+        """
+        auto = self.template.automaton
+        if len(block) == 1:
+            if read == len(pool) - 1:
+                return run_masks(auto, masks + [masks_of(pool[-1], block[0])]) == accepted
+            tree = self._tries[block[0]]
+            word = masks[0] if len(masks) == 1 else list(joint_word(masks))
+            return tree.first_serial(auto, word, read, len(pool) - 1, accepted) is not None
+        for j in range(read, len(pool)):
+            for fixed, slot, start in tuples_with_last(pool[:j + 1], len(block)):
+                tuple_masks = masks + [
+                    masks_of(trace, var) for var, trace in zip(block, fixed)
+                    if trace is not None
+                ]
+                if slot is None:
+                    if run_masks(auto, tuple_masks) == accepted:
+                        return True
+                    continue
+                word = list(joint_word(tuple_masks))
+                tree = self._tries[block[slot]]
+                if tree.first_serial(auto, word, start, j - 1, accepted) is not None:
+                    return True
+        return False
 
     def verdict(self) -> Verdict:
         return self._verdict

@@ -3,25 +3,31 @@ a family of tuples over one of them at once.
 
 The design follows Finkbeiner, Hahn, Stenger & Tentrup, "Efficient monitoring
 of hyperproperties using prefix trees" (STTT 2020).  A session keeps one tree
-per variable a stored trace can take in a tuple.  A node is one step of mask
+per variable whose stored traces a walk runs over.  A node is one step of mask
 values shared by the traces below it; the traces whose masks end at a node
 are listed there by their serial, the trace's position in the store.  The
 store is append-only, so the trees only grow: a node's smallest serial is
 the one of the trace that created it, its largest is the last one inserted
 below it, and a trace's masks can be read back off the path to its leaf.
 
-:meth:`PrefixTree.first_violator` runs the joint word of the fixed slots
-against every trace of the tree in one depth-first walk: at most one
-automaton step per node, not one per tuple, and a subtree is settled as a
-whole once the state is decided (``true_sid`` or ``false_sid``).  A node
-with many children first asks the automaton for its live set
-(``TemplateAutomaton.live``): the free slot's mask values that the state's
-transition diagram, restricted to the fixed slots' letter, does not already
-send to ``true_sid``.  Only children whose masks are in it are stepped; the
-rest would step to ``true_sid`` and be skipped anyway.  The answer equals
-running each tuple on its own with ``template.run_masks``: a trace past its
-end contributes mask 0, and a trace that ends early runs the rest of the
-fixed letters with ``template.accepts_from``.
+:meth:`PrefixTree.first_serial` runs the joint word of the fixed slots
+against every trace of the tree in one depth-first walk, for a goal: the
+first rejected tuple (a violator: universal tuple loops, ∀ rows) or the
+first accepted one (a witness: ∃ rows).  It takes at most one automaton
+step per node, not one per tuple, and a subtree is settled as a whole once
+the state is decided: the state of the goal (``false_sid`` for a violator,
+``true_sid`` for a witness) makes the subtree's first serial a candidate,
+the other one rules the subtree out.  A node with many children first asks
+the automaton for its live set (``TemplateAutomaton.live``): the free
+slot's mask values that the state's transition diagram, restricted to the
+fixed slots' letter, does not already send to the ruling-out state.  Only
+children whose masks are in it are stepped; the rest would be skipped
+anyway.  A walk for a witness usually ends at the first child it steps, so
+it asks for live sets only once it has met a dead end: building one would
+cost more than the step it saves.  The answer equals running each tuple on
+its own with ``template.run_masks``: a trace past its end contributes mask
+0, and a trace that ends early runs the rest of the fixed letters with
+``template.accepts_from``.
 """
 
 from .template import accepts_from
@@ -84,31 +90,42 @@ class PrefixTree:
         masks.reverse()
         return masks
 
-    def first_violator(self, auto, word, lo, hi):
+    def first_serial(self, auto, word, lo, hi, accepted):
         """Smallest serial in [lo, hi] whose trace, in the free slot, makes
         the tuple's joint word with ``word`` (the fixed slots' letters)
-        rejected by ``auto``; None when every such tuple is accepted.
+        accepted by ``auto`` when ``accepted`` (a witness), rejected when
+        not (a violator); None when no such tuple exists.
 
-        A subtree whose serials cannot beat the best violator found so far,
-        or lie below ``lo``, is not entered.  A node asks for its live set
-        only when it has more children than the smallest live set seen.
+        A subtree whose serials cannot beat the best serial found so far,
+        or lie below ``lo``, is not entered, and a serial of ``lo`` ends the
+        walk.  A node asks for its live set only when it has more children
+        than the smallest live set seen, and in a walk for a witness only
+        once the walk has met a dead end.
         """
         step, live, rel = auto.step, auto.live, auto.rel
-        # both decided states absorb, so a walk that meets one before it is
-        # registered (still -1 here) only runs longer, to the same answer
-        true_sid, false_sid = auto.true_sid, auto.false_sid
+        # the decided state that settles a subtree as found, and the one that
+        # settles it as not found; both absorb, so a walk that meets one
+        # before it is registered (still -1 here) only runs longer, to the
+        # same answer
+        if accepted:
+            found, lost = auto.true_sid, auto.false_sid
+        else:
+            found, lost = auto.false_sid, auto.true_sid
         size = len(word)
         best = hi + 1
         bits, least = self.bits, self.least
         node, state, depth = self.root, auto.initial_state, 0
+        # a walk for a witness usually ends at the first child it steps, so
+        # it asks for live sets only from its first dead end on
+        ask = not accepted
         # one frame per node on the path: its children not yet tried, its
         # state, the next letter of the fixed slots and the children's depth;
         # children are tried oldest first and entered at once, so a young
-        # sibling is stepped only if it can still beat the best violator
+        # sibling is stepped only if it can still beat the best serial
         frames = []
         while True:
             # the free slot's trace ends here: the fixed letters run on
-            if node.ends and not accepts_from(auto, state, word[depth:]):
+            if node.ends and accepts_from(auto, state, word[depth:]) == accepted:
                 for serial in node.ends:
                     if serial >= lo:
                         best = min(best, serial)
@@ -117,8 +134,8 @@ class PrefixTree:
             children = node.children
             fanout = len(children)
             # before any live set is seen, a lone child is not worth a walk
-            if fanout > (1 if least is None else least):
-                values = live(state, letter, bits, fanout)
+            if ask and fanout > (1 if least is None else least):
+                values = live(state, letter, bits, fanout, accepted)
                 if values is None:
                     seen = fanout
                 else:
@@ -133,14 +150,19 @@ class PrefixTree:
                     if node.first >= best or node.last < lo:
                         continue
                     succ = step(state, letter | node.mask)
-                    if succ == true_sid:
+                    if succ == lost:
+                        ask = True
                         continue
-                    if succ == false_sid and node.first >= lo:
+                    if succ == found and node.first >= lo:
                         best = node.first
+                        if best == lo:  # nothing in range comes before it
+                            self.least = least
+                            return best
                         continue
                     state = succ
                     break
                 else:
+                    ask = True
                     frames.pop()
                     continue
                 break

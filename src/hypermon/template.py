@@ -93,10 +93,12 @@ def _product(parts):
     from each part that holds no literal in both polarities."""
     terms = frozenset({frozenset()})
     for p in parts:
+        # each right-hand term with the negations of its literals, once per part
+        clashes = [(t2, frozenset((node, not pos) for node, pos in t2)) for t2 in p]
         new_terms = set()
         for t1 in terms:
-            for t2 in p:
-                if any((node, not pos) in t1 for node, pos in t2):
+            for t2, clash in clashes:
+                if not clash.isdisjoint(t1):
                     continue
                 new_terms.add(t1 | t2)
                 if len(new_terms) > _DNF_TERM_CAP:
@@ -192,7 +194,8 @@ class TemplateAutomaton:
         self.roots = []
         self._now = {}  # formula -> bits of the atoms it reads this step
         self._fixed = {}  # (formula, bit, value) -> _fix's result
-        self._live = {}  # (free bits, state, letter) -> live's answer
+        # per goal (see live), (free bits, state, letter) -> live's answer
+        self._live = ({}, {})
         self.true_sid = -1
         self.false_sid = -1
         # state -> whether its language is empty; a state's language never
@@ -257,10 +260,12 @@ class TemplateAutomaton:
             )
         return child
 
-    def live(self, state: int, letter: int, free: int, fanout: int):
+    def live(self, state: int, letter: int, free: int, fanout: int, accepted: bool):
         """The values of the ``free`` bits within ``rel[state]`` that do not
-        lead from ``state`` to a leaf already progressed to ``true_sid``
-        when every other bit follows ``letter``, as a frozenset.  A leaf not
+        lead from ``state`` to a leaf already progressed to the decided
+        state a walk skips, when every other bit follows ``letter``, as a
+        frozenset.  A walk for accepted tuples (``accepted``) skips
+        ``false_sid``, one for rejected tuples ``true_sid``.  A leaf not
         yet progressed counts as live.
 
         The walk restricts the state's diagram to the letter's fixed bits
@@ -269,20 +274,21 @@ class TemplateAutomaton:
         free bit unread or when the paths would number ``fanout``, so it
         never reaches more leaves than the caller has values to step.  It
         builds diagram nodes but progresses no leaf, so it registers no
-        state.  Answers are kept per (free bits, state, letter); a later
-        progression to ``true_sid`` only leaves a kept set a value too many,
-        which the caller steps to the same answer.
+        state.  Answers are kept per goal and (free bits, state, letter); a
+        later progression to the skipped state only leaves a kept set a
+        value too many, which the caller steps to the same answer.
         """
         rel = self.rel[state]
         free &= rel
         key = (free, state, letter & rel)
-        known = self._live.get(key, 0)
+        kept = self._live[accepted]
+        known = kept.get(key, 0)
         if type(known) is frozenset:
             return known if len(known) < fanout else None
         # None: a live path skips a free bit; an int: at least that many paths
         if known is None or known >= fanout:
             return None
-        true_sid = self.true_sid
+        lost = self.false_sid if accepted else self.true_sid
         values, paths = [], 0
         stack = [(self.roots[state], 0, 0)]
         while stack:
@@ -299,16 +305,16 @@ class TemplateAutomaton:
                 continue
             paths += 1
             if paths >= fanout:
-                self._live[key] = paths
+                kept[key] = paths
                 return None
-            if node[1] != true_sid:
+            if node[1] != lost:
                 if read != free:
                     answer = None
                     break
                 values.append(value)
         else:
             answer = frozenset(values)
-        self._live[key] = answer
+        kept[key] = answer
         return answer
 
     def _node(self, state: int, pending: Formula) -> list:

@@ -9,7 +9,8 @@ import pytest
 
 import hypermon
 from hypermon.cli import SessionReport, main
-from hypermon.parser import MAX_DEPTH
+from hypermon.engine import MonitorOptions, Session
+from hypermon.parser import MAX_DEPTH, parse_formula
 from hypermon.semantics import Trace
 from hypermon.traceio import load_trace, save_trace
 
@@ -295,6 +296,26 @@ class TestMonitor:
         spec = spec_file(tmp_path, "forall p. (a@p U b@p) & (b@p U a@p) & F (a@p & X b@p)\n")
         t1 = write(tmp_path / "t1.trace", "a\nb\n")
         assert main(["monitor", spec, t1, "--state-limit", "1"]) == 3
+
+    def test_provisional_run_honours_the_state_limit(self, tmp_path):
+        # a provisional prefix steps the automaton while it runs, so a tiny
+        # state limit trips during the run: exit 3, one line, no traceback
+        text = "forall p. exists q. (a@p U b@q) & F (a@q & X b@p)\n"
+        spec = spec_file(tmp_path, text)
+        traces = [write(tmp_path / f"t{i}.trace", steps)
+                  for i, steps in enumerate(("a\nb\n", "b\na\n"))]
+        # set-up passes this limit
+        Session(parse_formula(text), MonitorOptions(state_limit=2))
+        src = str(Path(hypermon.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypermon.cli", "monitor", spec, *traces,
+             "--state-limit", "2"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_wide_instance_alphabet_keeps_trace_analysis(self, tmp_path, capsys):
         # each instance alphabet has 16 atoms, past the explicit-alphabet

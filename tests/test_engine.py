@@ -26,6 +26,7 @@ from hypermon.formula import (
 )
 from hypermon.errors import ResourceLimitError
 from hypermon.parser import parse_formula
+from hypermon.prefix_tree import PrefixTree
 from hypermon.semantics import Trace, eval_body, eval_quantified
 from hypermon.trace_analysis import DominanceChecker
 from hypermon.traceio import load_trace, parse_trace, save_trace
@@ -402,53 +403,57 @@ class TestIncrementalProvisional:
         # every shape of three or more quantifiers flips on some stream
         assert {"AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE", "AEAE"} <= flipped, flipped
 
+    @staticmethod
+    def _count_steps(monkeypatch):
+        """A list that grows by one per ``TemplateAutomaton.step`` call."""
+        steps = []
+        step = template.TemplateAutomaton.step
+        monkeypatch.setattr(
+            template.TemplateAutomaton, "step",
+            lambda auto, state, letter: steps.append(1) or step(auto, state, letter),
+        )
+        return steps
+
     def test_forall_exists_work_per_trace_is_flat(self, monkeypatch):
         qf = parse_formula("forall p. exists q. a@p | !a@p | a@q")
         session = Session(qf, MonitorOptions(trace_analysis=False))
-        evaluations = []
-        eval_body_ = semantics.eval_body
-
-        def counted(assignment, body):
-            evaluations.append(body)
-            return eval_body_(assignment, body)
-
-        monkeypatch.setattr(semantics, "eval_body", counted)
+        steps = self._count_steps(monkeypatch)
         rng = random.Random(5)
         work = []
         for i in range(100):
-            before = len(evaluations)
+            before = len(steps)
             # a body that holds on every pair: any partner is a witness
             assert not session.process_trace(random_trace(rng, f"t{i}", 4)).is_violation
-            work.append(len(evaluations) - before)
+            work.append(len(steps) - before)
         assert len(session.store) == 100
-        assert 0 < work[99] <= work[1], work
-
+        assert 0 < max(work[50:]) <= max(work[:10]), work
 
     def test_exists_work_per_trace_is_flat(self, monkeypatch):
         qf = parse_formula("exists p. a@p & X a@p")
         session = Session(qf)
-        evaluations = []
-        eval_body_ = semantics.eval_body
-
-        def counted(assignment, body):
-            evaluations.append(body)
-            return eval_body_(assignment, body)
-
-        monkeypatch.setattr(semantics, "eval_body", counted)
+        steps = self._count_steps(monkeypatch)
         rng = random.Random(5)
         work = []
         for i in range(100):
-            before = len(evaluations)
-            # no trace of a single step can satisfy the body
-            steps = [{"a"}] if i % 2 else []
-            assert session.process_trace(Trace.of(steps, f"t{i}")).is_violation
-            work.append(len(evaluations) - before)
-        assert work == [1] * 100 and len(session.store) == 0
+            before = len(steps)
+            # no trace of a single step can satisfy the body; the empty
+            # trace is decided without a step
+            trace = Trace.of([{"a"}] if i % 2 else [], f"t{i}")
+            assert session.process_trace(trace).is_violation
+            work.append(len(steps) - before)
+        assert work == [0, 1] * 50 and len(session.store) == 0
         assert not session.process_trace(Trace.of([{"a"}, {"a"}], "hit")).is_violation
-        before = len(evaluations)
+        before = len(steps)
         for i in range(10):
             assert not session.process_trace(random_trace(rng, f"u{i}", 4)).is_violation
-        assert len(evaluations) == before  # a satisfied ∃ prefix stays satisfied
+        assert len(steps) == before  # a satisfied ∃ prefix stays satisfied
+
+    # automaton steps over the whole stream, per (shape, bias)
+    MIXED_STEPS = {
+        ("AAE", "unbiased"): 2858, ("AAE", "biased"): 331,
+        ("EAA", "unbiased"): 1159, ("EAA", "biased"): 2044,
+        ("AEA", "unbiased"): 2135, ("AEA", "biased"): 2417,
+    }
 
     @pytest.mark.parametrize("bias", (None, {"incr": 0.85, "decr": 0.05}),
                              ids=("unbiased", "biased"))
@@ -463,51 +468,130 @@ class TestIncrementalProvisional:
             for quant, var in zip(shape, ("p", "q", "r"))
         )
         session = Session(QuantifiedFormula(prefix, body))
-        evaluations = []
-        eval_body_ = semantics.eval_body
-
-        def counted(assignment, body):
-            evaluations.append(body)
-            return eval_body_(assignment, body)
-
-        monkeypatch.setattr(semantics, "eval_body", counted)
+        steps = self._count_steps(monkeypatch)
         corpus = random_traces("counter3", 30, 8, 1, bias=bias)
         for i, c in enumerate(corpus):
-            before = len(evaluations)
+            before = len(steps)
             session.process_trace(c.to_trace(f"t{i}"))
         assert len(session.store) == 30
-        assert 0 < len(evaluations) - before <= 3 * 30, len(evaluations) - before
+        assert 0 < len(steps) - before <= 6 * 30, len(steps) - before
+        assert len(steps) == self.MIXED_STEPS[shape, "biased" if bias else "unbiased"]
 
-    @pytest.mark.parametrize("text, calls, evaluations, first_clean", [
-        ("exists p. exists q. F (overflow@p & X overflow@q)", 31, 242, 15),
+    @pytest.mark.parametrize("text, walks, steps, first_clean", [
+        ("exists p. exists q. F (overflow@p & X overflow@q)", 29, 631, 15),
         ("exists p. exists q. F overflow@p & F overflow@q & "
-         "!(overflow@p <-> overflow@q)", 400, 40200, None),
+         "!(overflow@p <-> overflow@q)", 398, 598, None),
     ], ids=("satisfied-late", "never-satisfied"))
     def test_exists_exists_work_on_a_seeded_stream(
-            self, monkeypatch, text, calls, evaluations, first_clean):
-        # the fresh trace's row, then its column, until a pair is found; with
-        # k earlier traces and no pair found, that is 2 (k + 1) evaluations
-        counted = {"calls": 0, "evaluations": 0}
-        eval_quantified_, eval_body_ = engine.eval_quantified, semantics.eval_body
-
-        def quantified(*args):
-            counted["calls"] += 1
-            return eval_quantified_(*args)
-
-        def body(*args):
-            counted["evaluations"] += 1
-            return eval_body_(*args)
-
-        monkeypatch.setattr(engine, "eval_quantified", quantified)
-        monkeypatch.setattr(semantics, "eval_body", body)
+            self, monkeypatch, text, walks, steps, first_clean):
+        # the fresh trace's row (p = fresh, one walk of the q-trie), then its
+        # column (q = fresh, one walk of the p-trie), then the pair with
+        # itself, until a pair is found
         session = Session(parse_formula(text))
+        counted = self._count_steps(monkeypatch)
+        read = []
+        first_serial = PrefixTree.first_serial
+
+        def recorded(tree, *args):
+            read.append(next(v for v, t in session._tries.items() if t is tree))
+            return first_serial(tree, *args)
+
+        monkeypatch.setattr(PrefixTree, "first_serial", recorded)
         corpus = random_traces("counter3", 200, 12, 5, bias={"incr": 0.7, "decr": 0.2})
         clean = [
             i for i, c in enumerate(corpus)
             if not session.process_trace(c.to_trace(f"t{i}")).is_violation
         ]
-        assert counted == {"calls": calls, "evaluations": evaluations}
+        assert (len(read), len(counted)) == (walks, steps)
+        assert read == ["q", "p"] * (walks // 2) + ["q"] * (walks % 2)
         assert (clean[0] if clean else None) == first_clean
+
+
+PROVISIONAL_SHAPES = ("E", "AE", "EA", "EE", "AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE")
+
+
+def _oracle_corpus(rng, count):
+    """``count`` traces over ``a`` and ``b``: random ones of 0..4 steps, so
+    lengths differ, empty ones, and projected copies of earlier traces (the
+    same steps plus ``z``, which no spec mentions)."""
+    traces = []
+    for j in range(count):
+        pick = rng.random()
+        if traces and pick < 0.25:
+            steps = [step | {"z"} for step in rng.choice(traces).steps]
+            traces.append(Trace.of(steps, f"t{j}"))
+        elif pick < 0.35:
+            traces.append(Trace((), f"t{j}"))
+        else:
+            traces.append(random_trace(rng, f"t{j}", 4))
+    return traces
+
+
+def _provisional_outputs(qf, options, traces):
+    """Per-trace verdicts, up to the first ``ResourceLimitError``; and
+    whether one was raised."""
+    verdicts = []
+    try:
+        session = Session(qf, options)
+        for t in traces:
+            verdicts.append(session.process_trace(t))
+    except ResourceLimitError:
+        return verdicts, True
+    return verdicts, False
+
+
+def _expected_verdict(qf, traces):
+    """The oracle's verdict over ``traces``: ``eval_quantified``, and under
+    ∀∃ the first trace, in store order, with no witness."""
+    if eval_quantified(traces, qf):
+        return engine.CLEAN
+    if [q for q, _ in qf.prefix] == ["forall", "exists"]:
+        (_, univ), (_, exis) = qf.prefix
+        for t in traces:
+            if not any(eval_body({univ: t, exis: s}, qf.body) for s in traces):
+                return engine.Verdict(engine.CounterExample(((univ, t.name),), None))
+    return engine.Verdict(engine.CounterExample((), None))
+
+
+def test_every_provisional_shape_agrees_with_the_oracle(monkeypatch):
+    """Seeded differential of the automaton path against ``eval_quantified``
+    after every trace, over every prefix of up to three quantifiers that is
+    not all-universal, with trace analysis on and off.  The session itself
+    never calls the evaluator, and a tiny state limit either changes
+    nothing or raises ``ResourceLimitError``."""
+
+    def refuse(*args):
+        raise AssertionError("the session called eval_quantified")
+
+    monkeypatch.setattr(semantics, "eval_quantified", refuse)
+    monkeypatch.setattr(engine, "eval_quantified", refuse)
+    rng = random.Random(2029)
+    seen = {"violations": 0, "clean": 0, "flips": 0, "named": 0, "tripped": 0}
+    for shape in PROVISIONAL_SHAPES:
+        variables = ("p", "q", "r")[:len(shape)]
+        prefix = tuple(
+            ("forall" if quant == "A" else "exists", var)
+            for quant, var in zip(shape, variables)
+        )
+        for _ in range(30 if len(shape) < 3 else 14):
+            qf = QuantifiedFormula(prefix, random_body(rng, 3, variables=variables))
+            traces = _oracle_corpus(rng, 10 if len(shape) < 3 else 7)
+            expected = [_expected_verdict(qf, traces[:j + 1]) for j in range(len(traces))]
+            for ta in (False, True):
+                got, raised = _provisional_outputs(qf, MonitorOptions(trace_analysis=ta), traces)
+                assert not raised and got == expected, (str(qf), ta)
+                limited, raised = _provisional_outputs(
+                    qf, MonitorOptions(trace_analysis=ta, state_limit=2), traces)
+                assert limited == expected[:len(limited)], (str(qf), ta)
+                assert raised or len(limited) == len(traces)
+                seen["tripped"] += raised
+            flags = [v.is_violation for v in expected]
+            seen["violations"] += sum(flags)
+            seen["clean"] += len(flags) - sum(flags)
+            seen["flips"] += sum(a != b for a, b in zip(flags, flags[1:]))
+            seen["named"] += sum(bool(v.is_violation and v.counterexample.assignment)
+                                 for v in expected)
+    assert all(seen.values()), seen
 
 
 class TestOptimizationTransparencyMini:

@@ -1,6 +1,7 @@
 """Prefix trees against brute force: leaves and serial bounds under inserts,
 and the walk against running each tuple on its own."""
 
+import itertools
 import random
 
 from hypermon.circuits import independence_property, random_traces
@@ -36,8 +37,10 @@ def test_leaves_and_bounds_follow_inserts_and_removals():
 
 
 def test_first_violator_is_the_first_rejected_tuple_in_range():
+    """Both goals: the first rejected tuple (a violator) and the first
+    accepted one (a witness)."""
     rng = random.Random(6)
-    ranged = 0
+    ranged = {False: 0, True: 0}
     for _ in range(150):
         auto = build_template(desugar(random_body(rng, 3)), ("p", "q")).automaton
         held = {}
@@ -46,16 +49,18 @@ def test_first_violator_is_the_first_rejected_tuple_in_range():
             held[s] = trace_masks(auto, "p", random_trace(rng, f"t{s}", 4))
             tree.add(held[s], s)
         fixed = trace_masks(auto, "q", random_trace(rng, "fixed", 4))
-        for lo in range(8):
-            for hi in range(lo, 8):
-                expected = next(
-                    (s for s in sorted(held)
-                     if lo <= s <= hi and not run_masks(auto, [held[s], fixed])),
-                    None,
-                )
-                assert tree.first_violator(auto, fixed, lo, hi) == expected
-                ranged += expected is not None and expected > lo
-    assert ranged  # some violators sit above the range's first serial
+        for accepted in (False, True):
+            for lo in range(8):
+                for hi in range(lo, 8):
+                    expected = next(
+                        (s for s in sorted(held)
+                         if lo <= s <= hi and run_masks(auto, [held[s], fixed]) == accepted),
+                        None,
+                    )
+                    assert tree.first_serial(auto, fixed, lo, hi, accepted) == expected
+                    ranged[accepted] += expected is not None and expected > lo
+    # for each goal, some tuples found sit above the range's first serial
+    assert all(ranged.values()), ranged
 
 
 def _live_cases(rng):
@@ -86,11 +91,13 @@ def _live_cases(rng):
 
 def test_pruned_walk_is_the_first_rejected_tuple_in_range():
     """Nodes with more children than live values: the walk steps only the
-    live ones and still finds each range's first rejected tuple.  The cases
-    reach states that read only some of the free bits, live values that
-    lead to the rejecting state, and leaves no letter has progressed yet."""
+    live ones and still finds each range's first rejected tuple, and first
+    accepted one.  The cases reach states that read only some of the free
+    bits, live values that lead to the state the walk looks for, and leaves
+    no letter has progressed yet."""
     rng = random.Random(9)
-    seen = {"pruned": 0, "partial rel": 0, "rejecting": 0, "unprogressed": 0}
+    seen = {"pruned": 0, "pruned for witnesses": 0, "partial rel": 0,
+            "rejecting": 0, "accepting": 0, "unprogressed": 0}
     for auto, stored, fixed in _live_cases(rng):
         tree = PrefixTree()
         for serial, masks in enumerate(stored):
@@ -98,10 +105,10 @@ def test_pruned_walk_is_the_first_rejected_tuple_in_range():
         asked = []
         live = auto.live
 
-        def recorded(state, letter, free, fanout):
-            values = live(state, letter, free, fanout)
+        def recorded(state, letter, free, fanout, accepted):
+            values = live(state, letter, free, fanout, accepted)
             if values is not None and len(values) < fanout:
-                asked.append((state, letter, values))
+                asked.append((state, letter, values, accepted))
                 seen["partial rel"] += bool(free & ~auto.rel[state])
                 seen["unprogressed"] += any(
                     node[0] < 0 and node[1] is None for node in auto.nodes.values()
@@ -109,19 +116,19 @@ def test_pruned_walk_is_the_first_rejected_tuple_in_range():
             return values
 
         auto.live = recorded
-        for word in fixed:
+        for word, accepted in itertools.product(fixed, (False, True)):
             for lo in range(len(stored)):
                 for hi in range(lo, len(stored)):
                     expected = next(
                         (s for s in range(lo, hi + 1)
-                         if not run_masks(auto, [stored[s], word])),
+                         if run_masks(auto, [stored[s], word]) == accepted),
                         None,
                     )
-                    assert tree.first_violator(auto, word, lo, hi) == expected
+                    assert tree.first_serial(auto, word, lo, hi, accepted) == expected
         seen["pruned"] += len(asked)
-        seen["rejecting"] += sum(
-            auto.step(state, letter | value) == auto.false_sid
-            for state, letter, values in asked
-            for value in values
-        )
+        seen["pruned for witnesses"] += sum(accepted for *_, accepted in asked)
+        for state, letter, values, accepted in asked:
+            found = auto.true_sid if accepted else auto.false_sid
+            hits = sum(auto.step(state, letter | value) == found for value in values)
+            seen["accepting" if accepted else "rejecting"] += hits
     assert all(seen.values()), seen
