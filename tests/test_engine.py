@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import traceback
 
 import pytest
 
@@ -1468,3 +1469,147 @@ class TestLiveSets:
                 assert got == expected, (str(qf), limit)
                 trips += got[2] is not None and got[2] > 0
         assert trips >= 10
+
+
+class _Misses(dict):
+    """A violator table whose lookups always miss: every trace runs the
+    whole tuple loop, as without the table."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _table_run(qf, options, traces, miss=False, seen=None):
+    """Per-trace counterexamples (assignment and rejecting position) and
+    ``instances_run``, and the final store and dropped log; with ``seen``,
+    counts the kinds of table hit met on the way."""
+    session = Session(qf, options)
+    if miss:
+        session._violators = _Misses()
+    table, written, per_trace = session._violators, {}, []
+    for t in traces:
+        before, size = table.get(t.steps), len(session.store)
+        ce = session.process_trace(t).counterexample
+        per_trace.append((
+            None if ce is None else (ce.assignment, ce.rejecting_position),
+            session.stats.instances_run,
+        ))
+        assert len(table) <= engine.TABLE_SIZE
+        after = table.get(t.steps)
+        if seen is not None and before is not None:
+            grown = size > written[t.steps]
+            if type(before) is int:
+                seen["first family, store grown"] += grown
+            elif before[2] == -1:
+                seen["fixed tuple"] += 1
+            else:
+                seen["later family, store grown"] += grown
+                # a newly stored trace violates in the first family
+                seen["overtaken"] += type(after) is int
+            seen["three variables"] += session.qclass.n == 3
+        if after != before:
+            written[t.steps] = size
+    return session, (per_trace, session.store.names(), session.store.dropped)
+
+
+VIOLATOR_SPECS = (
+    "forall p. G (a@p -> X b@p)",
+    # symmetric and reflexive: ordered families
+    "forall p. forall q. (a@p <-> a@q) W !(b@p <-> b@q)",
+    # symmetric, reflexive and transitive
+    "forall p. forall q. G ((a@p <-> a@q) & (b@p <-> b@q))",
+    # neither: a cached violator in the second family can be overtaken in
+    # the first by a trace stored later
+    "forall p. forall q. G (a@p -> b@q)",
+    "forall p. forall q. forall r. G (((a@p <-> a@q) & (b@p <-> b@q)) | "
+    "((a@q <-> a@r) & (b@q <-> b@r)) | ((a@p <-> a@r) & (b@p <-> b@r)))",
+    "forall p. forall q. forall r. ((a@p <-> a@q) | (a@p <-> a@r)) W "
+    "(!(b@p <-> b@q) | !(b@p <-> b@r))",
+    "forall p. forall q. forall r. G ((a@p & a@q) -> b@r)",
+)
+
+
+def _repeating_stream(rng, n):
+    """``n`` traces over a and b, most of them renamed copies of a few
+    shapes, so that violators repeat both before and after the store
+    grows."""
+    shapes = [random_trace(rng, "", 3).steps for _ in range(6)]
+    return [
+        Trace(rng.choice(shapes) if rng.random() < 0.7 else random_trace(rng, "", 3).steps,
+              f"t{i}")
+        for i in range(n)
+    ]
+
+
+class TestViolatorTable:
+    """A trace whose projected steps violated before reads the violator
+    table; the session's outputs equal those of one whose lookups always
+    miss."""
+
+    @pytest.mark.parametrize("size", (1, 4))
+    def test_same_outputs_as_a_table_that_always_misses(self, size, monkeypatch):
+        monkeypatch.setattr(engine, "TABLE_SIZE", size)
+        rng = random.Random(3030)
+        seen = dict.fromkeys(("first family, store grown", "fixed tuple",
+                              "later family, store grown", "overtaken",
+                              "three variables"), 0)
+        # under G (a@p -> b@q), f0 violates with s0 in the second family;
+        # its copy f1 violates with s1, stored since, in the first
+        overtaken = [Trace.of(steps, name) for steps, name in (
+            ([set(), {"b"}], "s0"), ([{"a"}, set()], "f0"),
+            ([{"b"}, {"a", "b"}], "s1"), ([{"a"}, set()], "f1"))]
+        for text in VIOLATOR_SPECS:
+            qf = parse_formula(text)
+            streams = [_repeating_stream(rng, 24) for _ in range(6 if qf.variables[2:] else 12)]
+            for traces in [overtaken] + streams:
+                for ta in (False, True):
+                    for sa in (False, True):
+                        options = MonitorOptions(trace_analysis=ta, spec_analysis=sa,
+                                                 continue_after_violation=True)
+                        _, got = _table_run(qf, options, traces, seen=seen)
+                        _, expected = _table_run(qf, options, traces, miss=True)
+                        assert got == expected, (text, ta, sa)
+        assert all(seen.values()), seen
+
+    def test_first_family_repeats_walk_no_trie(self, monkeypatch):
+        qf = parse_formula(GOLDEN_SPEC)
+        runs = random_traces("counter3", 300, 20, 7001, {"incr": 0.85, "decr": 0.05})
+        traces = [c.to_trace(f"t{i}") for i, c in enumerate(runs)]
+        calls = []
+        walk = PrefixTree.first_serial
+        monkeypatch.setattr(PrefixTree, "first_serial",
+                            lambda tree, *args: calls.append(1) or walk(tree, *args))
+        options = MonitorOptions(continue_after_violation=True)
+        _, expected = _table_run(qf, options, traces, miss=True)
+        missing = len(calls)
+        calls.clear()
+        session = Session(qf, options)
+        repeats = 0
+        for t in traces:
+            before = len(calls)
+            first = type(session._violators.get(session._project(t).steps)) is int
+            session.process_trace(t)
+            if first:
+                repeats += 1
+                assert len(calls) == before, t.name
+        assert repeats >= 100
+        # every such repeat walked at least the first family's trie before
+        assert missing - len(calls) >= repeats
+        _, got = _table_run(qf, options, traces)
+        assert got == expected
+
+    def test_a_walk_that_trips_the_state_limit_writes_no_entry(self):
+        qf = parse_formula(GOLDEN_SPEC)
+        runs = random_traces("counter3", 3, 10, 3, {"incr": 0.85, "decr": 0.05})
+        traces = [c.to_trace(f"t{i}") for i, c in enumerate(runs)]
+        full = Session(qf, MonitorOptions(continue_after_violation=True))
+        assert [full.process_trace(t).is_violation for t in traces] == [False, False, True]
+        session = Session(qf, MonitorOptions(continue_after_violation=True, state_limit=2))
+        for t in traces[:2]:
+            session.process_trace(t)
+        walk = PrefixTree.first_serial
+        with pytest.raises(ResourceLimitError) as caught:
+            session.process_trace(traces[2])
+        assert walk.__code__ in {frame.f_code for frame, _ in
+                                 traceback.walk_tb(caught.value.__traceback__)}
+        assert session._violators == {}
