@@ -22,22 +22,22 @@ expansion order.
 On universal prefixes a fresh trace goes through three steps, in this order:
 the store's copy index drops an exact projected copy of a stored trace
 (dominance is reflexive, so a copy changes no verdict); the violator table
-answers a repeat of an earlier violator, or tells the tuple loop which
-traces it still has to read; the tuple loop runs the rest.  A trace that
-passes it is appended to the store, entered in the copy index and added to
-the tries.  The store never evicts.  No inclusion check runs:
+answers a repeat of an earlier violator; the tuple loop runs the rest.  A
+trace that passes it is appended to the store, entered in the copy index
+and added to the tries.  The store never evicts.  No inclusion check runs:
 ``trace_analysis.DominanceChecker`` is library API only, since on every
 corpus measured it cost more than the tuples it saved.
 
-The violator table maps a violating trace's projected steps to where the
-tuple loop found its first violator, and the store size it had read.  A
-later trace with those steps is an exact repeat: the store only appends, so
-the tuples it formed before still come in the same order, and only the
-traces stored since are read (see ``_run_tuples``).  A violator found in
-the first family, the common case, is an entry of one int and needs no walk
-at all.  The table is a memo of a deterministic computation, not a
-reduction: it changes no output, so it runs with or without trace analysis,
-and it is cleared at ``TABLE_SIZE`` entries.
+The violator table maps a violating trace's projected steps to the serial
+of its first violator, when the tuple loop found it in the first family,
+``(stored[0], ..., None, fresh)`` walked from serial 0.  That family comes
+first in every run over a non-empty store, and the store only appends, so a
+later trace with those steps violates there again, at the same serial: the
+entry is its answer, with no walk.  A violator found in any other family
+writes no entry, and its repeats run the whole tuple loop.  The table is a
+memo of a deterministic computation, not a reduction: it changes no output,
+so it runs with or without trace analysis, and it is cleared at
+``TABLE_SIZE`` entries.
 
 Universal prefixes get definitive verdicts (violations never flip back).
 Other prefixes get provisional verdicts: a later trace can change them.
@@ -387,9 +387,9 @@ class Session:
                 held = level[2][-2:]  # its free slots: its first two variables
         self._tries = {var: PrefixTree() for var in held}
         self._serials = {}  # stored trace name -> serial
-        # violating projected steps -> where the tuple loop found their first
-        # violator (see _run_tuples): a bare int in the common case, so an
-        # entry adds no container for the collector to trace
+        # violating projected steps -> the serial of their first violator in
+        # the first family (see _run_tuples); an int adds no container for
+        # the collector to trace
         self._violators = {}
         self._verdict = CLEAN
         if self.universal and self.qclass.n == 0:
@@ -515,54 +515,34 @@ class Session:
         ``instances_run`` counts the tuples decided: all of a clean family,
         and of a violating one the tuples up to the violator.
 
-        A trace whose projected steps violated before reads the violator
-        table first.  Its entry holds the serial found and, unless that was
-        in the first family, the family's index and the store size ``read``
-        of the run that found it.  The families that run met are, in the
-        same order, the ones whose fixed stored traces and first free serial
-        all lie below ``read``: each was clean below ``read``, so its walk
-        starts there, up to the entry's own, which gives the cached answer.
-        The first family, ``(stored[0], ..., None, fresh)`` from serial 0,
-        comes first in every run, so its entry is the answer at once.
+        A violator found in the first family, ``(stored[0], ..., None,
+        fresh)`` from serial 0, enters the violator table under its steps.
+        That family comes first whenever the store is non-empty, so a later
+        trace with the same steps gets the same tuple from its entry.
         """
         stored = self.store.traces[:1] if self.transitive else self.store.traces
-        k = len(stored)
-        entry = self._violators.get(fresh.steps)
-        if type(entry) is int:
-            self.stats.instances_run += entry + 1
-            return (stored[0],) * (self.qclass.n - 2) + (stored[entry], fresh)
-        if entry is not None:
-            ordinal, read, cached = entry
-            serials, met = self._serials, 0
+        if self._violators:
+            at = self._violators.get(fresh.steps)
+            if at is not None:
+                self.stats.instances_run += at + 1
+                return (stored[0],) * (self.qclass.n - 2) + (stored[at], fresh)
         auto = self.template.automaton
         variables = self.variables
         families = tuples_with_last(
             stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
         )
-        for index, (fixed, slot, start) in enumerate(families):
-            lo = start
-            if entry is not None and (slot is None or start < read) and all(
-                trace is fresh or serials[trace.name] < read
-                for trace in fixed if trace is not None
-            ):
-                if met == ordinal:
-                    at = cached
-                    break
-                met += 1
-                if slot is None or read == k:  # no tuple left to decide
-                    self.stats.instances_run += 1 if slot is None else k - start
-                    continue
-                lo = read
+        first = True
+        for fixed, slot, start in families:
             fixed_masks = [
                 masks_of(trace, var)
                 for var, trace in zip(variables, fixed)
                 if trace is not None
             ]
             if slot is None:
-                if not run_masks(auto, fixed_masks):
-                    at = -1
-                    break
                 self.stats.instances_run += 1
+                if not run_masks(auto, fixed_masks):
+                    return fixed
+                first = False
                 continue
             # a single fixed slot's masks are the word already
             if len(fixed_masks) == 1:
@@ -570,24 +550,21 @@ class Session:
             else:
                 word = list(joint_word(fixed_masks))
             # serials are store positions
-            at = self._tries[variables[slot]].first_serial(auto, word, lo, k - 1, False)
-            if at is not None:
-                break
-            self.stats.instances_run += k - start
-        else:
-            return None
-        # family ``index`` violates, in its free slot's serial ``at`` (-1
-        # when it has none); a first family's entry is that serial alone
-        table = self._violators
-        if len(table) >= TABLE_SIZE:
-            table.clear()
-        if slot is None:
-            self.stats.instances_run += 1
-            table[fresh.steps] = (index, k, -1)
-            return fixed
-        self.stats.instances_run += at - start + 1
-        table[fresh.steps] = at if index == 0 else (index, k, at)
-        return fixed[:slot] + (stored[at],) + fixed[slot + 1:]
+            at = self._tries[variables[slot]].first_serial(
+                auto, word, start, len(stored) - 1, False
+            )
+            if at is None:
+                self.stats.instances_run += len(stored) - start
+                first = False
+                continue
+            self.stats.instances_run += at - start + 1
+            if first:
+                table = self._violators
+                if len(table) >= TABLE_SIZE:
+                    table.clear()
+                table[fresh.steps] = at
+            return fixed[:slot] + (stored[at],) + fixed[slot + 1:]
+        return None
 
     def _build_counterexample(self, tup, masks_of) -> CounterExample:
         """The counterexample of ``tup``; its rejecting position is worked

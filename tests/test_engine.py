@@ -1482,11 +1482,11 @@ class _Misses(dict):
 def _table_run(qf, options, traces, miss=False, seen=None):
     """Per-trace counterexamples (assignment and rejecting position) and
     ``instances_run``, and the final store and dropped log; with ``seen``,
-    counts the kinds of table hit met on the way."""
+    counts the kinds of repeat met on the way."""
     session = Session(qf, options)
     if miss:
         session._violators = _Misses()
-    table, written, per_trace = session._violators, {}, []
+    table, written, wrote, per_trace = session._violators, {}, {}, []
     for t in traces:
         before, size = table.get(t.steps), len(session.store)
         ce = session.process_trace(t).counterexample
@@ -1497,18 +1497,17 @@ def _table_run(qf, options, traces, miss=False, seen=None):
         assert len(table) <= engine.TABLE_SIZE
         after = table.get(t.steps)
         if seen is not None and before is not None:
-            grown = size > written[t.steps]
-            if type(before) is int:
-                seen["first family, store grown"] += grown
-            elif before[2] == -1:
-                seen["fixed tuple"] += 1
-            else:
-                seen["later family, store grown"] += grown
-                # a newly stored trace violates in the first family
-                seen["overtaken"] += type(after) is int
+            seen["entry, store grown"] += size > written[t.steps]
             seen["three variables"] += session.qclass.n == 3
+        elif seen is not None and wrote.get(t.steps) is False:
+            # it violated outside the first family: the whole loop runs again
+            seen["no entry"] += 1
+            # a trace stored since violates in the first family
+            seen["overtaken"] += after is not None
         if after != before:
             written[t.steps] = size
+        if ce is not None:
+            wrote[t.steps] = after is not None
     return session, (per_trace, session.store.names(), session.store.dropped)
 
 
@@ -1518,8 +1517,8 @@ VIOLATOR_SPECS = (
     "forall p. forall q. (a@p <-> a@q) W !(b@p <-> b@q)",
     # symmetric, reflexive and transitive
     "forall p. forall q. G ((a@p <-> a@q) & (b@p <-> b@q))",
-    # neither: a cached violator in the second family can be overtaken in
-    # the first by a trace stored later
+    # neither: a violator in the second family can be overtaken in the first
+    # by a trace stored later
     "forall p. forall q. G (a@p -> b@q)",
     "forall p. forall q. forall r. G (((a@p <-> a@q) & (b@p <-> b@q)) | "
     "((a@q <-> a@r) & (b@q <-> b@r)) | ((a@p <-> a@r) & (b@p <-> b@r)))",
@@ -1550,8 +1549,7 @@ class TestViolatorTable:
     def test_same_outputs_as_a_table_that_always_misses(self, size, monkeypatch):
         monkeypatch.setattr(engine, "TABLE_SIZE", size)
         rng = random.Random(3030)
-        seen = dict.fromkeys(("first family, store grown", "fixed tuple",
-                              "later family, store grown", "overtaken",
+        seen = dict.fromkeys(("entry, store grown", "no entry", "overtaken",
                               "three variables"), 0)
         # under G (a@p -> b@q), f0 violates with s0 in the second family;
         # its copy f1 violates with s1, stored since, in the first
@@ -1571,31 +1569,40 @@ class TestViolatorTable:
                         assert got == expected, (text, ta, sa)
         assert all(seen.values()), seen
 
-    def test_first_family_repeats_walk_no_trie(self, monkeypatch):
+    def test_renamed_copies_walk_no_trie(self, monkeypatch):
+        """A counter3 corpus, then a renamed copy of every trace: a copy of
+        a violator names its original's partner, a copy of a clean trace is
+        dropped, and the copies make no trie walk."""
         qf = parse_formula(GOLDEN_SPEC)
         runs = random_traces("counter3", 300, 20, 7001, {"incr": 0.85, "decr": 0.05})
-        traces = [c.to_trace(f"t{i}") for i, c in enumerate(runs)]
+        corpus = [c.to_trace(f"t{i}") for i, c in enumerate(runs)]
+        copies = [Trace(t.steps, t.name + "-copy") for t in corpus]
+        by_name = {t.name: t for t in corpus + copies}
         calls = []
         walk = PrefixTree.first_serial
         monkeypatch.setattr(PrefixTree, "first_serial",
                             lambda tree, *args: calls.append(1) or walk(tree, *args))
         options = MonitorOptions(continue_after_violation=True)
-        _, expected = _table_run(qf, options, traces, miss=True)
+        _, expected = _table_run(qf, options, corpus + copies, miss=True)
         missing = len(calls)
         calls.clear()
         session = Session(qf, options)
-        repeats = 0
-        for t in traces:
-            before = len(calls)
-            first = type(session._violators.get(session._project(t).steps)) is int
-            session.process_trace(t)
-            if first:
-                repeats += 1
-                assert len(calls) == before, t.name
-        assert repeats >= 100
-        # every such repeat walked at least the first family's trie before
-        assert missing - len(calls) >= repeats
-        _, got = _table_run(qf, options, traces)
+        first = [session.process_trace(t).counterexample for t in corpus]
+        walks = len(calls)
+        second = [session.process_trace(t).counterexample for t in copies]
+        assert len(calls) == walks
+        violators = sum(ce is not None for ce in first)
+        assert violators >= 200 and missing - walks >= violators
+        for ce in filter(None, first + second):
+            assert not eval_body({var: by_name[name] for var, name in ce.assignment}, qf.body)
+        dropped = dict(session.store.dropped)
+        for t, ce, copy_ce in zip(corpus, first, second):
+            if ce is None:
+                assert copy_ce is None and t.name + "-copy" in dropped, t.name
+            else:
+                named = [(var, name.removesuffix("-copy")) for var, name in copy_ce.assignment]
+                assert named == list(ce.assignment), (ce, copy_ce)
+        _, got = _table_run(qf, options, corpus + copies)
         assert got == expected
 
     def test_a_walk_that_trips_the_state_limit_writes_no_entry(self):
