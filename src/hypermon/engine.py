@@ -212,52 +212,68 @@ class MonitorStats:
         }
 
 
-def tuples_with_last(pool, n: int, skip_self: bool = False, ordered: bool = False):
-    """The n-tuples over ``pool`` that hold its last element, less the
-    all-last tuple when ``skip_self``, as families.
+def tuples_with_last(stored, last, n: int, skip_self: bool = False,
+                     ordered: bool = False, k: int = None):
+    """The n-tuples over ``stored[:k]`` and ``last`` that hold ``last``, less
+    the all-last tuple when ``skip_self``, as families; ``k`` defaults to
+    ``len(stored)``.  The pool is ``stored[:k] + [last]``, and nothing is
+    copied to make it: ``stored`` is read by index.
 
     A family ``(fixed, slot, start)`` stands for the tuples ``fixed`` with
-    position ``slot`` (None in ``fixed``) set to each of ``pool[start:-1]``
+    position ``slot`` (None in ``fixed``) set to each of ``stored[start:k]``
     in turn; a ``slot`` of None means ``fixed`` is one tuple.  Expanded in
     order, unordered families give the tuples in ``itertools.product``
-    order: the final position is the last element unless the rest already
-    holds it.  ``ordered`` keeps one tuple per permutation class: the ones
-    whose positions never decrease in pool order, so the last element ends
-    each tuple.  They come in ``combinations_with_replacement`` order, whose
-    all-last tuple comes last.  The free slot is one of the last two
-    positions, the second-to-last one when ``ordered``.
+    order: the final position is ``last`` unless the rest already holds it.
+    ``ordered`` keeps one tuple per permutation class: the ones whose
+    positions never decrease in pool order, so ``last`` ends each tuple.
+    They come in ``combinations_with_replacement`` order, whose all-last
+    tuple comes last.  The free slot is one of the last two positions, the
+    second-to-last one when ``ordered``.  Two positions have one head, the
+    empty one, and their families are yielded directly; more positions
+    build their heads over ``range(k + 1)``.
     """
     if n == 0:
         return
-    last, k = pool[-1], len(pool) - 1
+    if k is None:
+        k = len(stored)
     if n == 1:
         if not skip_self:
             yield (last,), None, 0
         return
+    if n == 2:
+        if k:
+            yield (None, last), 0, 0
+            if not ordered:
+                yield (last, None), 1, 0
+        if not skip_self:
+            yield (last, last), None, 0
+        return
+
+    def at(i):
+        return stored[i] if i < k else last
+
     if ordered:
         for head in itertools.combinations_with_replacement(range(k + 1), n - 2):
-            prefix = tuple(pool[i] for i in head)
-            start = head[-1] if head else 0
-            if start < k:
-                yield prefix + (None, last), n - 2, start
-            if not (skip_self and (not head or head[0] == k)):
+            prefix = tuple(map(at, head))
+            if head[-1] < k:
+                yield prefix + (None, last), n - 2, head[-1]
+            if not (skip_self and head[0] == k):
                 yield prefix + (last, last), None, 0
         return
     for head in itertools.product(range(k + 1), repeat=n - 2):
-        prefix = tuple(pool[i] for i in head)
+        prefix = tuple(map(at, head))
         if k not in head:
             if k:
                 yield prefix + (None, last), n - 2, 0
                 yield prefix + (last, None), n - 1, 0
-            if not (skip_self and not head):
-                yield prefix + (last, last), None, 0
+            yield prefix + (last, last), None, 0
             continue
         all_last = all(i == k for i in head)
-        for j, trace in enumerate(pool):
+        for j in range(k + 1):
             if k:
-                yield prefix + (trace, None), n - 1, 0
+                yield prefix + (at(j), None), n - 1, 0
             if not (skip_self and all_last and j == k):
-                yield prefix + (trace, last), None, 0
+                yield prefix + (at(j), last), None, 0
 
 
 def _level(prefix):
@@ -529,7 +545,7 @@ class Session:
         auto = self.template.automaton
         variables = self.variables
         families = tuples_with_last(
-            stored + [fresh], self.qclass.n, self.reflexive, self.symmetric
+            stored, fresh, self.qclass.n, self.reflexive, self.symmetric
         )
         first = True
         for fixed, slot, start in families:
@@ -622,7 +638,7 @@ class Session:
             word = masks[0] if len(masks) == 1 else list(joint_word(masks))
             return tree.first_serial(auto, word, read, len(pool) - 1, accepted) is not None
         for j in range(read, len(pool)):
-            for fixed, slot, start in tuples_with_last(pool[:j + 1], len(block)):
+            for fixed, slot, start in tuples_with_last(pool, pool[j], len(block), k=j):
                 tuple_masks = masks + [
                     masks_of(trace, var) for var, trace in zip(block, fixed)
                     if trace is not None

@@ -22,15 +22,27 @@ the automaton for its live set (``TemplateAutomaton.live``): the free
 slot's mask values that the state's transition diagram, restricted to the
 fixed slots' letter, does not already send to the ruling-out state.  Only
 children whose masks are in it are stepped; the rest would be skipped
-anyway.  A walk for a witness usually ends at the first child it steps, so
-it asks for live sets only once it has met a dead end: building one would
-cost more than the step it saves.  The answer equals running each tuple on
+anyway.  A node of more than ``WIDE`` children is also entered in the
+tree's ``wide`` map, from the node to a dict of its children by mask:
+:meth:`PrefixTree.add` looks a child up there instead of scanning, and so
+does a walk whose state reads every bit the tree's masks set, taking the
+live values' children oldest first, the order the scan gives.  When the
+state leaves one of those bits unread, one live value stands for several
+masks, and the walk filters the children as a narrow node does.  A walk
+for a witness usually ends at the first child it steps, so it asks for
+live sets only once it has met a dead end: building one would cost more
+than the step it saves.  The answer equals running each tuple on
 its own with ``template.run_masks``: a trace past its end contributes mask
 0, and a trace that ends early runs the rest of the fixed letters with
 ``template.accepts_from``.
 """
 
+from operator import attrgetter
+
 from .template import accepts_from
+
+WIDE = 8  # children a node scans; past it, the tree maps its masks to them
+_first = attrgetter("first")
 
 
 class Node:
@@ -55,6 +67,9 @@ class PrefixTree:
     def __init__(self):
         self.root = Node(None, None, None)
         self.leaves = {}
+        # node with more than WIDE children -> {mask: child}; kept here, not
+        # on Node, so that the many narrow nodes pay no slot for it
+        self.wide = {}
         # every bit some mask in the tree sets: the free bits of a live set;
         # a bit of the variable that no mask sets is 0 in every child
         self.bits = 0
@@ -68,14 +83,27 @@ class PrefixTree:
         if node.first is None:
             node.first = serial
         node.last = serial
+        wide = self.wide
         for mask in masks:
-            for child in node.children:
-                if child.mask == mask:
-                    break
+            children = node.children
+            if len(children) > WIDE:
+                index = wide[node]
+                child = index.get(mask)
             else:
+                index = None
+                for child in children:
+                    if child.mask == mask:
+                        break
+                else:
+                    child = None
+            if child is None:
                 child = Node(mask, node, serial)
-                node.children += (child,)
+                node.children = children = children + (child,)
                 self.bits |= mask
+                if index is not None:
+                    index[mask] = child
+                elif len(children) > WIDE:
+                    wide[node] = {c.mask: c for c in children}
             child.last = serial
             node = child
         node.ends += (serial,)
@@ -113,7 +141,7 @@ class PrefixTree:
             found, lost = auto.false_sid, auto.true_sid
         size = len(word)
         best = hi + 1
-        bits, least = self.bits, self.least
+        bits, least, wide = self.bits, self.least, self.wide
         node, state, depth = self.root, auto.initial_state, 0
         # a walk for a witness usually ends at the first child it steps, so
         # it asks for live sets only from its first dead end on
@@ -141,7 +169,15 @@ class PrefixTree:
                 else:
                     seen = len(values)
                     within = rel[state]
-                    children = [c for c in children if c.mask & within in values]
+                    if fanout > WIDE and not bits & ~within:
+                        # every mask is a live value as it stands: look the
+                        # values up, oldest child first
+                        index = wide[node]
+                        children = sorted(
+                            [index[v] for v in values if v in index], key=_first
+                        )
+                    else:
+                        children = [c for c in children if c.mask & within in values]
                 least = seen if least is None else min(least, seen)
             frames.append((iter(children), state, letter, depth + 1))
             while frames:

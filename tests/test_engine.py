@@ -741,7 +741,7 @@ def test_tuples_with_last_keeps_the_product_order(skip_self):
             pool = [f"t{i}" for i in range(k + 1)]
             for ordered in (False, True):
                 expected = list(_product_and_filter(pool, n, skip_self, ordered))
-                families = engine.tuples_with_last(pool, n, skip_self, ordered)
+                families = engine.tuples_with_last(pool[:-1], pool[-1], n, skip_self, ordered)
                 got = list(expand_families(families, pool))
                 assert got == expected, (n, k, ordered)
                 if n == 0:
@@ -749,7 +749,7 @@ def test_tuples_with_last_keeps_the_product_order(skip_self):
             # transitivity restricts the pool to the first stored trace
             fresh = pool[-1]
             restricted = pool[:-1][:1] + [fresh]
-            families = engine.tuples_with_last(restricted, 2, True, True)
+            families = engine.tuples_with_last(restricted[:-1], fresh, 2, True, True)
             got = list(expand_families(families, restricted))
             assert got == ([(pool[0], fresh)] if k else [])
 
@@ -782,7 +782,7 @@ def test_families_expand_to_the_tuple_list(skip_self, ordered):
     for n in range(5):
         for size in range(1, 6):
             pool = [f"t{i}" for i in range(size)]
-            families = list(engine.tuples_with_last(pool, n, skip_self, ordered))
+            families = list(engine.tuples_with_last(pool[:-1], pool[-1], n, skip_self, ordered))
             expected = list(_tuples_with_last_as_tuples(pool, n, skip_self, ordered))
             assert list(expand_families(families, pool)) == expected, (n, size)
             for fixed, slot, start in families:
@@ -802,7 +802,7 @@ def _eval_body_tuples(session, fresh):
     stored = session.store.traces[:1] if session.transitive else session.store.traces
     pool = stored + [fresh]
     families = engine.tuples_with_last(
-        pool, session.qclass.n, session.reflexive, session.symmetric
+        stored, fresh, session.qclass.n, session.reflexive, session.symmetric
     )
     for tup in expand_families(families, pool):
         session.stats.instances_run += 1
