@@ -5,6 +5,7 @@ that step's corpus, seeds and assertions."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ import hypermon
 from hypermon import template
 from hypermon.engine import MonitorOptions, Session
 from hypermon.parser import parse_formula
-from hypermon.semantics import eval_body
-from hypermon.traceio import load_trace
+from hypermon.semantics import Trace, eval_body
+from hypermon.traceio import load_trace, save_trace
 
 SRC = str(Path(hypermon.__file__).parent.parent)
 
@@ -95,3 +96,95 @@ def test_three_quantifier_symmetry_smoke_test(tmp_path):
     }
     assert len(assignment) == 3, on["counterexample"]
     assert not eval_body(assignment, body), on["counterexample"]
+
+
+SPEC = "forall p. forall q. (overflow@p <-> overflow@q) W !(decr@p <-> decr@q)\n"
+BIAS = ("--bias", "incr=0.85", "--bias", "decr=0.05")
+
+
+def test_drop_heavy_smoke_test(tmp_path):
+    """Drop-heavy smoke test."""
+    smoke = tmp_path
+    (smoke / "spec.hm").write_text(SPEC)
+    assert hypermon_cli("gen", "--kind", "counter3", "--n", 300, "--length", 8,
+                        "--seed", 1, "--out", smoke / "corpus") == 0
+    assert hypermon_cli("monitor", smoke / "spec.hm", smoke / "corpus",
+                        "--continue-after-violation", "--stats-format", "json",
+                        stdout=smoke / "report.json") == 0
+    report = json.load(open(smoke / "report.json"))
+    assert report["verdict"] == "clean" and report["dropped_traces"], report["verdict"]
+    # trace analysis is the copy index alone: every drop is a copy hit
+    assert report["trace_analysis"] == {"copy_hits": len(report["dropped_traces"])}, \
+        report["trace_analysis"]
+
+
+def test_repeated_violator_smoke_test(tmp_path):
+    """Repeated-violator smoke test."""
+    smoke = tmp_path
+    (smoke / "spec.hm").write_text(SPEC)
+    assert hypermon_cli("gen", "--kind", "counter3", "--n", 600, "--length", 20,
+                        "--seed", 3, *BIAS, "--out", smoke / "corpus") == 0
+    # a renamed copy of every trace, read after the corpus
+    (smoke / "copies").mkdir()
+    for path in sorted((smoke / "corpus").glob("t*.trace")):
+        (smoke / "copies" / ("c" + path.name[1:])).write_bytes(path.read_bytes())
+    for run, dirs in (("once", ["corpus"]), ("twice", ["corpus", "copies"])):
+        code = hypermon_cli("monitor", smoke / "spec.hm", *(smoke / d for d in dirs),
+                            "--continue-after-violation", "--stats-format", "json",
+                            stdout=smoke / f"{run}.json")
+        assert code == 1, run
+    once, twice = (json.load(open(smoke / name)) for name in ("once.json", "twice.json"))
+    # the report names the last violator: the copy of the corpus's last
+    # one, with its original's partner and rejecting position
+    ce = once["counterexample"]
+    assert twice["counterexample"] == {**ce, "q": "c" + ce["q"][1:]}, twice["counterexample"]
+    assert twice["rejecting_position"] == once["rejecting_position"]
+    # the copies store nothing
+    assert twice["stats"]["traces_stored"] == once["stats"]["traces_stored"]
+    assert twice["stats"]["instances_run"] > once["stats"]["instances_run"]
+    # a copy of a clean trace is dropped for that trace's own partner
+    kept = dict(once["dropped_traces"])
+    copies = twice["dropped_traces"][len(kept):]
+    assert twice["dropped_traces"][:len(kept)] == once["dropped_traces"]
+    assert len(copies) == once["stats"]["traces_stored"] + len(kept), len(copies)
+    for copy, partner in copies:
+        original = "t" + copy[1:]
+        assert partner == kept.get(original, original), (copy, partner)
+
+
+def test_cut_length_smoke_test(tmp_path):
+    """Cut-length smoke test."""
+    smoke = tmp_path
+    (smoke / "spec.hm").write_text(SPEC)
+    assert hypermon_cli("gen", "--kind", "counter3", "--n", 300, "--length", 12,
+                        "--seed", 1, *BIAS, "--out", smoke / "corpus") == 0
+    # cut each trace to a seeded length in 0..12, empty traces included
+    rng = random.Random(1)
+    for path in sorted((smoke / "corpus").glob("*.trace")):
+        trace = load_trace(path)
+        save_trace(Trace(trace.steps[:rng.randint(0, 12)], trace.name), path)
+    on = hypermon_cli("monitor", smoke / "spec.hm", smoke / "corpus",
+                      "--continue-after-violation", "--stats-format", "json",
+                      stdout=smoke / "on.json")
+    off = hypermon_cli("monitor", smoke / "spec.hm", smoke / "corpus",
+                       "--continue-after-violation", "--no-trace-analysis",
+                       "--no-spec-analysis", "--stats-format", "json",
+                       stdout=smoke / "off.json")
+    assert on == off
+    on, off = (json.load(open(smoke / name)) for name in ("on.json", "off.json"))
+    assert on["verdict"] == off["verdict"] == "violation", (on["verdict"], off["verdict"])
+    body = parse_formula((smoke / "spec.hm").read_text()).body
+    for report in (on, off):
+        assignment = {
+            var: load_trace(smoke / "corpus" / (name + ".trace"))
+            for var, name in report["counterexample"].items()
+        }
+        assert len(assignment) == 2, report["counterexample"]
+        assert not eval_body(assignment, body), report["counterexample"]
+    assert on["stats"]["instances_run"] <= off["stats"]["instances_run"], (on["stats"], off["stats"])
+    # the store never evicts: each drop names a trace that arrived
+    # earlier, and corpus names follow arrival order
+    assert on["dropped_traces"], on["stats"]
+    assert set(on["trace_analysis"]) == {"copy_hits"}, on["trace_analysis"]
+    for dropped, dominator in on["dropped_traces"]:
+        assert dominator < dropped, (dropped, dominator)

@@ -19,6 +19,8 @@ from hypermon.traceio import (
     write_manifest,
 )
 
+from conftest import random_trace
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -174,6 +176,17 @@ def test_equal_lines_share_one_step():
     two = parse_trace("# other\nb,a\n{}\nb,a\n", "two")
     assert two.steps[0] is one.steps[0] and two.steps[2] is one.steps[0]
     assert two.steps[1] is one.steps[1]
+
+
+def test_loaded_traces_share_one_object_per_distinct_step(tmp_path):
+    rng = random.Random(8)
+    traces = [random_trace(rng, f"t{i}", 6, ("a", "b", "c")) for i in range(200)]
+    for t in traces:
+        save_trace(t, tmp_path / f"{t.name}.trace")
+    loaded = [load_trace(tmp_path / f"{t.name}.trace") for t in traces]
+    assert loaded == traces
+    steps = [step for t in loaded for step in t.steps]
+    assert len({id(step) for step in steps}) == len(set(steps))
 
 
 def test_collect_paths_expands_directories(tmp_path):
