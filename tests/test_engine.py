@@ -18,6 +18,7 @@ from hypermon.formula import (
     AtomRef,
     Iff,
     Implies,
+    Or,
     QuantifiedFormula,
     desugar,
     pretty_quantified,
@@ -28,17 +29,11 @@ from hypermon.parser import parse_formula
 from hypermon.prefix_tree import PrefixTree
 from hypermon.semantics import Trace, eval_body, eval_quantified
 from hypermon.trace_analysis import DominanceChecker
-from hypermon.traceio import parse_trace, save_trace
+from hypermon.traceio import load_trace, parse_trace, save_trace
 
 from conftest import random_body, random_trace, trie_serials
-from oracle import (
-    CONFIGS,
-    drops_are_copies,
-    expand_families,
-    run,
-    tries_hold_the_store,
-)
-from test_golden_runs import SPEC as GOLDEN_SPEC
+from oracle import drops_are_copies, expand_families, tries_hold_the_store
+from test_golden_runs import CORPORA as GOLDEN_CORPORA, SPEC as GOLDEN_SPEC
 
 EQ = "forall p. forall q. G (a@p <-> a@q)"
 OBSDET = "forall p. forall q. (o@p <-> o@q) W !(i@p <-> i@q)"
@@ -244,6 +239,18 @@ class TestUniversalSessions:
         session = Session(parse_formula("false"))
         assert session.verdict().is_violation
 
+    def test_agreement_with_direct_evaluation(self, rng):
+        for _ in range(60):
+            body = random_body(rng, 3)
+            qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), body)
+            traces = [random_trace(rng, f"t{i}", 4) for i in range(5)]
+            session = Session(
+                qf, MonitorOptions(trace_analysis=False, spec_analysis=False)
+            )
+            violated = feed(session, traces)[0] is not None
+            assert violated == (not eval_quantified(traces, qf))
+
+
 class TestProvisionalSessions:
     def test_exists_verdict_can_flip(self):
         qf = parse_formula("exists p. exists q. G (a@p <-> a@q) & F a@p")
@@ -290,10 +297,103 @@ class TestProvisionalSessions:
         assert not session.process_trace(Trace.of([{"b"}], "t2")).is_violation
 
 
+def _whole_store_rule(session, fresh):
+    """The provisional step over the whole store: store the trace, take the
+    verdict of ``eval_quantified`` on the stored set and, under ∀∃, name the
+    first stored trace with no witness."""
+    session.store.add(fresh)
+    traces, qf = session.store.traces, session.qf
+    if eval_quantified(traces, qf):
+        return engine.CLEAN
+    if session.qclass.kind == "forall_exists":
+        univ, exis = session.variables
+        for t in traces:
+            if not any(eval_body({univ: t, exis: s}, qf.body) for s in traces):
+                return engine.Verdict(engine.CounterExample(((univ, t.name),), None))
+    return engine.Verdict(engine.CounterExample((), None))
+
+
+def _short_traces(rng, count):
+    """``count`` traces of 1..5 steps each, so that traces differ in length."""
+    return [
+        Trace.of([{p for p in ("a", "b") if rng.random() < 0.5}
+                  for _ in range(rng.randint(1, 5))], f"t{j}")
+        for j in range(count)
+    ]
+
+
 class TestIncrementalProvisional:
     """Provisional prefixes decide each fresh trace's tuples and the rows
-    still open on their own, so the work per trace does not grow with the
-    store.  ``tests/test_oracle.py`` checks their outputs."""
+    still open on their own; outputs must equal the whole-store rule after
+    every trace."""
+
+    @staticmethod
+    def _specs(rng):
+        for i in range(150):
+            shape = ("AE", "EA", "EE")[i % 3]
+            prefix = tuple(
+                ("forall" if quant == "A" else "exists", var)
+                for quant, var in zip(shape, ("p", "q"))
+            )
+            if i % 2:
+                body = random_body(rng, 3)
+            else:
+                # a condition on p joined to one on q: which trace takes which
+                # variable matters, so a pair missed in one order shows
+                first = random_body(rng, 1, variables=("p",))
+                second = random_body(rng, 1, variables=("q",))
+                body = rng.choice((
+                    And((first, second)), Or((first, second)),
+                    Implies(first, second), Iff(first, second),
+                ))
+            yield QuantifiedFormula(prefix, body), _short_traces(rng, 12)
+        # ∃, every mixed shape of three quantifiers, ∃∃∃, and one of four
+        for shape in ("E", "AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE", "AEAE"):
+            variables = ("p", "q", "r", "s")[:len(shape)]
+            prefix = tuple(
+                ("forall" if quant == "A" else "exists", var)
+                for quant, var in zip(shape, variables)
+            )
+            for _ in range(10):
+                body = random_body(rng, 3, variables=variables)
+                count = 5 if len(shape) == 4 else 6
+                yield QuantifiedFormula(prefix, body), _short_traces(rng, count)
+        # rows catch up on several traces at once: at t2 the root stops at
+        # p = t0, and t2 refutes the row of p = t1 that t3 reads next
+        qf = parse_formula("forall p. exists q. forall r. (a@p <-> a@q) & (z@r -> w@q)")
+        steps = ({"a"}, set(), {"z", "a"}, {"a", "w"})
+        yield qf, [Trace.of([step], f"t{j}") for j, step in enumerate(steps)]
+
+    def test_same_outputs_as_the_whole_store_rule(self, rng):
+        seen = {"violations": 0, "clean": 0, "flips": 0, "one": 0, "three": 0, "four": 0}
+        flipped = set()
+        for qf, traces in self._specs(rng):
+            for ta in (False, True):
+                session = Session(qf, MonitorOptions(trace_analysis=ta))
+                reference = Session(qf, MonitorOptions(trace_analysis=ta))
+                reference._process_provisional = (
+                    lambda fresh, ref=reference: _whole_store_rule(ref, fresh)
+                )
+                previous = None
+                for j, t in enumerate(traces):
+                    got = session.process_trace(t)
+                    assert got == reference.process_trace(t), (str(qf), ta, t.name)
+                    assert got.is_violation != eval_quantified(traces[:j + 1], qf)
+                    # a one-variable prefix keeps no store
+                    stored = reference.store.names() if qf.prefix[1:] else []
+                    assert session.store.names() == stored
+                    assert session.store.dropped == reference.store.dropped
+                    seen["violations" if got.is_violation else "clean"] += 1
+                    if previous is not None and previous != got.is_violation:
+                        seen["flips"] += 1
+                        flipped.add(session.qclass.shape)
+                    previous = got.is_violation
+                seen["one"] += session.qclass.n == 1
+                seen["three"] += session.qclass.n == 3
+                seen["four"] += session.qclass.n == 4
+        assert all(seen.values()), seen
+        # every shape of three or more quantifiers flips on some stream
+        assert {"AAE", "AEA", "AEE", "EAA", "EAE", "EEA", "EEE", "AEAE"} <= flipped, flipped
 
     @staticmethod
     def _count_steps(monkeypatch):
@@ -400,6 +500,23 @@ class TestIncrementalProvisional:
 
 
 class TestThreeQuantifiers:
+    def test_engine_agrees_with_direct_evaluation(self, rng):
+        variables = ("p", "q", "r")
+        for _ in range(30):
+            body = random_body(rng, 3, variables=variables)
+            qf = QuantifiedFormula(tuple(("forall", v) for v in variables), body)
+            traces = [random_trace(rng, f"t{i}", 3) for i in range(4)]
+            expected = any(
+                not eval_quantified(traces[: k + 1], qf) for k in range(len(traces))
+            )
+            for ta in (False, True):
+                for sa in (False, True):
+                    session = Session(
+                        qf, MonitorOptions(trace_analysis=ta, spec_analysis=sa)
+                    )
+                    hit = feed(session, traces)[0] is not None
+                    assert hit == expected, (str(qf), ta, sa)
+
     def test_reflexive_skip_covers_all_same_triples(self):
         # reflexive but not symmetric, so the unordered generator runs
         text = "forall p0. forall p1. forall p2. G ((i@p0 -> i@p1) & (o@p1 -> o@p2))"
@@ -531,6 +648,37 @@ def test_families_expand_to_the_tuple_list(skip_self, ordered):
                 assert 0 <= start < size - 1
 
 
+def _eval_body_tuples(session, fresh):
+    """Reference tuple loop: expand the families and judge each tuple with
+    ``semantics.eval_body``."""
+    stored = session.store.traces[:1] if session.transitive else session.store.traces
+    pool = stored + [fresh]
+    families = engine.tuples_with_last(
+        stored, fresh, session.qclass.n, session.reflexive, session.symmetric
+    )
+    for tup in expand_families(families, pool):
+        session.stats.instances_run += 1
+        if not eval_body(dict(zip(session.variables, tup)), session.qf.body):
+            return tup
+    return None
+
+
+def _per_trace_outputs(qf, traces, ta, sa, reference):
+    """Per-trace counterexamples and ``instances_run``, and the final store
+    and dropped log."""
+    session = Session(qf, MonitorOptions(
+        trace_analysis=ta, spec_analysis=sa, continue_after_violation=True,
+    ))
+    if reference:
+        session._run_tuples = lambda fresh, masks_of: _eval_body_tuples(session, fresh)
+    per_trace = []
+    for t in traces:
+        ce = session.process_trace(t).counterexample
+        per_trace.append((ce, session.stats.instances_run))
+        assert tries_hold_the_store(session)
+    return session, (per_trace, session.store.names(), session.store.dropped)
+
+
 def _eviction_stream(qf, traces):
     """The traces that form no violating tuple with the ones before them,
     reordered so that each comes after every trace it dominates: a fresh
@@ -546,6 +694,11 @@ def _eviction_stream(qf, traces):
     return sorted(kept, key=lambda t: beaten[t.name])
 
 
+TRANSITIVE_BODIES = (
+    "forall p. forall q. G (a@p <-> a@q)",
+    "forall p. forall q. G ((a@p <-> a@q) & (b@p <-> b@q))",
+    "forall p. forall q. (a@p <-> a@q) & X (b@p <-> b@q)",
+)
 # bodies under which some clean traces strictly dominate others
 EVICTING_BODIES = (
     "forall p. forall q. a@p -> !b@q",
@@ -556,8 +709,50 @@ EVICTING_BODIES = (
 
 
 class TestPrefixTreeRunner:
-    """The trie runner on counter3 streams; ``tests/test_oracle.py`` checks
-    it against per-tuple ``eval_body`` on random specs."""
+    """The trie runner against per-tuple ``eval_body`` over the same
+    families, on traces of different lengths, empty ones included."""
+
+    @staticmethod
+    def _streams(rng):
+        """(spec, traces) pairs; every other random body is made symmetric,
+        and two streams in four are eviction streams (see
+        ``_eviction_stream``), so both kinds of body get some."""
+        specs = [parse_formula(text) for text in TRANSITIVE_BODIES + EVICTING_BODIES]
+        for variables, count in ((("p",), 12), (("p", "q"), 24), (("p", "q", "r"), 16)):
+            prefix = tuple(("forall", v) for v in variables)
+            for i in range(count):
+                body = random_body(rng, 3, variables=variables)
+                if i % 2 and len(variables) > 1:
+                    # conjoined over every order of the variables: symmetric
+                    body = And(tuple(
+                        rename_variables(body, dict(zip(variables, order)))
+                        for order in itertools.permutations(variables)
+                    ))
+                specs.append(QuantifiedFormula(prefix, body))
+        for i, qf in enumerate(specs):
+            traces = [random_trace(rng, f"t{j}", 4) for j in range(9)]
+            yield qf, _eviction_stream(qf, traces) if i % 4 >= 2 else traces
+
+    def test_same_outputs_as_eval_body_per_tuple(self, rng):
+        seen = {"symmetric": 0, "asymmetric": 0, "transitive": 0, "three": 0,
+                "violations": 0}
+        for qf, traces in self._streams(rng):
+            by_name = {t.name: t for t in traces}
+            for ta in (False, True):
+                for sa in (False, True):
+                    session, got = _per_trace_outputs(qf, traces, ta, sa, False)
+                    _, expected = _per_trace_outputs(qf, traces, ta, sa, True)
+                    assert got == expected, (str(qf), ta, sa)
+                    for ce, _ in got[0]:
+                        if ce is not None:
+                            seen["violations"] += 1
+                            assignment = {var: by_name[name] for var, name in ce.assignment}
+                            assert not eval_body(assignment, qf.body), (str(qf), ta, sa)
+                    if session.qclass.n >= 2:
+                        seen["symmetric" if session.symmetric else "asymmetric"] += 1
+                        seen["transitive"] += session.transitive
+                        seen["three"] += session.qclass.n == 3 and session.symmetric
+        assert all(seen.values()), seen
 
     def test_transitive_spec_walks_the_first_stored_trace_only(self):
         session = Session(parse_formula(EQ), MonitorOptions(trace_analysis=False))
@@ -586,13 +781,13 @@ class TestPrefixTreeRunner:
             Trace(c.to_trace(f"t{i}").steps[:rng.randint(0, 10)], f"t{i}")
             for i, c in enumerate(corpus)
         ]
-        for options in CONFIGS:
-            got = run(qf, options, traces)
-            expected = run(qf, options, traces, reference=True)
-            assert got.key()[:3] == expected.key()[:3], options
-            assert tries_hold_the_store(got.session)
-            assert any(assignment is not None for assignment, *_ in got.outputs)
-            assert got.dropped or not options.trace_analysis
+        for ta in (False, True):
+            for sa in (False, True):
+                _, got = _per_trace_outputs(qf, traces, ta, sa, False)
+                _, expected = _per_trace_outputs(qf, traces, ta, sa, True)
+                assert got == expected, (ta, sa)
+                assert any(ce is not None for ce, _ in got[0])
+                assert got[2] or not ta  # trace analysis dropped traces
 
 
 def _reference_process(session, checker, fresh):
@@ -761,8 +956,65 @@ COUNTER3 = independence_property("counter3", ("incr",), ("overflow",))
 STREAM_BIAS = {"incr": 0.85, "decr": 0.05}
 
 
+def _intake_corpus(name):
+    """(formula, options, traces) of one shared-step differential corpus."""
+    stream = MonitorOptions(continue_after_violation=True)
+    if name == "counter3-stream":
+        corpus = random_traces("counter3", 1000, 20, 7, bias=STREAM_BIAS)
+        return COUNTER3, stream, [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    if name == "counter3-cut":
+        rng = random.Random(8)
+        corpus = random_traces("counter3", 300, 20, 8, bias=STREAM_BIAS)
+        return COUNTER3, stream, [
+            Trace(c.to_trace(f"t{i}").steps[:rng.randint(0, 20)], f"t{i}")
+            for i, c in enumerate(corpus)
+        ]
+    if name.startswith("xor4"):
+        quants = ("forall", "exists" if name == "xor4-forall-exists" else "forall")
+        corpus = random_traces("xor4", 200, 5, 1)
+        qf = QuantifiedFormula(tuple(zip(quants, ("p", "q"))), XOR4_BODY)
+        return qf, MonitorOptions(), [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
+    pair = COUNTER3.body  # forall-forall-exists over (p, q) and (q, r)
+    body = And((pair, rename_variables(pair, {"p": "q", "q": "r"})))
+    prefix = (("forall", "p"), ("forall", "q"), ("exists", "r"))
+    corpus = random_traces("counter3", 40, 8, 1, bias=STREAM_BIAS)
+    return (QuantifiedFormula(prefix, body), stream,
+            [c.to_trace(f"t{i}") for i, c in enumerate(corpus)])
+
+
+def _session_outputs(qf, options, traces):
+    """Per-trace verdicts and ``instances_run``, the store and the dropped
+    log, and the session."""
+    session = Session(qf, options)
+    per_trace = []
+    for t in traces:
+        per_trace.append((session.process_trace(t), session.stats.instances_run))
+    return (per_trace, session.store.names(), session.store.dropped,
+            session.stats.traces_stored), session
+
+
 class TestSharedStepIntake:
-    """Intake projects each distinct step once, through bounded tables."""
+    """Traces loaded from files share one object per distinct step; outputs
+    must equal those on traces whose every step is its own object."""
+
+    @pytest.mark.parametrize("name", (
+        "counter3-stream", "counter3-cut", "xor4-default", "xor4-forall-exists",
+        "counter3-forall-forall-exists",
+    ))
+    def test_shared_steps_change_no_output(self, tmp_path, name):
+        qf, options, traces = _intake_corpus(name)
+        for t in traces:
+            save_trace(t, tmp_path / f"{t.name}.trace")
+        shared = [load_trace(tmp_path / f"{t.name}.trace") for t in traces]
+        steps = [step for t in shared for step in t.steps]
+        assert len({id(step) for step in steps}) == len(set(steps))
+        copies = [Trace.of([set(step) for step in t.steps], t.name) for t in shared]
+        assert copies == traces
+        got, session = _session_outputs(qf, options, shared)
+        expected, _ = _session_outputs(qf, options, copies)
+        assert got == expected
+        violated = any(v.is_violation for v, _ in got[0])
+        assert violated == name.startswith("counter3"), name
 
     def test_tables_stay_bounded(self, monkeypatch):
         qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), XOR4_BODY)
@@ -772,12 +1024,74 @@ class TestSharedStepIntake:
         traces[60] = Trace(
             (traces[10].steps[0] ^ {"out0"},) + traces[10].steps[1:], "t60")
         options = MonitorOptions(continue_after_violation=True)
-        expected = run(qf, options, traces)
+        expected, _ = _session_outputs(qf, options, traces)
         monkeypatch.setattr(engine, "TABLE_SIZE", 16)
-        got = run(qf, options, traces)  # checks the tables after every trace
+        session = Session(qf, options)
+        per_trace = []
+        for t in traces:
+            per_trace.append((session.process_trace(t), session.stats.instances_run))
+            tables = [session._projection, *session._mask_tables.values()]
+            assert all(len(table) <= 16 for table in tables)
         assert len({step for t in traces for step in t.steps}) > 16
-        assert got.key()[:3] == expected.key()[:3]
-        assert any(assignment is not None for assignment, *_ in got.outputs)
+        assert (per_trace, session.store.names(), session.store.dropped,
+                session.stats.traces_stored) == expected
+        assert any(v.is_violation for v, _ in per_trace)
+
+
+def _counter3(n, length, seed, bias=None):
+    return [c.to_trace(f"t{i}")
+            for i, c in enumerate(random_traces("counter3", n, length, seed, bias))]
+
+
+def _cut(traces, seed, most):
+    """Each trace cut to a seeded length in 0..most, empty traces included."""
+    rng = random.Random(seed)
+    return [Trace(t.steps[:rng.randint(0, most)], t.name) for t in traces]
+
+
+# (formula, traces) of each copy-only differential corpus: the counter3
+# stream's spec and bias, the same cut to seeded lengths, unbiased counter3
+# and xor4 lhs1 -> out0, at the sizes and seeds of the ROADMAP's trace
+# analysis measurements, and the CI drop-heavy and cut-length corpora
+COPY_ONLY_CORPORA = {
+    "counter3-stream": lambda: (COUNTER3, _counter3(1000, 20, 1001, STREAM_BIAS)),
+    "counter3-cut": lambda: (
+        COUNTER3, _cut(_counter3(1000, 20, 1001, STREAM_BIAS), 1001, 20)),
+    "counter3-unbiased": lambda: (COUNTER3, _counter3(1000, 8, 1001)),
+    "xor4": lambda: (
+        QuantifiedFormula((("forall", "p"), ("forall", "q")), XOR4_BODY),
+        [c.to_trace(f"t{i}") for i, c in enumerate(random_traces("xor4", 400, 5, 1))]),
+    "drop-heavy": lambda: (parse_formula(GOLDEN_SPEC), GOLDEN_CORPORA["drop_heavy"]()),
+    "cut-length": lambda: (parse_formula(GOLDEN_SPEC), GOLDEN_CORPORA["cut_length"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_ONLY_CORPORA))
+def test_copy_only_trace_analysis_changes_no_verdict(name):
+    # the copy index drops only exact projected copies, so each trace's
+    # counterexample and rejecting position equal those with trace
+    # analysis off, which stores every trace that passes
+    qf, traces = COPY_ONLY_CORPORA[name]()
+    runs, sessions = [], []
+    for ta in (True, False):
+        session = Session(qf, MonitorOptions(
+            trace_analysis=ta, continue_after_violation=True))
+        verdicts = [session.process_trace(t).counterexample for t in traces]
+        runs.append([None if ce is None else (ce.assignment, ce.rejecting_position)
+                     for ce in verdicts])
+        sessions.append(session)
+    on, off = runs
+    assert on == off
+    violations = sum(v is not None for v in on)
+    # the biased counter3 streams violate; the other corpora are clean
+    assert bool(violations) == (name in ("counter3-stream", "counter3-cut", "cut-length"))
+    store = sessions[0].store
+    assert drops_are_copies(qf, traces, store.names(), store.dropped)
+    assert len(store) + len(store.dropped) + violations == len(traces)
+    assert store.copy_hits == len(store.dropped)
+    assert sessions[0].stats.inclusion_checks == 0
+    if name != "xor4":  # no two xor4 traces agree on the spec's inputs
+        assert store.dropped
 
 
 def test_stats_snapshot_fields():
@@ -913,7 +1227,7 @@ LIVE_PROPS = ("a", "b", "c")
 
 
 def _live_corpora(rng):
-    """(formula, options, traces) for the live-set test: xor4
+    """(formula, options, traces) for the live-set differential tests: xor4
     under a clean and a violating spec, the counter3 stream, and random
     bodies over two and three variables.  Every other random body holds
     whenever the traces differ in ``a``, so many children lead nowhere."""
@@ -939,26 +1253,165 @@ def _live_corpora(rng):
                    traces)
 
 
+def _walk_outputs(qf, options, traces):
+    """Per-trace counterexamples, rejecting positions and ``instances_run``,
+    the automaton's residuals, and the trace whose tuples tripped a resource
+    guard (None if none did)."""
+    per_trace, tripped = [], None
+    try:
+        session = Session(qf, options)
+    except ResourceLimitError:
+        return per_trace, [], -1
+    for i, t in enumerate(traces):
+        try:
+            ce = session.process_trace(t).counterexample
+        except ResourceLimitError:
+            tripped = i
+            break
+        per_trace.append((ce and ce.assignment, ce and ce.rejecting_position,
+                          session.stats.instances_run))
+    return per_trace, list(session.template.automaton.formulas), tripped
+
+
 class TestLiveSets:
-    def test_state_limit_trips_on_the_same_trace(self, rng):
-        """Under a state limit, the trie walk that steps only the children
-        its live sets leave open trips where the walk that steps every
-        child does, with the same outputs and residuals before it."""
+    """The trie walk that steps only the children its live sets leave open
+    gives what the walk that steps every child gives: verdicts,
+    counterexamples, rejecting positions, ``instances_run`` and the same
+    automaton states in the same order."""
+
+    @staticmethod
+    def _both(qf, options, traces, monkeypatch):
+        """(outputs, automaton steps) with live sets, then with every child
+        stepped."""
+        runs, calls = [], []
+        step = template.TemplateAutomaton.step
+        with monkeypatch.context() as m:
+            m.setattr(template.TemplateAutomaton, "step",
+                      lambda auto, state, letter: calls.append(1) or step(auto, state, letter))
+            runs.append((_walk_outputs(qf, options, traces), len(calls)))
+            calls.clear()
+            m.setattr(template.TemplateAutomaton, "live", lambda auto, *args: None)
+            runs.append((_walk_outputs(qf, options, traces), len(calls)))
+        return runs
+
+    def test_same_outputs_as_stepping_every_child(self, rng, monkeypatch):
+        pruned = violations = 0
+        for qf, options, traces in _live_corpora(rng):
+            (got, steps), (expected, every) = self._both(qf, options, traces, monkeypatch)
+            assert got == expected, str(qf)
+            assert steps <= every
+            pruned += steps < every
+            violations += sum(ce is not None for ce, _, _ in got[0])
+        assert pruned >= 5 and violations >= 10
+
+    def test_state_limit_trips_on_the_same_trace(self, rng, monkeypatch):
         trips = 0
         for qf, options, traces in _live_corpora(rng):
             for limit in (2, 3, 5):
                 limited = dataclasses.replace(options, state_limit=limit)
-                got = run(qf, limited, traces)
-                expected = run(qf, limited, traces, twin="live sets")
-                assert (got.key(), got.tripped) == (expected.key(), expected.tripped), (
-                    str(qf), limit)
-                trips += got.tripped and bool(got.outputs)
+                (got, _), (expected, _) = self._both(qf, limited, traces, monkeypatch)
+                assert got == expected, (str(qf), limit)
+                trips += got[2] is not None and got[2] > 0
         assert trips >= 10
+
+
+class _Misses(dict):
+    """A violator table whose lookups always miss: every trace runs the
+    whole tuple loop, as without the table."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _table_run(qf, options, traces, miss=False, seen=None):
+    """Per-trace counterexamples (assignment and rejecting position) and
+    ``instances_run``, and the final store and dropped log; with ``seen``,
+    counts the kinds of repeat met on the way."""
+    session = Session(qf, options)
+    if miss:
+        session._violators = _Misses()
+    table, written, wrote, per_trace = session._violators, {}, {}, []
+    for t in traces:
+        before, size = table.get(t.steps), len(session.store)
+        ce = session.process_trace(t).counterexample
+        per_trace.append((
+            None if ce is None else (ce.assignment, ce.rejecting_position),
+            session.stats.instances_run,
+        ))
+        assert len(table) <= engine.TABLE_SIZE
+        after = table.get(t.steps)
+        if seen is not None and before is not None:
+            seen["entry, store grown"] += size > written[t.steps]
+            seen["three variables"] += session.qclass.n == 3
+        elif seen is not None and wrote.get(t.steps) is False:
+            # it violated outside the first family: the whole loop runs again
+            seen["no entry"] += 1
+            # a trace stored since violates in the first family
+            seen["overtaken"] += after is not None
+        if after != before:
+            written[t.steps] = size
+        if ce is not None:
+            wrote[t.steps] = after is not None
+    return session, (per_trace, session.store.names(), session.store.dropped)
+
+
+VIOLATOR_SPECS = (
+    "forall p. G (a@p -> X b@p)",
+    # symmetric and reflexive: ordered families
+    "forall p. forall q. (a@p <-> a@q) W !(b@p <-> b@q)",
+    # symmetric, reflexive and transitive
+    "forall p. forall q. G ((a@p <-> a@q) & (b@p <-> b@q))",
+    # neither: a violator in the second family can be overtaken in the first
+    # by a trace stored later
+    "forall p. forall q. G (a@p -> b@q)",
+    "forall p. forall q. forall r. G (((a@p <-> a@q) & (b@p <-> b@q)) | "
+    "((a@q <-> a@r) & (b@q <-> b@r)) | ((a@p <-> a@r) & (b@p <-> b@r)))",
+    "forall p. forall q. forall r. ((a@p <-> a@q) | (a@p <-> a@r)) W "
+    "(!(b@p <-> b@q) | !(b@p <-> b@r))",
+    "forall p. forall q. forall r. G ((a@p & a@q) -> b@r)",
+)
+
+
+def _repeating_stream(rng, n):
+    """``n`` traces over a and b, most of them renamed copies of a few
+    shapes, so that violators repeat both before and after the store
+    grows."""
+    shapes = [random_trace(rng, "", 3).steps for _ in range(6)]
+    return [
+        Trace(rng.choice(shapes) if rng.random() < 0.7 else random_trace(rng, "", 3).steps,
+              f"t{i}")
+        for i in range(n)
+    ]
 
 
 class TestViolatorTable:
     """A trace whose projected steps violated before reads the violator
-    table instead of walking the tries."""
+    table; the session's outputs equal those of one whose lookups always
+    miss."""
+
+    @pytest.mark.parametrize("size", (1, 4))
+    def test_same_outputs_as_a_table_that_always_misses(self, size, monkeypatch):
+        monkeypatch.setattr(engine, "TABLE_SIZE", size)
+        rng = random.Random(3030)
+        seen = dict.fromkeys(("entry, store grown", "no entry", "overtaken",
+                              "three variables"), 0)
+        # under G (a@p -> b@q), f0 violates with s0 in the second family;
+        # its copy f1 violates with s1, stored since, in the first
+        overtaken = [Trace.of(steps, name) for steps, name in (
+            ([set(), {"b"}], "s0"), ([{"a"}, set()], "f0"),
+            ([{"b"}, {"a", "b"}], "s1"), ([{"a"}, set()], "f1"))]
+        for text in VIOLATOR_SPECS:
+            qf = parse_formula(text)
+            streams = [_repeating_stream(rng, 24) for _ in range(6 if qf.variables[2:] else 12)]
+            for traces in [overtaken] + streams:
+                for ta in (False, True):
+                    for sa in (False, True):
+                        options = MonitorOptions(trace_analysis=ta, spec_analysis=sa,
+                                                 continue_after_violation=True)
+                        _, got = _table_run(qf, options, traces, seen=seen)
+                        _, expected = _table_run(qf, options, traces, miss=True)
+                        assert got == expected, (text, ta, sa)
+        assert all(seen.values()), seen
 
     def test_renamed_copies_walk_no_trie(self, monkeypatch):
         """A counter3 corpus, then a renamed copy of every trace: a copy of
@@ -974,7 +1427,7 @@ class TestViolatorTable:
         monkeypatch.setattr(PrefixTree, "first_serial",
                             lambda tree, *args: calls.append(1) or walk(tree, *args))
         options = MonitorOptions(continue_after_violation=True)
-        expected = run(qf, options, corpus + copies, twin="violator table")
+        _, expected = _table_run(qf, options, corpus + copies, miss=True)
         missing = len(calls)
         calls.clear()
         session = Session(qf, options)
@@ -993,8 +1446,8 @@ class TestViolatorTable:
             else:
                 named = [(var, name.removesuffix("-copy")) for var, name in copy_ce.assignment]
                 assert named == list(ce.assignment), (ce, copy_ce)
-        got = run(qf, options, corpus + copies)
-        assert got.key()[:3] == expected.key()[:3]
+        _, got = _table_run(qf, options, corpus + copies)
+        assert got == expected
 
     def test_a_walk_that_trips_the_state_limit_writes_no_entry(self):
         qf = parse_formula(GOLDEN_SPEC)
