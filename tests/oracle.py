@@ -6,10 +6,12 @@ entry there.
 
 Seeds and sizes: ``SEED`` 2032.  Per non-empty prefix shape, :data:`SIZES`
 gives the specs and the traces per corpus: 20 specs of 10 traces for one or
-two quantifiers, 14 of 7 for three, 10 of 5 for ``AEAE``.  The empty prefix
-runs each of :data:`CLOSED_BODIES` over 4 traces, and :data:`FIXED_CASES`
-adds 4 cases: 252 in all.  The harness takes 3.7–4.6 s on a shared 2-core
-host (Python 3.11).
+two quantifiers, 14 of 7 for three, 10 of 5 for ``AEAE``.  Each shape of two
+or more quantifiers adds :data:`JOINED` (4) specs of :func:`joined_spec`
+over corpora of the same size.  The empty prefix runs each of
+:data:`CLOSED_BODIES` over 4 traces, and :data:`FIXED_CASES` adds 4 cases:
+304 in all.  The harness takes 3.6–4.0 s on a shared 2-core host (Python
+3.11).
 """
 
 import itertools
@@ -28,6 +30,8 @@ from hypermon.formula import (
     AtomRef,
     Iff,
     Implies,
+    Not,
+    Or,
     QuantifiedFormula,
     classify_prefix,
     collect_alphabet,
@@ -47,6 +51,7 @@ SEED = 2032
 SHAPES = tuple("".join(s) for n in range(4) for s in itertools.product("AE", repeat=n))
 SHAPES += ("AEAE",)  # rows inside rows
 SIZES = {1: (20, 10), 2: (20, 10), 3: (14, 7), 4: (10, 5)}  # specs, traces
+JOINED = 4  # joined specs per prefix shape of two or more quantifiers
 VARIABLES = ("p", "q", "r", "s")
 PROPS = ("a", "b", "c")
 CLOSED_BODIES = ("true", "false", "X false", "G true", "F false", "true U X true")
@@ -87,6 +92,21 @@ def random_spec(rng, shape) -> QuantifiedFormula:
     else:
         body = random_body(rng, 3, PROPS, variables)
     return QuantifiedFormula(prefix, body)
+
+
+def joined_spec(rng, shape) -> QuantifiedFormula:
+    """A spec of the given prefix shape, of two or more quantifiers, whose
+    body is ``c(v) & !c(w)`` or ``c(v) | !c(w)``, for a random condition
+    ``c`` and two of the variables.  Which trace takes which variable
+    decides each tuple, and a trace paired with itself decides none
+    (``&`` is false there, ``|`` true), so a tuple tried in one order only
+    shows."""
+    variables = VARIABLES[:len(shape)]
+    prefix = tuple(("forall" if q == "A" else "exists", v) for q, v in zip(shape, variables))
+    v, w = rng.sample(variables, 2)
+    cond = random_body(rng, 1, PROPS, (v,), allow_constants=False)
+    parts = (cond, Not(rename_variables(cond, {v: w})))
+    return QuantifiedFormula(prefix, rng.choice((And, Or))(parts))
 
 
 def random_corpus(rng, count):
@@ -143,6 +163,10 @@ def cases():
         specs, count = SIZES[len(shape)]
         for _ in range(specs):
             yield shape, random_spec(rng, shape), random_corpus(rng, count)
+    for shape in SHAPES:
+        if len(shape) > 1:
+            for _ in range(JOINED):
+                yield shape, joined_spec(rng, shape), random_corpus(rng, SIZES[len(shape)][1])
     for text, traces in FIXED_CASES:
         qf = parse_formula(text)
         yield classify_prefix(qf).shape, qf, traces

@@ -88,11 +88,20 @@ COUNTER_BIAS = {"incr": 0.85, "decr": 0.05}
 
 
 def _violated_within(kind, sources, targets, limit, length, seed, bias=None):
+    """How many of the first ``limit`` traces of the seeded corpus the
+    monitor reads before it reports a violation, or None.  Trace i of
+    ``random_traces`` depends on the seed and i alone, so the corpus is
+    simulated in doubling chunks, of which only the traces not fed yet are
+    fed."""
     prop = independence_property(kind, sources, targets)
     session = Session(prop, MonitorOptions(trace_analysis=False))
-    for i, circuit_trace in enumerate(random_traces(kind, limit, length, seed, bias)):
-        if session.process_trace(circuit_trace.to_trace(f"t{i:05d}")).is_violation:
-            return i + 1
+    fed, size = 0, 16
+    while fed < limit:
+        size = min(2 * size, limit)
+        for i, circuit_trace in enumerate(random_traces(kind, size, length, seed, bias)[fed:], fed):
+            if session.process_trace(circuit_trace.to_trace(f"t{i:05d}")).is_violation:
+                return i + 1
+        fed = size
     return None
 
 
