@@ -10,6 +10,11 @@ store is append-only, so the trees only grow: a node's smallest serial is
 the one of the trace that created it, its largest is the last one inserted
 below it, and a trace's masks can be read back off the path to its leaf.
 
+A node is an int, the root 0, that indexes the tree's flat lists.  An
+object per node, with its tuple of children, was most of what the cyclic
+garbage collector walked; a dict of ints is never tracked, and a tuple of
+ints is untracked once it survives a collection.
+
 :meth:`PrefixTree.first_serial` runs the joint word of the fixed slots
 against every trace of the tree in one depth-first walk, for a goal: the
 first rejected tuple (a violator: universal tuple loops, ∀ rows) or the
@@ -26,49 +31,37 @@ anyway.  A node of more than ``WIDE`` children is also entered in the
 tree's ``wide`` map, from the node to a dict of its children by mask:
 :meth:`PrefixTree.add` looks a child up there instead of scanning, and so
 does a walk whose state reads every bit the tree's masks set, taking the
-live values' children oldest first, the order the scan gives.  When the
-state leaves one of those bits unread, one live value stands for several
-masks, and the walk filters the children as a narrow node does.  A walk
-for a witness usually ends at the first child it steps, so it asks for
-live sets only once it has met a dead end: building one would cost more
-than the step it saves.  The answer equals running each tuple on
-its own with ``template.run_masks``: a trace past its end contributes mask
-0, and a trace that ends early runs the rest of the fixed letters with
-``template.accepts_from``.
+live values' children oldest first (smallest node first), the order the
+scan gives.  When the state leaves one of those bits unread, one live value
+stands for several masks, and the walk filters the children as a narrow
+node does.  A walk for a witness usually ends at the first child it steps,
+so it asks for live sets only once it has met a dead end: building one
+would cost more than the step it saves.  The answer equals running each
+tuple on its own with ``template.run_masks``: a trace past its end
+contributes mask 0, and a trace that ends early runs the rest of the fixed
+letters with ``template.accepts_from``.
 """
-
-from operator import attrgetter
 
 from .template import accepts_from
 
 WIDE = 8  # children a node scans; past it, the tree maps its masks to them
-_first = attrgetter("first")
-
-
-class Node:
-    """One step of mask values; ``ends`` lists, ascending, the serials of the
-    traces that end here, and ``first``/``last`` bound the serials below:
-    ``first`` is fixed when the node is created."""
-
-    __slots__ = ("mask", "parent", "children", "ends", "first", "last")
-
-    def __init__(self, mask, parent, serial):
-        self.mask = mask
-        self.parent = parent
-        self.children = ()
-        self.ends = ()
-        self.first = self.last = serial
 
 
 class PrefixTree:
-    """The masks of the stored traces for one variable, as a trie; ``leaves``
-    maps each serial to the node its trace ends at."""
+    """The masks of the stored traces for one variable, as a trie: node
+    ``n`` has ``mask[n]``, ``parent[n]``, ``kids[n]`` (oldest first),
+    ``ends[n]`` (ascending) and the serials below it in
+    ``first[n]``..``last[n]``; ``leaves`` maps each serial to its leaf."""
 
     def __init__(self):
-        self.root = Node(None, None, None)
+        self.mask = [None]
+        self.parent = [None]
+        self.first = [None]
+        self.last = [None]
+        self.kids = [()]
+        self.ends = [()]
         self.leaves = {}
-        # node with more than WIDE children -> {mask: child}; kept here, not
-        # on Node, so that the many narrow nodes pay no slot for it
+        # node with more than WIDE children -> {mask: child}
         self.wide = {}
         # every bit some mask in the tree sets: the free bits of a live set;
         # a bit of the variable that no mask sets is 0 in every child
@@ -79,42 +72,51 @@ class PrefixTree:
 
     def add(self, masks, serial) -> None:
         """Insert a trace's masks; ``serial`` exceeds every serial held."""
-        node = self.root
-        if node.first is None:
-            node.first = serial
-        node.last = serial
+        mask, first, last, kids = self.mask, self.first, self.last, self.kids
+        if first[0] is None:
+            first[0] = serial
+        last[0] = serial
         wide = self.wide
-        for mask in masks:
-            children = node.children
+        node = 0
+        for value in masks:
+            children = kids[node]
             if len(children) > WIDE:
                 index = wide[node]
-                child = index.get(mask)
+                child = index.get(value)
             else:
                 index = None
                 for child in children:
-                    if child.mask == mask:
+                    if mask[child] == value:
                         break
                 else:
                     child = None
             if child is None:
-                child = Node(mask, node, serial)
-                node.children = children = children + (child,)
-                self.bits |= mask
+                child = len(mask)
+                mask.append(value)
+                self.parent.append(node)
+                first.append(serial)
+                last.append(serial)
+                kids.append(())
+                self.ends.append(())
+                kids[node] = children = children + (child,)
+                self.bits |= value
                 if index is not None:
-                    index[mask] = child
+                    index[value] = child
                 elif len(children) > WIDE:
-                    wide[node] = {c.mask: c for c in children}
-            child.last = serial
+                    wide[node] = {mask[c]: c for c in children}
+            else:
+                last[child] = serial
             node = child
-        node.ends += (serial,)
+        self.ends[node] += (serial,)
         self.leaves[serial] = node
 
     def masks(self, serial) -> list:
         """The masks of the trace with this serial, read off its path."""
+        mask, parent = self.mask, self.parent
         node, masks = self.leaves[serial], []
-        while node is not self.root:
-            masks.append(node.mask)
-            node = node.parent
+        while node:
+            masks.append(mask[node])
+            node = parent[node]
         masks.reverse()
         return masks
 
@@ -142,7 +144,8 @@ class PrefixTree:
         size = len(word)
         best = hi + 1
         bits, least, wide = self.bits, self.least, self.wide
-        node, state, depth = self.root, auto.initial_state, 0
+        mask, first, last, kids, ends = self.mask, self.first, self.last, self.kids, self.ends
+        node, state, depth = 0, auto.initial_state, 0
         # a walk for a witness usually ends at the first child it steps, so
         # it asks for live sets only from its first dead end on
         ask = not accepted
@@ -153,13 +156,13 @@ class PrefixTree:
         frames = []
         while True:
             # the free slot's trace ends here: the fixed letters run on
-            if node.ends and accepts_from(auto, state, word[depth:]) == accepted:
-                for serial in node.ends:
+            if ends[node] and accepts_from(auto, state, word[depth:]) == accepted:
+                for serial in ends[node]:
                     if serial >= lo:
                         best = min(best, serial)
                         break
             letter = word[depth] if depth < size else 0
-            children = node.children
+            children = kids[node]
             fanout = len(children)
             # before any live set is seen, a lone child is not worth a walk
             if ask and fanout > (1 if least is None else least):
@@ -173,24 +176,23 @@ class PrefixTree:
                         # every mask is a live value as it stands: look the
                         # values up, oldest child first
                         index = wide[node]
-                        children = sorted(
-                            [index[v] for v in values if v in index], key=_first
-                        )
+                        children = sorted([index[v] for v in values if v in index])
                     else:
-                        children = [c for c in children if c.mask & within in values]
+                        children = [c for c in children if mask[c] & within in values]
                 least = seen if least is None else min(least, seen)
             frames.append((iter(children), state, letter, depth + 1))
             while frames:
                 children, state, letter, depth = frames[-1]
                 for node in children:
-                    if node.first >= best or node.last < lo:
+                    at = first[node]
+                    if at >= best or last[node] < lo:
                         continue
-                    succ = step(state, letter | node.mask)
+                    succ = step(state, letter | mask[node])
                     if succ == lost:
                         ask = True
                         continue
-                    if succ == found and node.first >= lo:
-                        best = node.first
+                    if succ == found and at >= lo:
+                        best = at
                         if best == lo:  # nothing in range comes before it
                             self.least = least
                             return best

@@ -34,7 +34,7 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """A finite word over sets of propositions, named for reporting."""
 

@@ -92,13 +92,14 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def trie_serials(node, top=True):
-    """Serials of the leaves below a prefix-tree node; checks on the way that
-    every node's serial bounds are exact and that no node below the root is
-    empty."""
-    below = list(node.ends)
-    for child in node.children:
-        below.extend(trie_serials(child, top=False))
-    assert top or below, "empty node left in the trie"
-    assert (node.first, node.last) == (min(below, default=None), max(below, default=None))
+def trie_serials(tree, node=0):
+    """Serials of the leaves below a node of a prefix tree, the root by
+    default; checks on the way that every node's serial bounds are exact and
+    that no node below the root is empty."""
+    below = list(tree.ends[node])
+    for child in tree.kids[node]:
+        below.extend(trie_serials(tree, child))
+    assert node == 0 or below, "empty node left in the trie"
+    bounds = (tree.first[node], tree.last[node])
+    assert bounds == (min(below, default=None), max(below, default=None))
     return below

@@ -9,8 +9,8 @@ gives the specs and the traces per corpus: 20 specs of 10 traces for one or
 two quantifiers, 14 of 7 for three, 10 of 5 for ``AEAE``.  Each shape of two
 or more quantifiers adds :data:`JOINED` (4) specs of :func:`joined_spec`
 over corpora of the same size.  The empty prefix runs each of
-:data:`CLOSED_BODIES` over 4 traces, and :data:`FIXED_CASES` adds 4 cases:
-304 in all.  The harness takes 3.6–4.0 s on a shared 2-core host (Python
+:data:`CLOSED_BODIES` over 4 traces, and :data:`FIXED_CASES` adds 5 cases:
+305 in all.  The harness takes 3.6–4.0 s on a shared 2-core host (Python
 3.11).
 """
 
@@ -151,6 +151,11 @@ FIXED_CASES = (
     # p = t0, and t2 refutes the row of p = t1 that t3 reads next
     ("forall p. exists q. forall r. (a@p <-> a@q) & (z@r -> w@q)",
      _traces([{"a"}], [set()], [{"z", "a"}], [{"a", "w"}])),
+    # three variables: t2 violates in the first family with t1 in the free
+    # slot, so its repeat t3 reads (t0, t1, t3) off its table entry; a
+    # trace there other than t0 satisfies the body
+    ("forall p. forall q. forall r. G ((a@p <-> a@q) | b@r)",
+     _traces([{"b"}], [{"a", "b"}], [set()], [set()])),
 )
 
 
@@ -382,7 +387,7 @@ def tries_hold_the_store(session) -> bool:
     in store order."""
     serials = [session._serials[name] for name in session.store.names()]
     return len(session._serials) == len(serials) and serials == sorted(serials) and all(
-        sorted(trie_serials(tree.root)) == sorted(tree.leaves) == serials
+        sorted(trie_serials(tree)) == sorted(tree.leaves) == serials
         for tree in session._tries.values()
     )
 

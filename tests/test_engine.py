@@ -28,7 +28,7 @@ from hypermon.parser import parse_formula
 from hypermon.prefix_tree import PrefixTree
 from hypermon.semantics import Trace, eval_body, eval_quantified
 from hypermon.trace_analysis import DominanceChecker
-from hypermon.traceio import load_trace, parse_trace, save_trace
+from hypermon.traceio import parse_trace, save_trace
 
 from conftest import random_body, random_trace, trie_serials
 from oracle import drops_are_copies, expand_families, tries_hold_the_store
@@ -44,7 +44,7 @@ def trie_leaves(session) -> dict:
     names = {serial: name for name, serial in session._serials.items()}
     leaves = {}
     for var, tree in session._tries.items():
-        serials = sorted(trie_serials(tree.root))
+        serials = sorted(trie_serials(tree))
         assert serials == sorted(tree.leaves)
         leaves[var] = [names[s] for s in serials]
     return leaves
@@ -788,65 +788,20 @@ COUNTER3 = independence_property("counter3", ("incr",), ("overflow",))
 STREAM_BIAS = {"incr": 0.85, "decr": 0.05}
 
 
-def _intake_corpus(name):
-    """(formula, options, traces) of one shared-step differential corpus."""
-    stream = MonitorOptions(continue_after_violation=True)
-    if name == "counter3-stream":
-        corpus = random_traces("counter3", 1000, 20, 7, bias=STREAM_BIAS)
-        return COUNTER3, stream, [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
-    if name == "counter3-cut":
-        rng = random.Random(8)
-        corpus = random_traces("counter3", 300, 20, 8, bias=STREAM_BIAS)
-        return COUNTER3, stream, [
-            Trace(c.to_trace(f"t{i}").steps[:rng.randint(0, 20)], f"t{i}")
-            for i, c in enumerate(corpus)
-        ]
-    if name.startswith("xor4"):
-        quants = ("forall", "exists" if name == "xor4-forall-exists" else "forall")
-        corpus = random_traces("xor4", 200, 5, 1)
-        qf = QuantifiedFormula(tuple(zip(quants, ("p", "q"))), XOR4_BODY)
-        return qf, MonitorOptions(), [c.to_trace(f"t{i}") for i, c in enumerate(corpus)]
-    pair = COUNTER3.body  # forall-forall-exists over (p, q) and (q, r)
-    body = And((pair, rename_variables(pair, {"p": "q", "q": "r"})))
-    prefix = (("forall", "p"), ("forall", "q"), ("exists", "r"))
-    corpus = random_traces("counter3", 40, 8, 1, bias=STREAM_BIAS)
-    return (QuantifiedFormula(prefix, body), stream,
-            [c.to_trace(f"t{i}") for i, c in enumerate(corpus)])
-
-
 def _session_outputs(qf, options, traces):
     """Per-trace verdicts and ``instances_run``, the store and the dropped
-    log, and the session."""
+    log."""
     session = Session(qf, options)
     per_trace = []
     for t in traces:
         per_trace.append((session.process_trace(t), session.stats.instances_run))
     return (per_trace, session.store.names(), session.store.dropped,
-            session.stats.traces_stored), session
+            session.stats.traces_stored)
 
 
 class TestSharedStepIntake:
-    """Traces loaded from files share one object per distinct step; outputs
-    must equal those on traces whose every step is its own object."""
-
-    @pytest.mark.parametrize("name", (
-        "counter3-stream", "counter3-cut", "xor4-default", "xor4-forall-exists",
-        "counter3-forall-forall-exists",
-    ))
-    def test_shared_steps_change_no_output(self, tmp_path, name):
-        qf, options, traces = _intake_corpus(name)
-        for t in traces:
-            save_trace(t, tmp_path / f"{t.name}.trace")
-        shared = [load_trace(tmp_path / f"{t.name}.trace") for t in traces]
-        steps = [step for t in shared for step in t.steps]
-        assert len({id(step) for step in steps}) == len(set(steps))
-        copies = [Trace.of([set(step) for step in t.steps], t.name) for t in shared]
-        assert copies == traces
-        got, session = _session_outputs(qf, options, shared)
-        expected, _ = _session_outputs(qf, options, copies)
-        assert got == expected
-        violated = any(v.is_violation for v, _ in got[0])
-        assert violated == name.startswith("counter3"), name
+    """Intake tables of projected steps and masks: bounded, and cleared
+    without changing an output."""
 
     def test_tables_stay_bounded(self, monkeypatch):
         qf = QuantifiedFormula((("forall", "p"), ("forall", "q")), XOR4_BODY)
@@ -856,7 +811,7 @@ class TestSharedStepIntake:
         traces[60] = Trace(
             (traces[10].steps[0] ^ {"out0"},) + traces[10].steps[1:], "t60")
         options = MonitorOptions(continue_after_violation=True)
-        expected, _ = _session_outputs(qf, options, traces)
+        expected = _session_outputs(qf, options, traces)
         monkeypatch.setattr(engine, "TABLE_SIZE", 16)
         session = Session(qf, options)
         per_trace = []

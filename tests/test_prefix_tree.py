@@ -1,6 +1,8 @@
 """Prefix trees against brute force: leaves and serial bounds under inserts,
-and the walk against running each tuple on its own."""
+and the walk against running each tuple on its own; and the objects a tree
+leaves the garbage collector to track."""
 
+import gc
 import itertools
 import random
 
@@ -15,9 +17,9 @@ from conftest import random_body, random_trace, trie_serials
 
 
 def _leaf(tree, masks):
-    node = tree.root
+    node = 0
     for mask in masks:
-        node = next(c for c in node.children if c.mask == mask)
+        node = next(c for c in tree.kids[node] if tree.mask[c] == mask)
     return node
 
 
@@ -32,14 +34,31 @@ def test_leaves_and_bounds_follow_inserts_and_removals():
             masks = [rng.randrange(2 * WIDE) for _ in range(rng.randint(0, 4))]
             tree.add(masks, serial)
             held[serial] = masks
-            assert sorted(trie_serials(tree.root)) == sorted(held)
+            assert sorted(trie_serials(tree)) == sorted(held)
             assert sorted(tree.leaves) == sorted(held)
             for s, masks in held.items():
-                assert s in _leaf(tree, masks).ends
-                assert tree.leaves[s] is _leaf(tree, masks)
+                assert s in tree.ends[_leaf(tree, masks)]
+                assert tree.leaves[s] == _leaf(tree, masks)
                 assert tree.masks(s) == masks
         wide += len(tree.wide)
     assert wide
+
+
+def test_collector_footprint_does_not_grow_with_the_tree():
+    """Nodes are ints in the tree's flat lists, so the cyclic collector
+    tracks a handful of objects per tree however many traces it holds: a
+    dict of ints is never tracked, and a tuple of ints stops being tracked
+    at the first collection it survives.  One container per node would add
+    thousands here."""
+    rng = random.Random(7)
+    gc.collect()
+    before = len(gc.get_objects())
+    tree = PrefixTree()
+    for serial in range(2000):
+        tree.add([rng.randrange(2 * WIDE) for _ in range(8)], serial)
+    gc.collect()
+    assert len(tree.mask) > 10_000 and tree.wide
+    assert len(gc.get_objects()) - before < 20
 
 
 def test_first_violator_is_the_first_rejected_tuple_in_range():

@@ -1,7 +1,9 @@
 """Ground-truth semantics, pinned to the end-of-trace rule: the empty trace
 carries no propositions, so atoms on it are false."""
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -25,6 +27,22 @@ def body(text):
 
 
 T_AB = Trace.of([{"a"}, set(), {"b"}], "t")
+
+
+class TestTrace:
+    def test_value_semantics(self):
+        """Equal by steps and name, hashable, frozen, picklable, with the
+        dataclass repr; slotted, so it has no ``__dict__``."""
+        same = Trace.of([{"a"}, set(), {"b"}], "t")
+        assert same == T_AB and hash(same) == hash(T_AB)
+        assert T_AB != T_AB.renamed("u") and T_AB != Trace(T_AB.steps[:2], "t")
+        assert repr(Trace((frozenset({"a"}),), "t")) == (
+            "Trace(steps=(frozenset({'a'}),), name='t')"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            T_AB.name = "u"
+        assert pickle.loads(pickle.dumps(T_AB)) == T_AB
+        assert not hasattr(T_AB, "__dict__")
 
 
 class TestSubsequence:
